@@ -1,25 +1,24 @@
 """Exact binomial machinery and lower confidence-bound procedures.
 
 Everything here is exact up to floating point: pmf values come from
-log-gamma arithmetic, Clopper-Pearson bounds from bisection on the
-binomial survival function, and coverage numbers from enumeration over
-all n+1 outcomes. No sampling, no approximation beyond the Wald formula
-itself (which is the point of including it).
+log-gamma arithmetic, Clopper-Pearson bounds from the closed-form Beta
+quantile, and coverage numbers from enumeration over all n+1 outcomes.
+No sampling, no approximation beyond the Wald formula itself (which is
+the point of including it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaincinv, gammaln
 
 __all__ = [
     "binom_pmf",
     "binom_pmf_vector",
-    "binom_survival",
     "normal_cdf",
     "normal_quantile",
     "clopper_pearson_lower",
@@ -35,9 +34,6 @@ __all__ = [
     "probability_grid",
     "refined_grid_max",
 ]
-
-ROOT_TOL = 1e-10
-QUANTILE_TOL = 1e-9
 
 
 def _check_law(n: int, p: float) -> None:
@@ -60,10 +56,23 @@ def binom_pmf(n: int, p: float, x: int) -> float:
     return math.exp(logc + x * math.log(p) + (n - x) * math.log1p(-p))
 
 
+@lru_cache(maxsize=64)
+def _pmf_terms(n: int):
+    """log C(n, x), x and n - x over x = 0..n, as float vectors.
+
+    Cached per n and read-only, because every pmf evaluation shares them.
+    """
+    xs = np.arange(n + 1)
+    terms = (gammaln(n + 1) - gammaln(xs + 1) - gammaln(n - xs + 1),
+             xs.astype(float), (n - xs).astype(float))
+    for t in terms:
+        t.setflags(write=False)
+    return terms
+
+
 def binom_pmf_vector(n: int, p: float) -> np.ndarray:
     """All n+1 pmf values at once; same log-space route as binom_pmf."""
     _check_law(n, p)
-    xs = np.arange(n + 1)
     if p == 0.0:
         out = np.zeros(n + 1)
         out[0] = 1.0
@@ -72,17 +81,8 @@ def binom_pmf_vector(n: int, p: float) -> np.ndarray:
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out
-    logc = gammaln(n + 1) - gammaln(xs + 1) - gammaln(n - xs + 1)
-    return np.exp(logc + xs * math.log(p) + (n - xs) * math.log1p(-p))
-
-
-def binom_survival(x: int, n: int, p: float) -> float:
-    """Pr(X >= x). Summation of exact pmf values, no beta-function shortcut."""
-    if x <= 0:
-        return 1.0
-    if x > n:
-        return 0.0
-    return float(binom_pmf_vector(n, p)[x:].sum())
+    logc, xs, rest = _pmf_terms(n)
+    return np.exp(logc + xs * math.log(p) + rest * math.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -137,58 +137,27 @@ def normal_quantile(q: float) -> float:
 # ---------------------------------------------------------------------------
 # Lower confidence bounds.
 
-def clopper_pearson_lower(x: int, n: int, alpha_prime: float, tol: float = ROOT_TOL) -> float:
+def clopper_pearson_lower(x: int, n: int, alpha_prime: float) -> float:
     """Exact lower bound: the p solving Pr(X >= x | n, p) = alpha_prime.
 
-    x = 0 returns 0. Bisection is safe because the survival function is
-    strictly increasing in p for x >= 1.
+    That root is the alpha_prime-quantile of Beta(x, n - x + 1); x = 0
+    returns 0.
     """
     _check_cp_args(x, n, alpha_prime)
     if x == 0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if binom_survival(x, n, mid) > alpha_prime:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(betaincinv(x, n - x + 1, alpha_prime))
 
 
-def clopper_pearson_lower_vector(n: int, alpha_prime: float, tol: float = ROOT_TOL,
-                                 chunk: int = 512) -> np.ndarray:
-    """Bounds for every x = 0..n via simultaneous bisection.
-
-    Each chunk of x values shares its iteration loop; the survival sums are
-    evaluated as a (rows x n+1) pmf matrix per step, so memory stays bounded
-    for large n.
-    """
+def clopper_pearson_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
+    """Bounds for every x = 0..n, as Beta quantiles in one vectorised call."""
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
     if not 0.0 < alpha_prime < 1.0:
         raise ValueError(f"nominal level must lie in (0,1), got {alpha_prime}")
+    xs = np.arange(1, n + 1)
     out = np.zeros(n + 1)
-    js = np.arange(n + 1)
-    logc = gammaln(n + 1) - gammaln(js + 1) - gammaln(n - js + 1)
-    n_iter = int(math.ceil(math.log2(1.0 / tol)))
-    for start in range(1, n + 1, chunk):
-        xs = np.arange(start, min(start + chunk, n + 1))
-        lo = np.zeros(len(xs))
-        hi = np.ones(len(xs))
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            logpmf = (logc[None, :]
-                      + js[None, :] * np.log(mid)[:, None]
-                      + (n - js)[None, :] * np.log1p(-mid)[:, None])
-            pmf = np.exp(logpmf)
-            # survival Pr(X >= x_i) at p = mid_i: right-to-left cumulative sum
-            tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-            surv = tail[np.arange(len(xs)), xs]
-            above = surv > alpha_prime
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        out[xs] = 0.5 * (lo + hi)
+    out[1:] = betaincinv(xs, n - xs + 1, alpha_prime)
     return out
 
 

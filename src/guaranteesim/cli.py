@@ -131,8 +131,9 @@ def _pub_prob_fn(scenario: Scenario, p0: float):
 
 def cmd_coverage(scenario: Scenario, args) -> int:
     kind = args.proc or scenario.procedure.kind
-    n = args.n or scenario.procedure.n
-    alpha = args.alpha_prime or scenario.procedure.nominal_alpha
+    n = scenario.procedure.n if args.n is None else args.n
+    alpha = (scenario.procedure.nominal_alpha if args.alpha_prime is None
+             else args.alpha_prime)
     proc = LowerBoundProcedure(kind, alpha, n)
     grid = probability_grid(scenario.grids.coverage_denom, open_ends=True)
     report = coverage_report(proc, grid)
@@ -390,6 +391,26 @@ def cmd_reproduce(scenario: Scenario, args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _open_unit(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly in (0,1), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="scenario JSON (default: bundled)")
@@ -407,8 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", parents=[common],
                        help="coverage/violation curve for a bound procedure")
     p.add_argument("--proc", choices=["clopper_pearson", "wald"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha-prime", type=float)
+    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--alpha-prime", type=_open_unit)
     p.set_defaults(handler=cmd_coverage)
 
     p = sub.add_parser("example1", parents=[common],

@@ -269,12 +269,13 @@ def mixture_fp_at(p: float, p_control: float, n: int, alpha_prime: float,
     """
     pi = belief.untruthful_weight
     proc = truthful_proc or _truthful_proc(n, alpha_prime)
-    truth = exceedance_prob(proc, p, p_control)
+    w_t = binom_pmf_vector(n, p)
+    # exceedance_prob(proc, p, p_control), sharing the pmf with the RCT terms
+    truth = 1.0 - float(w_t[np.asarray(proc.bounds) <= p_control].sum())
     if pi == 0.0:
         return truth
     reject_given_t, clear_given_t = _rct_control_weights(
         n, alpha_prime, p_control, p_control)
-    w_t = binom_pmf_vector(n, p)
     pr_reject = float(reject_given_t @ w_t)
     pr_joint = float(clear_given_t @ w_t)
     if belief.conditioning == "joint_unconditional":

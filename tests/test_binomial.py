@@ -2,7 +2,9 @@
 
 The frozen literals were computed through independent routes (rational
 arithmetic for pmfs, beta quantiles for the exact bounds, a reference
-normal ppf) and pasted here as constants.
+normal ppf) and pasted here as constants. The closed-form Clopper-Pearson
+bounds are also checked against a bisection on the pmf-summed survival
+function, kept here as the reference implementation.
 """
 
 import math
@@ -16,7 +18,6 @@ from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_pmf,
     binom_pmf_vector,
-    binom_survival,
     clopper_pearson_lower,
     clopper_pearson_lower_vector,
     coverage_report,
@@ -56,6 +57,33 @@ WALD_MIN_COVERAGE = 0.2540613302937401
 WALD_WORST_P = 0.9990234375
 
 
+def _binom_survival(x, n, p):
+    """Pr(X >= x). Summation of exact pmf values, no beta-function shortcut."""
+    if x <= 0:
+        return 1.0
+    if x > n:
+        return 0.0
+    return float(binom_pmf_vector(n, p)[x:].sum())
+
+
+def _cp_lower_bisect(x, n, alpha_prime, tol=1e-10):
+    """The p solving Pr(X >= x | n, p) = alpha_prime, by bisection.
+
+    Safe because the survival function is strictly increasing in p for
+    x >= 1; the result lies within tol/2 of the root.
+    """
+    if x == 0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _binom_survival(x, n, mid) > alpha_prime:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestPmf:
     def test_frozen_values(self):
         assert binom_pmf(300, 0.5, 150) == pytest.approx(PMF_300_HALF_150, abs=1e-12)
@@ -81,9 +109,9 @@ class TestPmf:
             float(binom_pmf_vector(n, p)[k]), rel=1e-12)
 
     def test_survival_edges(self):
-        assert binom_survival(0, 12, 0.3) == 1.0
-        assert binom_survival(-2, 12, 0.3) == 1.0
-        assert binom_survival(13, 12, 0.3) == 0.0
+        assert _binom_survival(0, 12, 0.3) == 1.0
+        assert _binom_survival(-2, 12, 0.3) == 1.0
+        assert _binom_survival(13, 12, 0.3) == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -133,6 +161,10 @@ class TestClopperPearson:
         # x = n has the closed form alpha^(1/n)
         assert clopper_pearson_lower(300, 300, 0.05) == pytest.approx(
             CP_300_300_05, abs=1e-9)
+        for n in (1, 40, 300, 10_000):
+            for a in (0.2, 0.05, 0.001):
+                assert clopper_pearson_lower(n, n, a) == pytest.approx(
+                    a ** (1.0 / n), rel=1e-12)
 
     def test_vector_matches_scalar(self):
         vec = clopper_pearson_lower_vector(40, 0.1)
@@ -140,11 +172,26 @@ class TestClopperPearson:
             assert vec[x] == pytest.approx(clopper_pearson_lower(x, 40, 0.1),
                                            abs=1e-12)
 
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    def test_closed_form_matches_bisection(self, n):
+        # every count up to n = 300; at n = 2000, where each bisection
+        # costs 34 pmf sums, every 97th count plus both ends
+        xs = range(n + 1) if n <= 300 else sorted(
+            {0, 1, 2, 3, n - 2, n - 1, n} | set(range(0, n + 1, 97)))
+        for a in (0.2, 0.05, 0.01):
+            vec = clopper_pearson_lower_vector(n, a)
+            for x in xs:
+                assert abs(vec[x] - _cp_lower_bisect(x, n, a)) <= 1e-10
+
     def test_defining_equation(self):
         # the bound solves Pr(X >= x | p) = alpha'
-        for x, n, a in ((10, 40, 0.1), (150, 300, 0.05)):
+        big = 10_000
+        cases = [(10, 40, 0.1), (150, 300, 0.05)] + [
+            (x, big, a) for x in (1, 2, big // 2, big - 1, big)
+            for a in (0.05, 0.001)]
+        for x, n, a in cases:
             p = clopper_pearson_lower(x, n, a)
-            assert binom_survival(x, n, p) == pytest.approx(a, abs=1e-7)
+            assert _binom_survival(x, n, p) == pytest.approx(a, abs=1e-9)
 
     @given(n=st.integers(2, 80), a=st.floats(0.01, 0.2))
     @settings(max_examples=30, deadline=None)

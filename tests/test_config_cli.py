@@ -1,6 +1,9 @@
 """Scenario loading, validation diagnostics, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,28 @@ class TestCliCommands:
             main(["--version"])
         assert exc.value.code == 0
         assert "guaranteesim 0.1.0" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "guaranteesim", "--version"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "guaranteesim 0.1.0"
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0"], ["--n", "-5"], ["--n", "abc"],
+        ["--alpha-prime", "0"], ["--alpha-prime", "1"], ["--alpha-prime", "x"],
+    ])
+    def test_coverage_rejects_bad_flags(self, tmp_path, capsys, flags):
+        # out-of-range values exit 2 rather than fall back to the scenario
+        with pytest.raises(SystemExit) as exc:
+            main(["coverage", *flags, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_example1(self, tmp_path, capsys):
         rc = main(["example1", "--out", str(tmp_path)])
