@@ -15,6 +15,7 @@ import os
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .researcher import (
     pool_expected_utility,
     publication_rate_conditions,
 )
+from .simulate import DiscreteDist
 from .strategies import (
     FraudulentStrategy,
     MixtureBelief,
@@ -68,23 +70,26 @@ def _resolve_variant(scenario: Scenario) -> str:
     return _calibration(grids.sup_base_denom, grids.sup_refine_denom).variant
 
 
-def _meta_lines(scenario: Scenario) -> list:
+def _meta_lines(scenario: Scenario, variant: Optional[str] = None) -> list:
+    """CSV provenance lines; variant is the conditioning variant the output
+    was computed with, recorded only by the commands that use one."""
     grids = scenario.grids
-    cal = _calibration(grids.sup_base_denom, grids.sup_refine_denom)
-    return [
+    lines = [
         f"# guaranteesim {__version__}",
         f"# seed={scenario.seed}",
         f"# grids: coverage_denom={grids.coverage_denom} "
         f"sup_base_denom={grids.sup_base_denom} "
         f"sup_refine_denom={grids.sup_refine_denom}",
-        f"# fig1_variant={cal.variant}",
     ]
+    if variant is not None:
+        lines.append(f"# fig1_variant={variant}")
+    return lines
 
 
-def _meta_dict(scenario: Scenario) -> dict:
+def _meta_dict(scenario: Scenario, variant: Optional[str] = None) -> dict:
+    """JSON counterpart of _meta_lines."""
     grids = scenario.grids
-    cal = _calibration(grids.sup_base_denom, grids.sup_refine_denom)
-    return {
+    meta = {
         "tool": f"guaranteesim {__version__}",
         "seed": scenario.seed,
         "grids": {
@@ -92,8 +97,10 @@ def _meta_dict(scenario: Scenario) -> dict:
             "sup_base_denom": grids.sup_base_denom,
             "sup_refine_denom": grids.sup_refine_denom,
         },
-        "fig1_variant": cal.variant,
     }
+    if variant is not None:
+        meta["fig1_variant"] = variant
+    return meta
 
 
 def _write_csv(path: Path, meta: list, header: str, rows) -> None:
@@ -183,7 +190,7 @@ def cmd_example2(scenario: Scenario, args) -> int:
                          _fmt(args.p_c), str(args.n), _fmt(args.pi)])
     out = _out_dir(args)
     path = out / "example2_surface.csv"
-    _write_csv(path, _meta_lines(scenario),
+    _write_csv(path, _meta_lines(scenario, variant),
                "alpha_nominal,p,fp,variant,p_C,n,pi", rows)
     print(f"wrote {path}")
     return 0
@@ -206,11 +213,11 @@ def cmd_fig1(scenario: Scenario, args) -> int:
                       f"{row.alpha_actual:.6f}")
     out = _out_dir(args)
     path = out / "fig1.csv"
-    _write_csv(path, _meta_lines(scenario),
+    _write_csv(path, _meta_lines(scenario, variant),
                "alpha_nominal,alpha_actual,p_C,variant,n,pi", rows)
     sidecar = out / "fig1_calibration.json"
     _write_json(sidecar, {
-        "meta": _meta_dict(scenario),
+        "meta": _meta_dict(scenario, variant),
         "calibration": {
             "variant": cal.variant,
             "value": cal.value,
@@ -343,14 +350,16 @@ def cmd_pool(scenario: Scenario, args) -> int:
     members = scenario.pool.members
     shares = scenario.pool.share_matrix()
     pooled = pool_expected_utility(members, shares)
-    standalone = pool_expected_utility(members, np.eye(len(members)))
     rows = []
     for i, mem in enumerate(members):
+        # standalone, a member bears only its own loss: no joint enumeration
+        standalone = expected_utility(
+            DiscreteDist(mem.base + mem.loss.values, mem.loss.probs), mem.utility)
         rows.append({
             "member": i,
-            "standalone_eu": float(standalone[i]),
+            "standalone_eu": standalone,
             "pooled_eu": float(pooled[i]),
-            "standalone_ce": mem.utility.certainty_equivalent(float(standalone[i])),
+            "standalone_ce": mem.utility.certainty_equivalent(standalone),
             "pooled_ce": mem.utility.certainty_equivalent(float(pooled[i])),
         })
     out = _out_dir(args)
@@ -380,7 +389,7 @@ def cmd_reproduce(scenario: Scenario, args) -> int:
     out = _out_dir(args)
     path = out / "reproduce_report.json"
     _write_json(path, {
-        "meta": _meta_dict(scenario),
+        "meta": _meta_dict(scenario, cal.variant),
         "rows": [row.__dict__ for row in rows],
         "all_pass": n_pass == len(rows),
     })

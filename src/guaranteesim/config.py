@@ -7,6 +7,8 @@ offending key path so the CLI can point at the line in the file.
 from __future__ import annotations
 
 import json
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -23,14 +25,12 @@ from .decisions import AlphaSchedule, ImplementerPolicy
 from .economics import BenefitFunction, CostSchedule, PolicyEconomics
 from .researcher import (
     ImplValue,
-    NoHedge,
     NoiseSpec,
     PoolMember,
-    ProportionalOnlyGuarantee,
     ResearcherPayoffModel,
+    ResearcherRisk,
     RiskExchange,
     RiskTransfer,
-    TailOnlyGuarantee,
     UtilitySpec,
 )
 from .simulate import DiscreteDist
@@ -94,7 +94,6 @@ def default_scenario_dict() -> dict:
             "alpha_levels": [0.001, 0.005, 0.01, 0.025, 0.05, 0.075, 0.1,
                              0.15, 0.2],
         },
-        "mc": {"n_draws": 1000000},
     }
 
 
@@ -139,10 +138,9 @@ class Scenario:
     contract: Optional[InsuranceContract]
     utility: UtilitySpec
     researcher_payoff: ResearcherPayoffModel
-    risk_strategy: object
+    risk_strategy: ResearcherRisk
     pool: PoolSpec
     grids: GridSpec
-    mc_draws: int
 
     def policy(self) -> ImplementerPolicy:
         p0 = self.policy_p0
@@ -150,6 +148,18 @@ class Scenario:
             p0 = self.economics.break_even_success_rate()
         return ImplementerPolicy(u_bar=self.policy_u_bar,
                                  alpha_belief=self.policy_alpha, p0=p0)
+
+
+@contextmanager
+def _at(path: str):
+    """Report a ValueError or TypeError raised while building path as a
+    ConfigError at that path."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def _need(block: dict, key: str, path: str) -> Any:
@@ -173,9 +183,11 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _integer(value, path: str) -> int:
+def _integer(value, path: str, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"expected an integer, got {value!r}", path)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be at least {minimum}, got {value}", path)
     return value
 
 
@@ -186,7 +198,7 @@ def _economics(block: dict) -> PolicyEconomics:
     cost_block = _need(block, "cost", path)
     _reject_unknown(cost_block, {"form", "unit", "fixed", "values"}, f"{path}.cost")
     form = _need(cost_block, "form", f"{path}.cost")
-    try:
+    with _at(f"{path}.cost"):
         if form == "linear":
             costs = CostSchedule.linear(
                 _number(_need(cost_block, "unit", f"{path}.cost"),
@@ -206,15 +218,11 @@ def _economics(block: dict) -> PolicyEconomics:
             costs = CostSchedule.table(values)
         else:
             raise ConfigError(f"unknown cost form {form!r}", f"{path}.cost.form")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), f"{path}.cost") from exc
 
     ben_block = _need(block, "benefit", path)
     _reject_unknown(ben_block, {"form", "per_success", "values"}, f"{path}.benefit")
     bform = _need(ben_block, "form", f"{path}.benefit")
-    try:
+    with _at(f"{path}.benefit"):
         if bform == "linear":
             benefit = BenefitFunction.linear(
                 _number(_need(ben_block, "per_success", f"{path}.benefit"),
@@ -225,37 +233,27 @@ def _economics(block: dict) -> PolicyEconomics:
         else:
             raise ConfigError(f"unknown benefit form {bform!r}",
                               f"{path}.benefit.form")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), f"{path}.benefit") from exc
 
     q = _number(block.get("dilution_q", 1.0), f"{path}.dilution_q")
-    try:
+    with _at(path):
         return PolicyEconomics(costs=costs, benefit=benefit, dilution=q)
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
 def _procedure(block: dict) -> LowerBoundProcedure:
     path = "procedure"
     _reject_unknown(block, {"kind", "alpha", "n"}, path)
-    try:
+    with _at(path):
         return LowerBoundProcedure(
             kind=_need(block, "kind", path),
             nominal_alpha=_number(_need(block, "alpha", path), f"{path}.alpha"),
             n=_integer(_need(block, "n", path), f"{path}.n"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
 def _strategy(block: dict, procedure: LowerBoundProcedure):
     path = "strategy"
     _reject_unknown(block, {"variant", "guess_spread", "n_per_arm", "alpha"}, path)
     variant = _need(block, "variant", path)
-    try:
+    with _at(path):
         if variant == "truthful":
             return TruthfulStrategy(procedure)
         if variant == "fraudulent":
@@ -267,10 +265,6 @@ def _strategy(block: dict, procedure: LowerBoundProcedure):
             return SelectiveStrategy(
                 n=_integer(_need(block, "n_per_arm", path), f"{path}.n_per_arm"),
                 alpha_prime=_number(_need(block, "alpha", path), f"{path}.alpha"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
     raise ConfigError(f"unknown strategy variant {variant!r}", f"{path}.variant")
 
 
@@ -280,7 +274,7 @@ def _contract(block) -> Optional[InsuranceContract]:
     path = "contract"
     _reject_unknown(block, {"variant", "k", "share"}, path)
     variant = _need(block, "variant", path)
-    try:
+    with _at(path):
         if variant == "full":
             return FullGuarantee()
         if variant == "tail":
@@ -288,39 +282,27 @@ def _contract(block) -> Optional[InsuranceContract]:
         if variant == "proportional":
             return ProportionalGuarantee(
                 share=_number(_need(block, "share", path), f"{path}.share"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
     raise ConfigError(f"unknown contract variant {variant!r}", f"{path}.variant")
 
 
 def _alpha_belief(value, path: str):
     if isinstance(value, dict):
         _reject_unknown(value, {"knots"}, path)
-        try:
-            return AlphaSchedule(tuple(
-                (float(k), float(a)) for k, a in _need(value, "knots", path)))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), f"{path}.knots") from exc
+        knots = _need(value, "knots", path)
+        with _at(f"{path}.knots"):
+            return AlphaSchedule(tuple((float(k), float(a)) for k, a in knots))
     return _number(value, path)
 
 
 def _utility(block: dict) -> UtilitySpec:
     path = "utility"
     _reject_unknown(block, {"form", "risk_aversion", "v_bar"}, path)
-    try:
+    with _at(path):
         return UtilitySpec(
             form=_need(block, "form", path),
             risk_aversion=_number(block.get("risk_aversion", 0.0),
                                   f"{path}.risk_aversion"),
             v_bar=_number(block.get("v_bar", float("-inf")), f"{path}.v_bar"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
 def _payoff(block: dict) -> ResearcherPayoffModel:
@@ -333,10 +315,11 @@ def _payoff(block: dict) -> ResearcherPayoffModel:
     noise = None
     if noise_block is not None:
         _reject_unknown(noise_block, {"epsilon"}, f"{path}.noise")
-        noise = NoiseSpec(epsilon=_number(
-            _need(noise_block, "epsilon", f"{path}.noise"),
-            f"{path}.noise.epsilon"))
-    try:
+        with _at(f"{path}.noise"):
+            noise = NoiseSpec(epsilon=_number(
+                _need(noise_block, "epsilon", f"{path}.noise"),
+                f"{path}.noise.epsilon"))
+    with _at(path):
         return ResearcherPayoffModel(
             base_pub=_number(block.get("base_pub", 0.0), f"{path}.base_pub"),
             impl_value=ImplValue(
@@ -346,42 +329,38 @@ def _payoff(block: dict) -> ResearcherPayoffModel:
             failure_exposure=_number(block.get("failure_exposure", 0.0),
                                      f"{path}.failure_exposure"),
             noise=noise)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
-def _risk_strategy(block: dict):
+def _risk_strategy(block: dict) -> ResearcherRisk:
+    """Each variant is a (contract, hedge) pair: none, transfer and exchange
+    hedge a full guarantee; tail_only and proportional_only are unhedged
+    tail and proportional guarantees."""
     path = "risk_strategy"
     _reject_unknown(block, {"variant", "retained", "premium", "assumed",
                             "partner_loss", "k", "share"}, path)
     variant = _need(block, "variant", path)
-    try:
+    with _at(path):
         if variant == "none":
-            return NoHedge()
+            return ResearcherRisk()
         if variant == "transfer":
-            return RiskTransfer(
+            return ResearcherRisk(hedge=RiskTransfer(
                 retained=_number(_need(block, "retained", path), f"{path}.retained"),
-                premium=_number(block.get("premium", 0.0), f"{path}.premium"))
+                premium=_number(block.get("premium", 0.0), f"{path}.premium")))
         if variant == "exchange":
             partner = _need(block, "partner_loss", path)
             _reject_unknown(partner, {"values", "probs"}, f"{path}.partner_loss")
             law = DiscreteDist(_need(partner, "values", f"{path}.partner_loss"),
                                _need(partner, "probs", f"{path}.partner_loss"))
-            return RiskExchange(
+            return ResearcherRisk(hedge=RiskExchange(
                 retained=_number(_need(block, "retained", path), f"{path}.retained"),
                 assumed=_number(_need(block, "assumed", path), f"{path}.assumed"),
-                partner_loss=law)
+                partner_loss=law))
         if variant == "tail_only":
-            return TailOnlyGuarantee(k=_number(_need(block, "k", path), f"{path}.k"))
+            return ResearcherRisk(TailGuarantee(
+                k=_number(_need(block, "k", path), f"{path}.k")))
         if variant == "proportional_only":
-            return ProportionalOnlyGuarantee(
-                share=_number(_need(block, "share", path), f"{path}.share"))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
+            return ResearcherRisk(ProportionalGuarantee(
+                share=_number(_need(block, "share", path), f"{path}.share")))
     raise ConfigError(f"unknown risk strategy {variant!r}", f"{path}.variant")
 
 
@@ -390,30 +369,35 @@ def _pool(block: dict) -> PoolSpec:
     _reject_unknown(block, {"iid", "members", "utility", "shares"}, path)
     util_block = _need(block, "utility", path)
     _reject_unknown(util_block, {"form", "risk_aversion"}, f"{path}.utility")
-    utility = UtilitySpec(form=_need(util_block, "form", f"{path}.utility"),
-                          risk_aversion=_number(
-                              util_block.get("risk_aversion", 0.0),
-                              f"{path}.utility.risk_aversion"))
+    with _at(f"{path}.utility"):
+        utility = UtilitySpec(form=_need(util_block, "form", f"{path}.utility"),
+                              risk_aversion=_number(
+                                  util_block.get("risk_aversion", 0.0),
+                                  f"{path}.utility.risk_aversion"))
     members = []
     if "iid" in block:
         iid = block["iid"]
         _reject_unknown(iid, {"count", "values", "probs", "base"}, f"{path}.iid")
-        count = _integer(_need(iid, "count", f"{path}.iid"), f"{path}.iid.count")
-        if count < 1:
-            raise ConfigError("pool needs at least one member", f"{path}.iid.count")
-        law = DiscreteDist(_need(iid, "values", f"{path}.iid"),
-                           _need(iid, "probs", f"{path}.iid"))
+        count = _integer(_need(iid, "count", f"{path}.iid"), f"{path}.iid.count",
+                         minimum=1)
+        with _at(f"{path}.iid"):
+            law = DiscreteDist(_need(iid, "values", f"{path}.iid"),
+                               _need(iid, "probs", f"{path}.iid"))
         base = _number(iid.get("base", 0.0), f"{path}.iid.base")
         members = [PoolMember(base=base, loss=law, utility=utility)
                    for _ in range(count)]
     elif "members" in block:
         for i, m in enumerate(block["members"]):
-            _reject_unknown(m, {"base", "values", "probs"}, f"{path}.members[{i}]")
+            where = f"{path}.members[{i}]"
+            _reject_unknown(m, {"base", "values", "probs"}, where)
+            with _at(where):
+                law = DiscreteDist(_need(m, "values", where),
+                                   _need(m, "probs", where))
             members.append(PoolMember(
-                base=_number(m.get("base", 0.0), f"{path}.members[{i}].base"),
-                loss=DiscreteDist(_need(m, "values", f"{path}.members[{i}]"),
-                                  _need(m, "probs", f"{path}.members[{i}]")),
-                utility=utility))
+                base=_number(m.get("base", 0.0), f"{where}.base"),
+                loss=law, utility=utility))
+        if not members:
+            raise ConfigError("pool needs at least one member", f"{path}.members")
     else:
         raise ConfigError("pool needs either iid or members", path)
     return PoolSpec(members=members, shares=block.get("shares", "equal"))
@@ -423,20 +407,31 @@ def _grids(block: dict) -> GridSpec:
     path = "grids"
     _reject_unknown(block, {"coverage_denom", "sup_base_denom",
                             "sup_refine_denom", "alpha_levels"}, path)
+    base = _integer(block.get("sup_base_denom", 512), f"{path}.sup_base_denom",
+                    minimum=2)
     levels = block.get("alpha_levels", GridSpec().alpha_levels)
+    if not isinstance(levels, (list, tuple)) or not levels:
+        raise ConfigError(f"expected a nonempty list of levels, got {levels!r}",
+                          f"{path}.alpha_levels")
+    alpha_levels = tuple(_number(a, f"{path}.alpha_levels[{i}]")
+                         for i, a in enumerate(levels))
+    for i, a in enumerate(alpha_levels):
+        if not 0.0 < a < 1.0:
+            raise ConfigError(f"level must lie strictly in (0,1), got {a}",
+                              f"{path}.alpha_levels[{i}]")
     return GridSpec(
         coverage_denom=_integer(block.get("coverage_denom", 1024),
-                                f"{path}.coverage_denom"),
-        sup_base_denom=_integer(block.get("sup_base_denom", 512),
-                                f"{path}.sup_base_denom"),
+                                f"{path}.coverage_denom", minimum=2),
+        sup_base_denom=base,
+        # a coarser lattice refines nothing, and one of 0 or less skips it
         sup_refine_denom=_integer(block.get("sup_refine_denom", 8192),
-                                  f"{path}.sup_refine_denom"),
-        alpha_levels=tuple(float(a) for a in levels))
+                                  f"{path}.sup_refine_denom", minimum=base),
+        alpha_levels=alpha_levels)
 
 
 _TOP_KEYS = {"seed", "economics", "procedure", "strategy", "belief", "policy",
              "contract", "utility", "researcher_payoff", "risk_strategy",
-             "pool", "grids", "mc"}
+             "pool", "grids"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -461,12 +456,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if p0 is not None:
         p0 = _number(p0, "policy.p0")
 
-    mc_block = merged["mc"]
-    _reject_unknown(mc_block, {"n_draws"}, "mc")
-
+    seed = _integer(merged["seed"], "seed", minimum=0)
+    if seed >= 2 ** 64:
+        raise ConfigError(f"must be below 2**64, got {seed}", "seed")
     procedure = _procedure(merged["procedure"])
     return Scenario(
-        seed=_integer(merged["seed"], "seed"),
+        seed=seed,
         economics=_economics(merged["economics"]),
         procedure=procedure,
         strategy=_strategy(merged["strategy"], procedure),
@@ -483,20 +478,52 @@ def scenario_from_dict(data: dict) -> Scenario:
         risk_strategy=_risk_strategy(merged["risk_strategy"]),
         pool=_pool(merged["pool"]),
         grids=_grids(merged["grids"]),
-        mc_draws=_integer(mc_block.get("n_draws", 1000000), "mc.n_draws"),
     )
 
 
 def _line_of_key(raw: str, key_path: str) -> Optional[int]:
-    """Best-effort line lookup: first occurrence of the deepest key name."""
-    if not key_path:
-        return None
-    leaf = key_path.split(".")[-1].split("[")[0]
-    needle = f'"{leaf}"'
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if needle in line:
-            return lineno
-    return None
+    """Line of key_path in the raw JSON text.
+
+    Walks the path's keys in order, each searched after the one before it,
+    and steps into array items by index; stops at the deepest key found.
+    """
+    pos = None
+    for part in key_path.split(".") if key_path else []:
+        name, _, index = part.partition("[")
+        found = re.compile(rf'"{re.escape(name)}"\s*:').search(raw, pos or 0)
+        if found is None:
+            break
+        pos = found.end()
+        if index:
+            pos = _array_item(raw, pos, int(index.rstrip("]")))
+    return None if pos is None else raw.count("\n", 0, pos) + 1
+
+
+def _array_item(raw: str, pos: int, index: int) -> int:
+    """Offset of item index of the JSON array that opens at or after pos."""
+    start = raw.find("[", pos)
+    if start < 0:
+        return pos
+    depth, in_string, escaped = 0, False, False
+    for i in range(start, len(raw)):
+        ch = raw[i]
+        if in_string:
+            in_string = escaped or ch != '"'
+            escaped = not escaped and ch == "\\"
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+            if depth == 0:
+                break
+        elif ch == "," and depth == 1:
+            index -= 1
+        if depth == 1 and index == 0 and ch in "[,":
+            return re.compile(r"\s*").match(raw, i + 1).end()
+    return pos
 
 
 def load_scenario(path: Optional[str]) -> Scenario:

@@ -23,8 +23,6 @@ __all__ = [
     "TailGuarantee",
     "ProportionalGuarantee",
     "InsuranceContract",
-    "split_outcome",
-    "OutcomeLedger",
     "implementer_payoff",
     "researcher_payment",
     "minimal_insurance",
@@ -62,17 +60,6 @@ class ProportionalGuarantee:
 
 
 InsuranceContract = Union[FullGuarantee, TailGuarantee, ProportionalGuarantee]
-
-
-@dataclass(frozen=True)
-class OutcomeLedger:
-    y: float
-    y_plus: float
-    y_minus: float
-
-
-def split_outcome(y: float) -> OutcomeLedger:
-    return OutcomeLedger(y=y, y_plus=max(y, 0.0), y_minus=min(y, 0.0))
 
 
 def implementer_payoff(y, contract: InsuranceContract):

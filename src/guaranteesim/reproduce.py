@@ -33,10 +33,9 @@ from .decisions import ImplementerPolicy, decide_with_contract
 from .economics import BenefitFunction, CostSchedule, PolicyEconomics
 from .researcher import (
     ImplValue,
-    NoHedge,
     PoolMember,
     ResearcherPayoffModel,
-    TailOnlyGuarantee,
+    ResearcherRisk,
     UtilitySpec,
     expected_utility,
     participation_check,
@@ -49,12 +48,9 @@ from .strategies import (
     MixtureBelief,
     SelectiveStrategy,
     TruthfulStrategy,
-    _rct_tables,
     calibrate_conditioning,
     fraud_mixture_fp,
     mixture_actual_fp,
-    rct_publish_and_clear_prob,
-    rct_reject_prob,
 )
 
 __all__ = ["AnchorRow", "evaluate_anchors"]
@@ -230,7 +226,7 @@ def _researcher_side_properties(econ_20: PolicyEconomics):
     utility = UtilitySpec("cara", risk_aversion=0.05, v_bar=-6.0)
     payoff = ResearcherPayoffModel(base_pub=2.0,
                                    impl_value=ImplValue("constant", 2.0))
-    world = researcher_world(NoHedge(), payoff, 20, econ_20, 0.5)
+    world = researcher_world(ResearcherRisk(), payoff, 20, econ_20, 0.5)
     jensen_gap = utility.value(world.mean()) - expected_utility(world, utility)
     jensen_ok = jensen_gap > 1e-9
 
@@ -251,10 +247,10 @@ def _researcher_side_properties(econ_20: PolicyEconomics):
     def pub(p):
         return strat.exceedance_prob(p, 0.4)
 
-    base_min = participation_check(pub, NoHedge(), payoff, utility, econ_20,
-                                   20, grid).minimum
-    tail_min = participation_check(pub, TailOnlyGuarantee(u_bar), payoff,
-                                   utility, econ_20, 20, grid).minimum
+    base_min = participation_check(pub, ResearcherRisk(), payoff, utility,
+                                   econ_20, 20, grid).minimum
+    tail_min = participation_check(pub, ResearcherRisk(TailGuarantee(u_bar)),
+                                   payoff, utility, econ_20, 20, grid).minimum
     lift = tail_min - base_min
     lift_ok = lift >= -1e-12
     detail = (f"Jensen gap {jensen_gap:.4f}; tail scale {d_tail.scale}, "
@@ -289,39 +285,24 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
                        1_000_000, SeededStream(seed, 101))
     checks.append((exact1, est1))
 
-    n, a = 40, 0.1
-    reject, wald = _rct_tables(n, a)
-    exact2 = rct_reject_prob(0.45, 0.5, n, a)
-
-    def sample_reject(rng, k):
-        xc = rng.binomial(n, 0.5, size=k)
-        xt = rng.binomial(n, 0.45, size=k)
-        return reject[xc, xt].astype(float)
-
-    est2 = mc_estimate(sample_reject, 1_000_000, SeededStream(seed, 102))
+    # estimates 2-4 draw from the strategies' own samplers
+    sel = SelectiveStrategy(n=40, alpha_prime=0.1)
+    exact2 = sel.reject_prob(0.45, 0.5)
+    est2 = mc_estimate(
+        lambda rng, k: ~np.isnan(sel.sample(0.45, 0.5, rng, k)),
+        1_000_000, SeededStream(seed, 102))
     checks.append((exact2, est2))
 
-    exact3 = rct_publish_and_clear_prob(0.45, 0.5, n, a)
-
-    def sample_clear(rng, k):
-        xc = rng.binomial(n, 0.5, size=k)
-        xt = rng.binomial(n, 0.45, size=k)
-        return (reject[xc, xt] & (wald[xt] > 0.5)).astype(float)
-
-    est3 = mc_estimate(sample_clear, 1_000_000, SeededStream(seed, 103))
+    exact3 = sel.exceedance_prob(0.45, 0.5)
+    est3 = mc_estimate(lambda rng, k: sel.sample(0.45, 0.5, rng, k) > 0.5,
+                       1_000_000, SeededStream(seed, 103))
     checks.append((exact3, est3))
 
     fraud = FraudulentStrategy(LowerBoundProcedure("clopper_pearson", 0.05, 40),
                                guess_spread=0.05)
     exact4 = fraud.exceedance_prob(0.3, 0.4)
-
-    def sample_fraud(rng, k):
-        guesses = np.where(rng.random(k) < 0.5, 0.45, 0.35)
-        xs = rng.binomial(40, 0.3, size=k)
-        published = np.maximum(fraud.procedure.bounds[xs], guesses)
-        return (published > 0.4).astype(float)
-
-    est4 = mc_estimate(sample_fraud, 1_000_000, SeededStream(seed, 104))
+    est4 = mc_estimate(lambda rng, k: fraud.sample(0.3, 0.4, rng, k) > 0.4,
+                       1_000_000, SeededStream(seed, 104))
     checks.append((exact4, est4))
 
     tail = TailGuarantee(-5.0)

@@ -4,19 +4,22 @@ The researcher weighs publishing with a guarantee attached. Outcomes
 enter through a composite payoff: a fixed value of publishing, a
 deterministic value of seeing the policy implemented at scale m, an
 optional fraction of the loss borne even uninsured, and optional
-zero-mean noise. Risk-management choices replace the raw guaranteed
-position with a transformed one, and everything is evaluated through a
-concave utility with a participation floor.
+zero-mean noise. The guarantee itself costs the researcher
+contracts.researcher_payment for the offered contract, the same payment
+that funds the implementer's payoff; an optional hedge then transfers or
+exchanges part of it. Everything is evaluated through a concave utility
+with a participation floor.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
+from .contracts import FullGuarantee, InsuranceContract, researcher_payment
 from .economics import PolicyEconomics
 from .simulate import DiscreteDist
 
@@ -25,11 +28,9 @@ __all__ = [
     "ImplValue",
     "NoiseSpec",
     "ResearcherPayoffModel",
-    "NoHedge",
     "RiskTransfer",
     "RiskExchange",
-    "TailOnlyGuarantee",
-    "ProportionalOnlyGuarantee",
+    "ResearcherRisk",
     "researcher_world",
     "no_implementation_world",
     "expected_utility",
@@ -128,11 +129,6 @@ class ResearcherPayoffModel:
 
 
 @dataclass(frozen=True)
-class NoHedge:
-    pass
-
-
-@dataclass(frozen=True)
 class RiskTransfer:
     retained: float  # fraction of the loss kept
     premium: float = 0.0
@@ -160,21 +156,20 @@ class RiskExchange:
 
 
 @dataclass(frozen=True)
-class TailOnlyGuarantee:
-    k: float
+class ResearcherRisk:
+    """The guarantee the researcher offers and how its payments are hedged.
+
+    Without a hedge the researcher pays researcher_payment(Y, contract) in
+    full; a RiskTransfer keeps a fraction of it for a premium, and a
+    RiskExchange keeps a fraction and assumes a share of a partner's loss.
+    """
+
+    contract: InsuranceContract = FullGuarantee()
+    hedge: Optional[Union[RiskTransfer, RiskExchange]] = None
 
     def __post_init__(self):
-        if self.k >= 0.0:
-            raise ValueError("tail level must be negative")
-
-
-@dataclass(frozen=True)
-class ProportionalOnlyGuarantee:
-    share: float
-
-    def __post_init__(self):
-        if not 0.0 < self.share < 1.0:
-            raise ValueError("loss share must lie strictly in (0,1)")
+        if not isinstance(self.hedge, (type(None), RiskTransfer, RiskExchange)):
+            raise TypeError(f"unknown hedge {self.hedge!r}")
 
 
 def _with_noise(dist: DiscreteDist, payoff: ResearcherPayoffModel) -> DiscreteDist:
@@ -188,44 +183,30 @@ def no_implementation_world(payoff: ResearcherPayoffModel) -> DiscreteDist:
     return _with_noise(DiscreteDist.point(payoff.base_pub), payoff)
 
 
-def researcher_world(risk, payoff: ResearcherPayoffModel, m: int,
-                     econ: PolicyEconomics, p: float) -> DiscreteDist:
+def researcher_world(risk: ResearcherRisk, payoff: ResearcherPayoffModel,
+                     m: int, econ: PolicyEconomics, p: float) -> DiscreteDist:
     """Exact law of the researcher's position W at implementation scale m.
 
-    The guarantee exposes the researcher to the implementation loss Y-;
-    each risk strategy decides how much of that exposure stays:
-
-    * NoHedge keeps all of it,
-    * RiskTransfer keeps a fraction and pays a premium,
-    * RiskExchange swaps loss shares with an independent partner,
-    * TailOnlyGuarantee only ever owed the loss beyond its level k,
-    * ProportionalOnlyGuarantee only ever owed its share of the loss.
+    W = v0 - retained * researcher_payment(Y, contract) - premium, where v0
+    collects the payoff model's deterministic values and uninsured loss
+    share; an exchange hedge then adds its assumed share of the partner's
+    independent loss.
     """
     if m < 1:
         raise ValueError("implementation scale must be at least 1")
+    hedge = risk.hedge
     x_law = DiscreteDist.binomial(m, econ.success_rate(p))
     y = econ.net_outcome(m, x_law.values.astype(int))
-    y_minus = np.minimum(y, 0.0)
     v0 = payoff.base_pub + payoff.impl_value.value(m) \
-        + payoff.failure_exposure * y_minus
-
-    if isinstance(risk, NoHedge):
-        w = v0 + y_minus
-    elif isinstance(risk, RiskTransfer):
-        w = v0 + risk.retained * y_minus - risk.premium
-    elif isinstance(risk, RiskExchange):
-        w = v0 + risk.retained * y_minus
-    elif isinstance(risk, TailOnlyGuarantee):
-        w = v0 + np.minimum(y - risk.k, 0.0)
-    elif isinstance(risk, ProportionalOnlyGuarantee):
-        w = v0 + risk.share * y_minus
-    else:
-        raise TypeError(f"unknown risk strategy {risk!r}")
+        + payoff.failure_exposure * np.minimum(y, 0.0)
+    retained = 1.0 if hedge is None else hedge.retained
+    premium = hedge.premium if isinstance(hedge, RiskTransfer) else 0.0
+    w = v0 - retained * researcher_payment(y, risk.contract) - premium
 
     dist = DiscreteDist(w, x_law.probs).compress()
-    if isinstance(risk, RiskExchange):
+    if isinstance(hedge, RiskExchange):
         dist = dist.combine(
-            risk.partner_loss, lambda a, z: a + risk.assumed * z).compress()
+            hedge.partner_loss, lambda a, z: a + hedge.assumed * z).compress()
     return _with_noise(dist, payoff)
 
 

@@ -100,15 +100,6 @@ class DiscreteDist:
             raise ValueError(f"enumeration limited to m <= {ENUMERATION_LIMIT}, got {m}")
         return cls(np.arange(m + 1, dtype=float), binom_pmf_vector(m, p))
 
-    def map(self, fn) -> "DiscreteDist":
-        vals = np.asarray(fn(self.values), dtype=float)
-        if vals.shape != self.values.shape:
-            vals = np.array([float(fn(v)) for v in self.values])
-        return DiscreteDist(vals, self.probs)
-
-    def shift(self, c: float) -> "DiscreteDist":
-        return DiscreteDist(self.values + c, self.probs)
-
     def combine(self, other: "DiscreteDist", fn) -> "DiscreteDist":
         """Joint law of fn(self, other) under independence."""
         v = fn(self.values[:, None], other.values[None, :]).ravel()

@@ -84,9 +84,9 @@ class TruthfulStrategy:
     def exceedance_prob(self, p: float, threshold: float) -> float:
         return exceedance_prob(self.procedure, p, threshold)
 
-    def sample_published(self, p: float, rng: np.random.Generator) -> float:
-        x = int(rng.binomial(self.procedure.n, p))
-        return self.procedure.bound(x)
+    def sample(self, p: float, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size published bounds drawn at true success rate p."""
+        return self.procedure.bounds[rng.binomial(self.procedure.n, p, size)]
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,14 @@ class FraudulentStrategy:
         honest = exceedance_prob(self.procedure, p, threshold)
         return 0.5 + 0.5 * honest
 
-    def sample_published(self, p: float, threshold: float,
-                         rng: np.random.Generator) -> float:
+    def sample(self, p: float, threshold: float, rng: np.random.Generator,
+               size: int) -> np.ndarray:
+        """size published bounds; all guesses are drawn before the outcomes."""
         self._check_threshold(threshold)
-        guess = threshold + self.guess_spread * (1 if rng.random() < 0.5 else -1)
-        x = int(rng.binomial(self.procedure.n, p))
-        return max(self.procedure.bound(x), guess)
+        guesses = threshold + self.guess_spread * np.where(
+            rng.random(size) < 0.5, 1.0, -1.0)
+        xs = rng.binomial(self.procedure.n, p, size)
+        return np.maximum(self.procedure.bounds[xs], guesses)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +220,16 @@ class SelectiveStrategy:
         return rct_publish_and_clear_prob(
             p, p_control, self.n, self.alpha_prime, threshold)
 
-    def sample_published(self, p: float, p_control: float,
-                         rng: np.random.Generator) -> Optional[float]:
+    def sample(self, p: float, p_control: float, rng: np.random.Generator,
+               size: int) -> np.ndarray:
+        """size published Wald bounds, NaN where the gate stays silent.
+
+        All control arms are drawn before the treatment arms.
+        """
         reject, wald = _rct_tables(self.n, self.alpha_prime)
-        x_c = int(rng.binomial(self.n, p_control))
-        x_t = int(rng.binomial(self.n, p))
-        if reject[x_c, x_t]:
-            return float(wald[x_t])
-        return None
+        x_c = rng.binomial(self.n, p_control, size)
+        x_t = rng.binomial(self.n, p, size)
+        return np.where(reject[x_c, x_t], wald[x_t], np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ import numpy as np
 import pytest
 
 from guaranteesim.cli import main
+from guaranteesim.contracts import (
+    FullGuarantee,
+    ProportionalGuarantee,
+    TailGuarantee,
+)
 from guaranteesim.config import (
     ConfigError,
     default_scenario_dict,
@@ -17,7 +22,12 @@ from guaranteesim.config import (
     scenario_from_dict,
 )
 from guaranteesim.decisions import AlphaSchedule
-from guaranteesim.researcher import NoHedge
+from guaranteesim.researcher import (
+    ResearcherRisk,
+    RiskExchange,
+    RiskTransfer,
+    pool_expected_utility,
+)
 from guaranteesim.strategies import TruthfulStrategy
 
 REPO = Path(__file__).resolve().parents[1]
@@ -51,11 +61,27 @@ class TestDefaults:
         assert s.procedure.kind == "clopper_pearson"
         assert s.procedure.n == 40
         assert isinstance(s.strategy, TruthfulStrategy)
-        assert isinstance(s.risk_strategy, NoHedge)
+        assert s.risk_strategy == ResearcherRisk(FullGuarantee(), None)
         assert s.policy().p0 == pytest.approx(0.4, abs=1e-9)
         assert s.contract is not None and s.contract.k == -12.0
         assert len(s.pool.members) == 2
-        assert s.mc_draws == 1000000
+
+    @pytest.mark.parametrize("block,contract,hedge_type", [
+        ({"variant": "none"}, FullGuarantee(), type(None)),
+        ({"variant": "transfer", "retained": 0.4, "premium": 0.7},
+         FullGuarantee(), RiskTransfer),
+        ({"variant": "exchange", "retained": 0.3, "assumed": 0.6,
+          "partner_loss": {"values": [0.0, -3.0], "probs": [0.5, 0.5]}},
+         FullGuarantee(), RiskExchange),
+        ({"variant": "tail_only", "k": -5.0}, TailGuarantee(-5.0), type(None)),
+        ({"variant": "proportional_only", "share": 0.35},
+         ProportionalGuarantee(0.35), type(None)),
+    ])
+    def test_risk_strategy_variants_map_to_contract_and_hedge(
+            self, block, contract, hedge_type):
+        risk = scenario_from_dict({"risk_strategy": block}).risk_strategy
+        assert risk.contract == contract
+        assert type(risk.hedge) is hedge_type
 
     def test_policy_p0_override(self):
         s = scenario_from_dict(
@@ -134,6 +160,51 @@ class TestValidation:
             s.pool.share_matrix()
 
 
+SECOND_MEMBER = {"pool": {
+    "members": [{"base": 0.0, "values": [0.0, -5.0], "probs": [0.8, 0.2]},
+                {"base": "one", "values": [0.0, -9.0], "probs": [0.9, 0.1]}],
+    "utility": {"form": "cara", "risk_aversion": 0.1}}}
+POOL_IID = {"count": 2, "values": [0.0, -10.0], "probs": [0.7, 0.3]}
+
+
+class TestConfigMistakesExit2:
+    """Mistakes that used to exit 1, or pass silently, exit 2 at their key."""
+
+    @pytest.mark.parametrize("command,edit,key_path,line_of", [
+        ("fig1", {"grids": {"sup_refine_denom": -5}},
+         "grids.sup_refine_denom", '"sup_refine_denom"'),
+        ("pool", {"grids": {"sup_base_denom": 1}},
+         "grids.sup_base_denom", '"sup_base_denom"'),
+        ("example1", {"grids": {"alpha_levels": [0.05, "x"]}},
+         "grids.alpha_levels[1]", '"x"'),
+        ("example1", {"seed": -1}, "seed", '"seed"'),
+        ("pool", {"pool": {"iid": POOL_IID, "utility": {
+            "form": "cara", "risk_aversion": 0}}}, "pool.utility", '"utility"'),
+        ("pool", {"pool": {"iid": {**POOL_IID, "probs": [0.7, 0.2]}, "utility": {
+            "form": "cara", "risk_aversion": 0.1}}}, "pool.iid", '"iid"'),
+        ("researcher", {"contract": {"variant": "tail", "k": -12.0},
+                        "risk_strategy": {"variant": "tail_only", "k": "deep"}},
+         "risk_strategy.k", '"k": "deep"'),
+        ("pool", SECOND_MEMBER, "pool.members[1].base", '"base": "one"'),
+    ], ids=["refine_denom", "base_denom", "alpha_levels", "seed", "cara_zero",
+            "pool_probs", "nested_k", "member_index"])
+    def test_exit_2_with_key_path_and_line(self, tmp_path, capsys, command,
+                                           edit, key_path, line_of):
+        cfg = write_config(tmp_path, edit)
+        lines = Path(cfg).read_text().splitlines()
+        line = next(i for i, ln in enumerate(lines, 1) if line_of in ln)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config error (line {line}): {key_path}: " in err
+
+    def test_mc_block_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"mc": {"n_draws": 1000000}})
+        rc = main(["example1", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "unknown key 'mc'" in capsys.readouterr().err
+
+
 class TestLineAnchoring:
     def test_bad_value_reports_its_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -202,7 +273,7 @@ class TestCliCommands:
         assert meta[0] == "# guaranteesim 0.1.0"
         assert meta[1] == "# seed=20260819"
         assert any(ln.startswith("# grids:") for ln in meta)
-        assert any(ln.startswith("# fig1_variant=") for ln in meta)
+        assert not any(ln.startswith("# fig1_variant=") for ln in meta)
         at_value = [r for r in rows if r["alpha"] == "0.13375"]
         assert at_value and at_value[0]["max_scale"] == "373"
 
@@ -237,7 +308,7 @@ class TestCliCommands:
         assert "implement at scale 20 (rule tail" in out
         payload = json.loads((tmp_path / "decision.json").read_text())
         assert payload["meta"]["tool"] == "guaranteesim 0.1.0"
-        assert payload["meta"]["fig1_variant"] == "fixed_given_published"
+        assert "fig1_variant" not in payload["meta"]
         d = payload["decision"]
         assert d["implement"] is True and d["scale"] == 20
         assert d["rule"] == "tail" and d["bound"] == -12.0
@@ -305,6 +376,24 @@ class TestCliCommands:
             assert row["pooled_eu"] >= row["standalone_eu"] - 1e-12
             assert row["pooled_ce"] >= row["standalone_ce"] - 1e-12
 
+    def test_pool_standalone_matches_identity_shares(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"pool": {
+            "members": [
+                {"base": 0.0, "values": [0.0, -5.0], "probs": [0.8, 0.2]},
+                {"base": 1.5, "values": [0.0, -2.0, -9.0],
+                 "probs": [0.6, 0.3, 0.1]},
+                {"base": -0.5, "values": [0.0, -12.0], "probs": [0.9, 0.1]},
+            ],
+            "utility": {"form": "cara", "risk_aversion": 0.1},
+        }})
+        assert main(["pool", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        members = load_scenario(cfg).pool.members
+        joint = pool_expected_utility(members, np.eye(len(members)))
+        rows = json.loads((tmp_path / "pool.json").read_text())["members"]
+        for row, eu in zip(rows, joint):
+            assert row["standalone_eu"] == pytest.approx(eu, rel=1e-12, abs=0.0)
+
     def test_fig1_outputs_are_deterministic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grids": {
             "sup_base_denom": 128, "sup_refine_denom": 1024,
@@ -319,7 +408,8 @@ class TestCliCommands:
         assert csv1 == csv2
         side1 = (dirs[0] / "fig1_calibration.json").read_bytes()
         assert side1 == (dirs[1] / "fig1_calibration.json").read_bytes()
-        _, header, rows = read_csv(dirs[0] / "fig1.csv")
+        meta, header, rows = read_csv(dirs[0] / "fig1.csv")
+        assert "# fig1_variant=fixed_given_published" in meta
         assert header == "alpha_nominal,alpha_actual,p_C,variant,n,pi"
         assert len(rows) == 2
         payload = json.loads(side1)

@@ -10,7 +10,6 @@ from guaranteesim.contracts import (
     implementer_payoff,
     minimal_insurance,
     researcher_payment,
-    split_outcome,
 )
 
 finite_y = st.floats(-100.0, 100.0, allow_nan=False)
@@ -72,15 +71,6 @@ class TestValidation:
         for s in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 ProportionalGuarantee(s)
-
-
-class TestSplit:
-    @given(y=finite_y)
-    @settings(max_examples=60, deadline=None)
-    def test_parts_recombine(self, y):
-        led = split_outcome(y)
-        assert led.y_plus + led.y_minus == pytest.approx(y, abs=1e-12)
-        assert led.y_plus >= 0.0 and led.y_minus <= 0.0
 
 
 class TestMinimalInsurance:

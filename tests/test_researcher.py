@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from guaranteesim.contracts import ProportionalGuarantee, TailGuarantee
 from guaranteesim.economics import BenefitFunction, CostSchedule, PolicyEconomics
 from guaranteesim.researcher import (
     ImplValue,
-    NoHedge,
     NoiseSpec,
     PoolMember,
-    ProportionalOnlyGuarantee,
     ResearcherPayoffModel,
+    ResearcherRisk,
     RiskExchange,
     RiskTransfer,
-    TailOnlyGuarantee,
     UtilitySpec,
     expected_utility,
     no_implementation_world,
@@ -27,6 +26,19 @@ from guaranteesim.simulate import DiscreteDist
 CARA_MILD_EU = -31.551275422694314  # a=0.001 on {-100: 0.3, 0: 0.7}
 
 LINEAR = UtilitySpec("linear")
+BARE = ResearcherRisk()
+
+
+def tail_only(k):
+    return ResearcherRisk(TailGuarantee(k))
+
+
+def proportional_only(share):
+    return ResearcherRisk(ProportionalGuarantee(share))
+
+
+def hedged(hedge):
+    return ResearcherRisk(hedge=hedge)
 
 
 def econ20():
@@ -78,59 +90,60 @@ class TestResearcherWorld:
     def test_tail_only_dominates_no_hedge(self):
         u = UtilitySpec("cara", 0.05)
         for p in (0.1, 0.3, 0.5):
-            tail = researcher_world(TailOnlyGuarantee(-4.0), payoff(), 8,
+            tail = researcher_world(tail_only(-4.0), payoff(), 8,
                                     econ20(), p)
-            bare = researcher_world(NoHedge(), payoff(), 8, econ20(), p)
+            bare = researcher_world(BARE, payoff(), 8, econ20(), p)
             assert expected_utility(tail, u) >= expected_utility(bare, u) - 1e-12
 
     def test_full_retention_transfer_equals_no_hedge(self):
-        keep = researcher_world(RiskTransfer(retained=1.0), payoff(), 8,
+        keep = researcher_world(hedged(RiskTransfer(retained=1.0)), payoff(), 8,
                                 econ20(), 0.35)
-        bare = researcher_world(NoHedge(), payoff(), 8, econ20(), 0.35)
+        bare = researcher_world(BARE, payoff(), 8, econ20(), 0.35)
         assert np.array_equal(keep.values, bare.values)
         assert np.array_equal(keep.probs, bare.probs)
 
     def test_premium_shifts_mean(self):
-        free = researcher_world(RiskTransfer(0.4, premium=0.0), payoff(), 8,
-                                econ20(), 0.35)
-        paid = researcher_world(RiskTransfer(0.4, premium=1.25), payoff(), 8,
-                                econ20(), 0.35)
+        free = researcher_world(hedged(RiskTransfer(0.4, premium=0.0)), payoff(),
+                                8, econ20(), 0.35)
+        paid = researcher_world(hedged(RiskTransfer(0.4, premium=1.25)),
+                                payoff(), 8, econ20(), 0.35)
         assert expected_utility(paid, LINEAR) == pytest.approx(
             expected_utility(free, LINEAR) - 1.25, abs=1e-9)
 
     def test_exchange_mean_additivity(self):
         partner = DiscreteDist([-8.0, 0.0], [0.25, 0.75])
-        swap = researcher_world(RiskExchange(0.4, 0.5, partner), payoff(), 8,
-                                econ20(), 0.35)
-        kept = researcher_world(RiskTransfer(0.4), payoff(), 8, econ20(), 0.35)
+        swap = researcher_world(hedged(RiskExchange(0.4, 0.5, partner)), payoff(),
+                                8, econ20(), 0.35)
+        kept = researcher_world(hedged(RiskTransfer(0.4)), payoff(), 8, econ20(),
+                                0.35)
         assert expected_utility(swap, LINEAR) == pytest.approx(
             expected_utility(kept, LINEAR) + 0.5 * (-2.0), abs=1e-9)
 
     def test_proportional_scales_exposure(self):
         v0 = 2.0 + 2.0
         bare = expected_utility(
-            researcher_world(NoHedge(), payoff(), 8, econ20(), 0.35), LINEAR)
+            researcher_world(BARE, payoff(), 8, econ20(), 0.35), LINEAR)
         part = expected_utility(
-            researcher_world(ProportionalOnlyGuarantee(0.3), payoff(), 8,
+            researcher_world(proportional_only(0.3), payoff(), 8,
                              econ20(), 0.35), LINEAR)
         assert part == pytest.approx(v0 + 0.3 * (bare - v0), abs=1e-9)
 
     def test_uninsured_exposure_adds_loss_share(self):
         bare = expected_utility(
-            researcher_world(NoHedge(), payoff(), 8, econ20(), 0.35), LINEAR)
+            researcher_world(BARE, payoff(), 8, econ20(), 0.35), LINEAR)
         mean_loss = bare - 4.0
         lo = expected_utility(
-            researcher_world(TailOnlyGuarantee(-4.0), payoff(), 8,
+            researcher_world(tail_only(-4.0), payoff(), 8,
                              econ20(), 0.35), LINEAR)
         hi = expected_utility(
-            researcher_world(TailOnlyGuarantee(-4.0), payoff(exposure=0.3), 8,
+            researcher_world(tail_only(-4.0), payoff(exposure=0.3), 8,
                              econ20(), 0.35), LINEAR)
         assert hi - lo == pytest.approx(0.3 * mean_loss, abs=1e-9)
 
     def test_noise_preserves_mean_but_costs_cara_utility(self):
         noisy = payoff(noise=NoiseSpec(0.5))
-        plain_w = researcher_world(NoHedge(), payoff(), 8, econ20(), 0.35)
-        noisy_w = researcher_world(NoHedge(), noisy, 8, econ20(), 0.35)
+        plain_w = researcher_world(BARE, payoff(), 8, econ20(), 0.35)
+        noisy_w = researcher_world(BARE, noisy, 8, econ20(), 0.35)
         assert expected_utility(noisy_w, LINEAR) == pytest.approx(
             expected_utility(plain_w, LINEAR), abs=1e-9)
         u = UtilitySpec("cara", 0.2)
@@ -138,13 +151,16 @@ class TestResearcherWorld:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            researcher_world(NoHedge(), payoff(), 0, econ20(), 0.3)
+            researcher_world(BARE, payoff(), 0, econ20(), 0.3)
         with pytest.raises(TypeError):
-            researcher_world(object(), payoff(), 3, econ20(), 0.3)
+            ResearcherRisk(hedge=object())
+        with pytest.raises(TypeError):
+            researcher_world(ResearcherRisk(contract=object()), payoff(), 3,
+                             econ20(), 0.3)
         with pytest.raises(ValueError):
-            TailOnlyGuarantee(0.0)
+            tail_only(0.0)
         with pytest.raises(ValueError):
-            ProportionalOnlyGuarantee(1.0)
+            proportional_only(1.0)
         with pytest.raises(ValueError):
             RiskTransfer(1.2)
         with pytest.raises(ValueError):
@@ -153,27 +169,83 @@ class TestResearcherWorld:
             RiskExchange(0.5, 0.5, DiscreteDist([1.0], [1.0]))
 
 
+PARTNER = DiscreteDist([0.0, -3.0, -9.0], [0.5, 0.3, 0.2])
+
+
+def old_branch_world(variant, params, pay, m, econ, p):
+    """The per-variant position formulas that contract + hedge replaced."""
+    x_law = DiscreteDist.binomial(m, econ.success_rate(p))
+    y = econ.net_outcome(m, x_law.values.astype(int))
+    y_minus = np.minimum(y, 0.0)
+    v0 = pay.base_pub + pay.impl_value.value(m) + pay.failure_exposure * y_minus
+    if variant == "none":
+        w = v0 + y_minus
+    elif variant == "transfer":
+        w = v0 + params["retained"] * y_minus - params["premium"]
+    elif variant == "exchange":
+        w = v0 + params["retained"] * y_minus
+    elif variant == "tail_only":
+        w = v0 + np.minimum(y - params["k"], 0.0)
+    else:
+        w = v0 + params["share"] * y_minus
+    dist = DiscreteDist(w, x_law.probs).compress()
+    if variant == "exchange":
+        dist = dist.combine(
+            PARTNER, lambda a, z: a + params["assumed"] * z).compress()
+    if pay.noise is not None:
+        dist = dist.combine(pay.noise.law(), lambda a, e: a + e).compress()
+    return dist
+
+
+class TestContractPlusHedge:
+    @pytest.mark.parametrize("variant,params,risk", [
+        ("none", {}, BARE),
+        ("transfer", {"retained": 0.4, "premium": 0.7},
+         hedged(RiskTransfer(0.4, premium=0.7))),
+        ("exchange", {"retained": 0.3, "assumed": 0.6},
+         hedged(RiskExchange(0.3, 0.6, PARTNER))),
+        ("tail_only", {"k": -5.0}, tail_only(-5.0)),
+        ("proportional_only", {"share": 0.35}, proportional_only(0.35)),
+    ])
+    @pytest.mark.parametrize("pay", [
+        payoff(),
+        ResearcherPayoffModel(base_pub=1.5, impl_value=ImplValue("linear", 0.3),
+                              failure_exposure=0.2, noise=NoiseSpec(0.5)),
+    ], ids=["plain", "exposure_noise"])
+    def test_matches_old_branch_formulas(self, variant, params, risk, pay):
+        econs = [econ20(), PolicyEconomics(CostSchedule.affine(3.0, 1.3, 20),
+                                           BenefitFunction.linear(3.1),
+                                           dilution=0.8)]
+        for econ in econs:
+            for m in (1, 8, 20):
+                for p in (0.1, 0.35, 0.8):
+                    got = researcher_world(risk, pay, m, econ, p)
+                    want = old_branch_world(variant, params, pay, m, econ, p)
+                    assert np.array_equal(got.values, want.values)
+                    assert np.array_equal(got.probs, want.probs)
+
+
 class TestParticipation:
     def test_mix_matches_manual_computation(self):
         u = UtilitySpec("linear", v_bar=0.0)
-        report = participation_check(lambda p: p, NoHedge(), payoff(), u,
+        report = participation_check(lambda p: p, BARE, payoff(), u,
                                      econ20(), 8, [0.2, 0.5])
         base = expected_utility(no_implementation_world(payoff()), LINEAR)
         for p, lhs in zip(report.p_grid, report.lhs):
             impl = expected_utility(
-                researcher_world(NoHedge(), payoff(), 8, econ20(), p), LINEAR)
+                researcher_world(BARE, payoff(), 8, econ20(), p), LINEAR)
             assert lhs == pytest.approx((1 - p) * base + p * impl, abs=1e-12)
 
     def test_passes_tracks_floor(self):
         grid = np.linspace(0.1, 0.9, 9)
         report = participation_check(
-            lambda p: p, NoHedge(), payoff(),
+            lambda p: p, BARE, payoff(),
             UtilitySpec("linear", v_bar=0.0), econ20(), 8, grid)
         tight = participation_check(
-            lambda p: p, NoHedge(), payoff(),
+            lambda p: p, BARE, payoff(),
             UtilitySpec("linear", v_bar=report.minimum + 0.1), econ20(), 8, grid)
         loose = participation_check(
-            lambda p: p, NoHedge(), payoff(),
+            lambda p: p, BARE, payoff(),
             UtilitySpec("linear", v_bar=report.minimum - 0.1), econ20(), 8, grid)
         assert not tight.passes and loose.passes
         assert report.minimum == pytest.approx(report.lhs.min())
@@ -183,7 +255,7 @@ class TestPublicationRateConditions:
     def check_single(self, base, v_bar, pub, p, impl=2.0, share=None,
                      atol=1e-12):
         pay = payoff(base=base, impl=impl)
-        risk = NoHedge() if share is None else ProportionalOnlyGuarantee(share)
+        risk = BARE if share is None else proportional_only(share)
         u = UtilitySpec("linear", v_bar=v_bar)
         report = publication_rate_conditions(lambda q: pub, risk, pay, u,
                                              econ20(), 10, [p], atol=atol)
@@ -194,7 +266,7 @@ class TestPublicationRateConditions:
         row, _ = self.check_single(base=2.0, v_bar=0.0, pub=0.9, p=0.05)
         a = 2.0
         b = expected_utility(
-            researcher_world(NoHedge(), payoff(base=2.0), 10, econ20(), 0.05),
+            researcher_world(BARE, payoff(base=2.0), 10, econ20(), 0.05),
             LINEAR)
         assert row.regime == "upper" and b < 0.0 < a
         assert row.bound == pytest.approx((a - 0.0) / (a - b), abs=1e-12)
@@ -243,7 +315,8 @@ class TestPooling:
         pooled = pool_expected_utility(members, np.eye(2))
         for mem, eu in zip(members, pooled):
             standalone = expected_utility(
-                self.LOSS.map(lambda y: mem.base + y), mem.utility)
+                DiscreteDist(mem.base + self.LOSS.values, self.LOSS.probs),
+                mem.utility)
             assert eu == pytest.approx(standalone, abs=1e-12)
 
     def test_equal_shares_help_and_grow_with_pool_size(self):

@@ -79,8 +79,9 @@ class TestIndividualStrategies:
         for p in (0.2, 0.4):
             assert 0.0 <= strat.exceedance_prob(p, 0.4) <= 1.0
         rng = SeededStream(5, 0).generator()
-        published = strat.sample_published(0.3, rng)
-        assert published in set(proc.bounds.tolist())
+        published = strat.sample(0.3, rng, 50)
+        assert published.shape == (50,)
+        assert set(published.tolist()) <= set(proc.bounds.tolist())
 
     def test_fraudulent_shifts_by_half(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 40)
@@ -99,10 +100,50 @@ class TestIndividualStrategies:
     def test_selective_sampling_matches_gate(self):
         strat = SelectiveStrategy(n=40, alpha_prime=0.1)
         rng = SeededStream(11, 0).generator()
-        draws = [strat.sample_published(0.45, 0.5, rng) for _ in range(2000)]
-        freq = sum(d is not None for d in draws) / 2000
+        draws = strat.sample(0.45, 0.5, rng, 2000)
+        freq = np.mean(~np.isnan(draws))
         exact = strat.reject_prob(0.45, 0.5)
         assert abs(freq - exact) <= 5.0 * np.sqrt(exact * (1 - exact) / 2000)
+
+    CP40 = LowerBoundProcedure("clopper_pearson", 0.05, 40)
+
+    @pytest.mark.parametrize("strat,args,event,exact", [
+        (TruthfulStrategy(CP40), (0.5,), lambda b: b > 0.4,
+         lambda s: s.exceedance_prob(0.5, 0.4)),
+        (TruthfulStrategy(LowerBoundProcedure("wald", 0.1, 60)), (0.45,),
+         lambda b: b > 0.4, lambda s: s.exceedance_prob(0.45, 0.4)),
+        (FraudulentStrategy(CP40, 0.05), (0.3, 0.4), lambda b: b > 0.4,
+         lambda s: s.exceedance_prob(0.3, 0.4)),
+        (SelectiveStrategy(40, 0.1), (0.6, 0.5), lambda b: ~np.isnan(b),
+         lambda s: s.reject_prob(0.6, 0.5)),
+        (SelectiveStrategy(40, 0.1), (0.6, 0.5), lambda b: b > 0.5,
+         lambda s: s.exceedance_prob(0.6, 0.5)),
+    ], ids=["truthful_cp", "truthful_wald", "fraudulent", "selective_reject",
+            "selective_clear"])
+    def test_sample_rate_matches_exact(self, strat, args, event, exact):
+        draws = 20_000
+        rng = SeededStream(23, 0).generator()
+        freq = float(np.mean(event(strat.sample(*args, rng, draws))))
+        target = exact(strat)
+        assert 0.0 < target < 1.0
+        assert abs(freq - target) <= 5.0 * np.sqrt(target * (1 - target) / draws)
+
+    def test_sample_draw_order(self):
+        # fraud draws every guess before the outcomes; selective draws the
+        # control arm before the treatment arm
+        fraud = FraudulentStrategy(self.CP40, 0.05)
+        got = fraud.sample(0.3, 0.4, SeededStream(3, 0).generator(), 100)
+        rng = SeededStream(3, 0).generator()
+        guesses = np.where(rng.random(100) < 0.5, 0.45, 0.35)
+        want = np.maximum(self.CP40.bounds[rng.binomial(40, 0.3, 100)], guesses)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+        sel = SelectiveStrategy(40, 0.1)
+        got = sel.sample(0.45, 0.5, SeededStream(4, 0).generator(), 100)
+        reject, wald = _rct_tables(40, 0.1)
+        rng = SeededStream(4, 0).generator()
+        x_c, x_t = rng.binomial(40, 0.5, 100), rng.binomial(40, 0.45, 100)
+        want = np.where(reject[x_c, x_t], wald[x_t], np.nan)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestRctEnumeration:
