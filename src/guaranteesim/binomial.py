@@ -5,6 +5,11 @@ log-gamma arithmetic, Clopper-Pearson bounds from the closed-form Beta
 quantile, and coverage numbers from enumeration over all n+1 outcomes.
 No sampling, no approximation beyond the Wald formula itself (which is
 the point of including it).
+
+Every "sup over p < p0" runs on one batched kernel: binom_pmf_reduce
+evaluates a row functional of the pmf matrix over an array of rates,
+and refined_grid_max calls its function once on the base grid and once
+on the refinement window.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from scipy.special import betaincinv, gammaln
 __all__ = [
     "binom_pmf",
     "binom_pmf_vector",
+    "binom_pmf_reduce",
     "normal_cdf",
     "normal_quantile",
     "clopper_pearson_lower",
@@ -70,19 +76,68 @@ def _pmf_terms(n: int):
     return terms
 
 
-def binom_pmf_vector(n: int, p: float) -> np.ndarray:
-    """All n+1 pmf values at once; same log-space route as binom_pmf."""
-    _check_law(n, p)
-    if p == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
+def _is_rate_array(p) -> bool:
+    # cheaper than np.ndim on the scalar path, which runs per coverage point
+    return isinstance(p, np.ndarray) and p.ndim > 0
+
+
+def binom_pmf_vector(n: int, p) -> np.ndarray:
+    """All n+1 pmf values at once; same log-space route as binom_pmf.
+
+    A 1-d array of rates gives a (rates, n+1) matrix whose rows are
+    bit-for-bit the pmf vectors of the single rates.
+    """
+    if not _is_rate_array(p):
+        _check_law(n, p)
+        if p == 0.0:
+            out = np.zeros(n + 1)
+            out[0] = 1.0
+            return out
+        if p == 1.0:
+            out = np.zeros(n + 1)
+            out[n] = 1.0
+            return out
+        logc, xs, rest = _pmf_terms(n)
+        return np.exp(logc + xs * math.log(p) + rest * math.log1p(-p))
+    rates = p.astype(float, copy=False)
+    if n < 1:
+        raise ValueError(f"need at least one trial, got n={n}")
+    if not ((rates >= 0.0) & (rates <= 1.0)).all():
+        raise ValueError(f"success probabilities must lie in [0,1], got {rates}")
     logc, xs, rest = _pmf_terms(n)
-    return np.exp(logc + xs * math.log(p) + rest * math.log1p(-p))
+    inner = np.where((rates > 0.0) & (rates < 1.0), rates, 0.5)
+    # math's logs, as in the scalar route: np.log can differ in the last
+    # bit, and x * log(p) carries that into the pmf n-fold
+    log_p = np.array([math.log(r) for r in inner])[:, None]
+    log_q = np.array([math.log1p(-r) for r in inner])[:, None]
+    out = np.exp(logc + xs * log_p + rest * log_q)
+    for edge, x in ((0.0, 0), (1.0, n)):
+        rows = rates == edge
+        out[rows] = 0.0
+        out[rows, x] = 1.0
+    return out
+
+
+# Largest pmf matrix binom_pmf_reduce builds at once, in cells.
+_PMF_CELLS = 1 << 20
+
+
+def binom_pmf_reduce(n: int, p, fn):
+    """fn applied to the pmf matrix of the rates p, one value per rate.
+
+    fn maps a (rates, n+1) pmf matrix to one value per row. The 1-d array
+    of rates is taken in chunks, so a matrix holds at most about 2**20
+    cells (one row, if a row is longer). A scalar p gives a float, from
+    the scalar pmf of binom_pmf_vector.
+    """
+    if not _is_rate_array(p):
+        return float(fn(binom_pmf_vector(n, p)[None, :])[0])
+    rates = p.astype(float, copy=False)
+    step = max(1, _PMF_CELLS // (n + 1))
+    out = np.empty(rates.size)
+    for i in range(0, rates.size, step):
+        out[i:i + step] = fn(binom_pmf_vector(n, rates[i:i + step]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +279,15 @@ def exact_lower_coverage(proc, p: float) -> float:
     return float(pmf[np.asarray(proc.bounds) <= p].sum())
 
 
-def exceedance_prob(proc, p: float, threshold: float) -> float:
+def exceedance_prob(proc, p, threshold: float):
     """Pr(L > threshold) when outcomes are drawn at success rate p.
 
     Defined as 1 - coverage at the threshold so that the pair sums to one
-    exactly, not just within rounding.
+    exactly, not just within rounding. An array of rates gives an array.
     """
-    pmf = binom_pmf_vector(proc.n, p)
-    return 1.0 - float(pmf[np.asarray(proc.bounds) <= threshold].sum())
+    covered = np.asarray(proc.bounds) <= threshold
+    return binom_pmf_reduce(
+        proc.n, p, lambda pmf: 1.0 - pmf.compress(covered, axis=1).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -286,13 +342,16 @@ def probability_grid(denom: int = 1024, lo: float = 0.0, hi: float = 1.0,
 def refined_grid_max(fn, base_grid, refine_denom: int, lo: float, hi: float):
     """Maximize fn over base_grid, then over a finer lattice near the argmax.
 
-    The refinement window spans one base step either side of the coarse
-    argmax, clipped to the open interval (lo, hi). Returns (value, argmax).
+    fn maps an array of rates to an array of values; it is called once on
+    the base grid and once on the refinement window, which spans one base
+    step either side of the coarse argmax, clipped to the open interval
+    (lo, hi). The first refined point strictly above the coarse maximum
+    wins. Returns (value, argmax).
     """
     base = np.asarray(base_grid, dtype=float)
     if base.size == 0:
         raise ValueError("empty probability grid")
-    vals = [fn(p) for p in base]
+    vals = np.asarray(fn(base), dtype=float)
     k = int(np.argmax(vals))
     best_p, best_v = float(base[k]), float(vals[k])
     if refine_denom and base.size > 1:
@@ -301,13 +360,13 @@ def refined_grid_max(fn, base_grid, refine_denom: int, lo: float, hi: float):
         w_hi = min(best_p + step, hi)
         first = int(w_lo * refine_denom) + 1
         last = int(math.ceil(w_hi * refine_denom))
-        for j in range(first, last):
-            p = j / refine_denom
-            if not (w_lo < p < w_hi and lo < p < hi):
-                continue
-            v = fn(p)
-            if v > best_v:
-                best_p, best_v = p, v
+        fine = np.arange(first, last) / refine_denom
+        fine = fine[(w_lo < fine) & (fine < w_hi) & (lo < fine) & (fine < hi)]
+        if fine.size:
+            fine_vals = np.asarray(fn(fine), dtype=float)
+            j = int(np.argmax(fine_vals))
+            if fine_vals[j] > best_v:
+                best_p, best_v = float(fine[j]), float(fine_vals[j])
     return best_v, best_p
 
 

@@ -34,8 +34,6 @@ from .economics import BenefitFunction, CostSchedule, PolicyEconomics
 from .reproduce import evaluate_anchors
 from .researcher import (
     expected_utility,
-    no_implementation_world,
-    participation_check,
     pool_expected_utility,
     publication_rate_conditions,
 )
@@ -184,8 +182,8 @@ def cmd_example2(scenario: Scenario, args) -> int:
     p_grid = probability_grid(grids.sup_base_denom, lo=0.0, hi=args.p_c)
     rows = []
     for alpha in grids.alpha_levels:
-        for p in p_grid:
-            fp = mixture_fp_at(p, args.p_c, args.n, alpha, belief)
+        fps = mixture_fp_at(p_grid, args.p_c, args.n, alpha, belief)
+        for p, fp in zip(p_grid, fps):
             rows.append([_fmt(alpha), _fmt(p), _fmt(fp), variant,
                          _fmt(args.p_c), str(args.n), _fmt(args.pi)])
     out = _out_dir(args)
@@ -311,12 +309,11 @@ def cmd_researcher(scenario: Scenario, args) -> int:
     if not decision.implement:
         print(f"note: implementer would decline; reporting at full scale {m}")
     p_grid = np.linspace(0.05, 0.95, 19)
-    part = participation_check(pub, scenario.risk_strategy,
-                               scenario.researcher_payoff, scenario.utility,
-                               econ, m, p_grid)
+    # one pass over the worlds serves both reports
     conds = publication_rate_conditions(pub, scenario.risk_strategy,
                                         scenario.researcher_payoff,
                                         scenario.utility, econ, m, p_grid)
+    part = conds.participation()
     out = _out_dir(args)
     part_path = out / "researcher_participation.csv"
     _write_csv(part_path, _meta_lines(scenario), "p,lhs",
@@ -334,9 +331,7 @@ def cmd_researcher(scenario: Scenario, args) -> int:
         "v_bar": part.v_bar,
         "participates": part.passes,
         "any_condition_violation": conds.any_violation,
-        "base_expected_utility": expected_utility(
-            no_implementation_world(scenario.researcher_payoff),
-            scenario.utility),
+        "base_expected_utility": conds.base_eu,
     })
     status = "holds" if part.passes else "fails"
     print(f"participation {status}: min {part.minimum:.6f} vs floor "
@@ -348,8 +343,7 @@ def cmd_researcher(scenario: Scenario, args) -> int:
 
 def cmd_pool(scenario: Scenario, args) -> int:
     members = scenario.pool.members
-    shares = scenario.pool.share_matrix()
-    pooled = pool_expected_utility(members, shares)
+    pooled = pool_expected_utility(members, scenario.pool.shares)
     rows = []
     for i, mem in enumerate(members):
         # standalone, a member bears only its own loss: no joint enumeration
@@ -420,6 +414,16 @@ def _open_unit(text: str) -> float:
     return value
 
 
+def _weight(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0,1], got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="scenario JSON (default: bundled)")
@@ -443,22 +447,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example1", parents=[common],
                        help="closed-form mixture rate and scale-back table")
-    p.add_argument("--alpha-prime", type=float, default=0.01)
-    p.add_argument("--pi", type=float, default=0.25)
+    p.add_argument("--alpha-prime", type=_open_unit, default=0.01)
+    p.add_argument("--pi", type=_weight, default=0.25)
     p.set_defaults(handler=cmd_example1)
 
     p = sub.add_parser("example2", parents=[common],
                        help="exact false-positive surface over (alpha, p)")
-    p.add_argument("--p-c", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--pi", type=float, default=0.5)
+    p.add_argument("--p-c", type=_open_unit, default=0.5)
+    p.add_argument("--n", type=_positive_int, default=300)
+    p.add_argument("--pi", type=_weight, default=0.5)
     p.set_defaults(handler=cmd_example2)
 
     p = sub.add_parser("fig1", parents=[common],
                        help="nominal-vs-actual curve CSV per control rate")
-    p.add_argument("--p-c", type=float, nargs="+", default=[0.5])
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--pi", type=float, default=0.5)
+    p.add_argument("--p-c", type=_open_unit, nargs="+", default=[0.5])
+    p.add_argument("--n", type=_positive_int, default=300)
+    p.add_argument("--pi", type=_weight, default=0.5)
     p.set_defaults(handler=cmd_fig1)
 
     p = sub.add_parser("decide", parents=[common],

@@ -32,6 +32,7 @@ from .researcher import (
     RiskExchange,
     RiskTransfer,
     UtilitySpec,
+    check_share_matrix,
 )
 from .simulate import DiscreteDist
 from .strategies import (
@@ -109,19 +110,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class PoolSpec:
     members: list
-    shares: Union[str, list]
-
-    def share_matrix(self) -> np.ndarray:
-        j = len(self.members)
-        if isinstance(self.shares, str):
-            if self.shares != "equal":
-                raise ConfigError(f"unknown share rule {self.shares!r}", "pool.shares")
-            return np.full((j, j), 1.0 / j)
-        mat = np.asarray(self.shares, dtype=float)
-        if mat.shape != (j, j):
-            raise ConfigError(
-                f"share matrix must be {j}x{j}, got {mat.shape}", "pool.shares")
-        return mat
+    shares: np.ndarray  # checked share matrix, one row per member
 
 
 @dataclass(frozen=True)
@@ -291,7 +280,10 @@ def _alpha_belief(value, path: str):
         knots = _need(value, "knots", path)
         with _at(f"{path}.knots"):
             return AlphaSchedule(tuple((float(k), float(a)) for k, a in knots))
-    return _number(value, path)
+    alpha = _number(value, path)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha belief must lie in [0,1], got {alpha}", path)
+    return alpha
 
 
 def _utility(block: dict) -> UtilitySpec:
@@ -400,7 +392,14 @@ def _pool(block: dict) -> PoolSpec:
             raise ConfigError("pool needs at least one member", f"{path}.members")
     else:
         raise ConfigError("pool needs either iid or members", path)
-    return PoolSpec(members=members, shares=block.get("shares", "equal"))
+    shares = block.get("shares", "equal")
+    j = len(members)
+    if isinstance(shares, str):
+        if shares != "equal":
+            raise ConfigError(f"unknown share rule {shares!r}", f"{path}.shares")
+        return PoolSpec(members=members, shares=np.full((j, j), 1.0 / j))
+    with _at(f"{path}.shares"):
+        return PoolSpec(members=members, shares=check_share_matrix(shares, j))
 
 
 def _grids(block: dict) -> GridSpec:
@@ -455,6 +454,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     p0 = policy_block.get("p0")
     if p0 is not None:
         p0 = _number(p0, "policy.p0")
+        if not 0.0 < p0 < 1.0:
+            raise ConfigError(f"threshold must lie strictly in (0,1), got {p0}",
+                              "policy.p0")
+    u_bar = _number(_need(policy_block, "u_bar", "policy"), "policy.u_bar")
+    if u_bar >= 0.0:
+        raise ConfigError(f"loss limit must be negative, got {u_bar}",
+                          "policy.u_bar")
 
     seed = _integer(merged["seed"], "seed", minimum=0)
     if seed >= 2 ** 64:
@@ -467,8 +473,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         strategy=_strategy(merged["strategy"], procedure),
         belief_weight=weight,
         belief_conditioning=conditioning,
-        policy_u_bar=_number(_need(policy_block, "u_bar", "policy"),
-                             "policy.u_bar"),
+        policy_u_bar=u_bar,
         policy_alpha=_alpha_belief(_need(policy_block, "alpha_belief", "policy"),
                                    "policy.alpha_belief"),
         policy_p0=p0,

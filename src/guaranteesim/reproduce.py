@@ -212,11 +212,12 @@ def _strategy_suite_bound():
     ok = True
     worst = float("inf")
     for fn in exceedance_fns:
-        sup = max(fn(p) for p in grid)
+        exceed = fn(grid)
+        sup = exceed.max()
         for m in (1, 3, 5):
             floor = -econ.cost(m) * sup
-            for p in grid:
-                value = fn(p) * econ.expected_net(m, p)
+            for p, e in zip(grid, exceed):
+                value = e * econ.expected_net(m, p)
                 worst = min(worst, value - floor)
                 ok = ok and value >= floor - 1e-9
     return ok, worst

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "ConditionRow",
     "ConditionsReport",
     "PoolMember",
+    "check_share_matrix",
     "pool_expected_utility",
 ]
 
@@ -232,19 +234,10 @@ def participation_check(pub_prob, risk, payoff: ResearcherPayoffModel,
     bound triggers implementation. The left-hand side mixes the
     implemented and not-implemented worlds by that probability; the check
     passes when the minimum over the grid stays at or above the floor.
+    It is the lhs column of publication_rate_conditions.
     """
-    grid = np.asarray(p_grid, dtype=float)
-    base_eu = expected_utility(no_implementation_world(payoff), utility)
-    lhs = np.empty(grid.size)
-    for i, p in enumerate(grid):
-        pr = float(pub_prob(p))
-        impl_eu = expected_utility(researcher_world(risk, payoff, m, econ, p),
-                                   utility)
-        lhs[i] = (1.0 - pr) * base_eu + pr * impl_eu
-    minimum = float(lhs.min())
-    return ParticipationReport(
-        p_grid=grid, lhs=lhs, minimum=minimum, v_bar=utility.v_bar,
-        passes=minimum >= utility.v_bar)
+    return publication_rate_conditions(
+        pub_prob, risk, payoff, utility, econ, m, p_grid).participation()
 
 
 @dataclass(frozen=True)
@@ -261,6 +254,16 @@ class ConditionRow:
 class ConditionsReport:
     rows: list
     any_violation: bool
+    v_bar: float
+    base_eu: float  # expected utility when nothing gets implemented
+
+    def participation(self) -> ParticipationReport:
+        """The participation check of the same worlds: lhs against the floor."""
+        lhs = np.array([r.lhs for r in self.rows])
+        minimum = float(lhs.min())
+        return ParticipationReport(
+            p_grid=np.array([r.p for r in self.rows]), lhs=lhs,
+            minimum=minimum, v_bar=self.v_bar, passes=minimum >= self.v_bar)
 
 
 def publication_rate_conditions(pub_prob, risk, payoff: ResearcherPayoffModel,
@@ -302,7 +305,8 @@ def publication_rate_conditions(pub_prob, risk, payoff: ResearcherPayoffModel,
         rows.append(ConditionRow(p=float(p), lhs=lhs, regime=regime,
                                  bound=bound, actual=pr, violated=violated))
     return ConditionsReport(rows=rows,
-                            any_violation=any(r.violated for r in rows))
+                            any_violation=any(r.violated for r in rows),
+                            v_bar=v_bar, base_eu=a_val)
 
 
 @dataclass(frozen=True)
@@ -315,38 +319,38 @@ class PoolMember:
 _POOL_OUTCOME_LIMIT = 2_000_000
 
 
+def check_share_matrix(shares, j: int) -> np.ndarray:
+    """shares as a j x j float matrix, checked: nonnegative, rows summing to 1."""
+    mat = np.asarray(shares, dtype=float)
+    if mat.shape != (j, j):
+        raise ValueError(f"share matrix must be {j}x{j}, got {mat.shape}")
+    if (mat < 0.0).any():
+        raise ValueError("shares cannot be negative")
+    if not np.allclose(mat.sum(axis=1), 1.0, atol=1e-9):
+        raise ValueError("each share-matrix row must sum to 1")
+    return mat
+
+
 def pool_expected_utility(members, share_matrix) -> np.ndarray:
     """Expected utility per member when independent losses are shared.
 
     share_matrix[i, j] is the fraction of member j's loss borne by member
     i; each row must sum to 1 so every member holds a full portfolio
-    share. Identity shares reproduce standalone positions.
+    share. Identity shares reproduce standalone positions. The joint
+    outcomes are enumerated as outer products over the members' laws, one
+    axis per member, without a matrix of outcome vectors.
     """
     members = list(members)
-    j = len(members)
-    shares = np.asarray(share_matrix, dtype=float)
-    if shares.shape != (j, j):
-        raise ValueError(f"share matrix must be {j}x{j}, got {shares.shape}")
-    if (shares < 0.0).any():
-        raise ValueError("shares cannot be negative")
-    if not np.allclose(shares.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("each share-matrix row must sum to 1")
-
-    sizes = [len(mem.loss) for mem in members]
-    total = int(np.prod(sizes))
+    shares = check_share_matrix(share_matrix, len(members))
+    total = int(np.prod([len(mem.loss) for mem in members]))
     if total > _POOL_OUTCOME_LIMIT:
         raise ValueError(
             f"joint enumeration of {total} outcomes exceeds the limit; "
             "coarsen the loss laws")
-    grids = np.meshgrid(*[mem.loss.values for mem in members], indexing="ij")
-    outcomes = np.stack([g.ravel() for g in grids], axis=1)  # (N, J)
-    prob_grids = np.meshgrid(*[mem.loss.probs for mem in members], indexing="ij")
-    probs = np.ones(total)
-    for g in prob_grids:
-        probs = probs * g.ravel()
-
-    out = np.empty(j)
+    probs = reduce(np.multiply.outer, [mem.loss.probs for mem in members]).ravel()
+    out = np.empty(len(members))
     for i, mem in enumerate(members):
-        w = mem.base + outcomes @ shares[i]
-        out[i] = float(probs @ mem.utility.value(w))
+        shared = reduce(np.add.outer, [share * other.loss.values for share, other
+                                       in zip(shares[i], members)])
+        out[i] = float(probs @ mem.utility.value(mem.base + shared.ravel()))
     return out

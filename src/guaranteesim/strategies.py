@@ -25,6 +25,7 @@ import numpy as np
 
 from .binomial import (
     LowerBoundProcedure,
+    binom_pmf_reduce,
     binom_pmf_vector,
     exceedance_prob,
     normal_quantile,
@@ -129,12 +130,30 @@ class FraudulentStrategy:
 # ---------------------------------------------------------------------------
 # Selective reporting: a two-arm one-sided z-test gates publication.
 
+def _rct_gate(n: int, z_crit: float, x_c, x_t):
+    """The gate's decision on outcome pairs (x_control, x_treatment).
+
+    The z statistic pools the two sample proportions; pairs where the
+    pooled proportion is 0 or 1 leave z undefined and count as
+    non-rejection.
+    """
+    pc = x_c / n
+    pt = x_t / n
+    pooled = (pc + pt) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (pt - pc) / np.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+    return (pooled > 0.0) & (pooled < 1.0) & (z >= z_crit)
+
+
 @lru_cache(maxsize=64)
 def _rct_tables(n: int, alpha_prime: float):
-    """Rejection mask over (x_control, x_treatment) and per-treatment Wald bounds.
+    """Rejection thresholds per x_control and per-treatment Wald bounds.
 
-    The z statistic pools the two sample proportions; cells where the pooled
-    proportion is 0 or 1 leave z undefined and count as non-rejection.
+    thr[x_control] is the first x_treatment at which the gate rejects, or
+    n+1 if it never does. z increases with x_treatment, so each row
+    rejects from its threshold on (see _rct_rejects for the one cell that
+    does not), and a vectorised bisection over the gate's own z finds
+    every threshold in O(n log n) time and O(n) memory.
     """
     if n < 2:
         raise ValueError(f"need at least 2 per arm, got n={n}")
@@ -144,60 +163,85 @@ def _rct_tables(n: int, alpha_prime: float):
     if not 0.0 < alpha_prime < 1.0:
         raise ValueError(f"nominal level must lie in (0,1), got {alpha_prime}")
     z_crit = normal_quantile(1.0 - alpha_prime)
-    phat = np.arange(n + 1) / n
-    pooled = (phat[:, None] + phat[None, :]) / 2.0
-    gap = phat[None, :] - phat[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = gap / np.sqrt(2.0 * pooled * (1.0 - pooled) / n)
-    reject = np.where((pooled > 0.0) & (pooled < 1.0), z >= z_crit, False)
-    wald = wald_lower_vector(n, alpha_prime)
-    reject.setflags(write=False)
+    x_c = np.arange(n + 1)
+    lo = np.full(n + 1, -1)     # largest x_treatment known not to reject
+    hi = np.full(n + 1, n + 1)  # smallest x_treatment known to reject
+    while True:
+        open_rows = hi - lo > 1
+        if not open_rows.any():
+            break
+        mid = (lo + hi) // 2
+        hit = _rct_gate(n, z_crit, x_c, mid)
+        hi = np.where(open_rows & hit, mid, hi)
+        lo = np.where(open_rows & ~hit, mid, lo)
+    thr, wald = hi, wald_lower_vector(n, alpha_prime)
+    thr.setflags(write=False)
     wald.setflags(write=False)
-    return reject, wald
+    return thr, wald
+
+
+def _rct_rejects(thr: np.ndarray, x_c, x_t):
+    """Gate decisions for outcome pairs, from the thresholds.
+
+    The all-success pair (n, n) never rejects: its pooled proportion is 1.
+    It ends row n, whose other cells have z < 0 and so reject only at
+    nominal levels above 1/2.
+    """
+    n = thr.size - 1
+    return (x_t >= thr[x_c]) & (x_c + x_t < 2 * n)
 
 
 @lru_cache(maxsize=64)
 def _rct_control_weights(n: int, alpha_prime: float, p_control: float,
                          threshold: float):
-    """Control-arm averages of the rejection and publish-and-clear masks.
+    """Control-arm averages of the rejection and publish-and-clear events.
 
     Returns vectors over x_treatment, so each treatment-arm law costs one
-    dot product instead of an n^2 sweep.
+    dot product. Pr(reject | x_treatment) sums the control weights of the
+    rows whose threshold is at most x_treatment: a cumulative sum over
+    threshold buckets, O(n) per control law.
     """
-    reject, wald = _rct_tables(n, alpha_prime)
+    thr, wald = _rct_tables(n, alpha_prime)
     w_control = binom_pmf_vector(n, p_control)
-    reject_given_t = w_control @ reject
-    clear = reject & (wald > threshold)[None, :]
-    clear_given_t = w_control @ clear
+    reject_given_t = np.cumsum(
+        np.bincount(thr, weights=w_control, minlength=n + 2)[:n + 1])
+    if thr[n] <= n:  # the pair (n, n) sits in row n's suffix but never rejects
+        reject_given_t[n] -= w_control[n]
+    clear_given_t = np.where(wald > threshold, reject_given_t, 0.0)
     reject_given_t.setflags(write=False)
     clear_given_t.setflags(write=False)
     return reject_given_t, clear_given_t
 
 
-def rct_reject_prob(p: float, p_control: float, n: int, alpha_prime: float) -> float:
-    """Exact probability the gating test rejects, by full enumeration."""
+def rct_reject_prob(p, p_control: float, n: int, alpha_prime: float):
+    """Exact probability the gating test rejects, by full enumeration.
+
+    p may be an array of treatment rates; p_control is one rate.
+    """
     _check_prob(p, "treatment probability")
     _check_prob(p_control, "control probability")
     reject_given_t, _ = _rct_control_weights(n, alpha_prime, p_control, p_control)
-    return float(reject_given_t @ binom_pmf_vector(n, p))
+    return binom_pmf_reduce(n, p, lambda pmf: pmf @ reject_given_t)
 
 
-def rct_publish_and_clear_prob(p: float, p_control: float, n: int,
+def rct_publish_and_clear_prob(p, p_control: float, n: int,
                                alpha_prime: float,
-                               threshold: Optional[float] = None) -> float:
+                               threshold: Optional[float] = None):
     """Exact Pr(reject AND published Wald bound > threshold).
 
     threshold defaults to the control rate, the natural decision cutoff.
+    p may be an array of treatment rates.
     """
     _check_prob(p, "treatment probability")
     _check_prob(p_control, "control probability")
     thr = p_control if threshold is None else threshold
     _, clear_given_t = _rct_control_weights(n, alpha_prime, p_control, thr)
-    return float(clear_given_t @ binom_pmf_vector(n, p))
+    return binom_pmf_reduce(n, p, lambda pmf: pmf @ clear_given_t)
 
 
-def _check_prob(value: float, label: str) -> None:
-    if not 0.0 <= value <= 1.0:
+def _check_prob(value, label: str) -> None:
+    v = np.asarray(value)
+    if not ((v >= 0.0) & (v <= 1.0)).all():
         raise ValueError(f"{label} must lie in [0,1], got {value}")
 
 
@@ -226,10 +270,10 @@ class SelectiveStrategy:
 
         All control arms are drawn before the treatment arms.
         """
-        reject, wald = _rct_tables(self.n, self.alpha_prime)
+        thr, wald = _rct_tables(self.n, self.alpha_prime)
         x_c = rng.binomial(self.n, p_control, size)
         x_t = rng.binomial(self.n, p, size)
-        return np.where(reject[x_c, x_t], wald[x_t], np.nan)
+        return np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +299,10 @@ def _truthful_proc(n: int, alpha_prime: float) -> LowerBoundProcedure:
     return LowerBoundProcedure("clopper_pearson", alpha_prime, n)
 
 
-def mixture_fp_at(p: float, p_control: float, n: int, alpha_prime: float,
+def mixture_fp_at(p, p_control: float, n: int, alpha_prime: float,
                   belief: MixtureBelief,
-                  truthful_proc: Optional[LowerBoundProcedure] = None) -> float:
-    """Pr(published bound > control rate) at one treatment success rate p.
+                  truthful_proc: Optional[LowerBoundProcedure] = None):
+    """Pr(published bound > control rate) at treatment success rate(s) p.
 
     The untruthful component is the selective strategy; the truthful
     component publishes a Clopper-Pearson bound unconditionally. How the
@@ -270,27 +314,38 @@ def mixture_fp_at(p: float, p_control: float, n: int, alpha_prime: float,
     * joint_unconditional: weight applies to Pr(rejected AND bound > thr).
     * bayes_reweighted: the weight is re-scaled by each component's
       publication probability before mixing the conditional rates.
+
+    An array of rates gives an array, one pmf matrix per chunk of rates
+    (binom_pmf_reduce); a scalar rate gives a float.
     """
     pi = belief.untruthful_weight
+    conditioning = belief.conditioning
     proc = truthful_proc or _truthful_proc(n, alpha_prime)
-    w_t = binom_pmf_vector(n, p)
-    # exceedance_prob(proc, p, p_control), sharing the pmf with the RCT terms
-    truth = 1.0 - float(w_t[np.asarray(proc.bounds) <= p_control].sum())
-    if pi == 0.0:
-        return truth
-    reject_given_t, clear_given_t = _rct_control_weights(
-        n, alpha_prime, p_control, p_control)
-    pr_reject = float(reject_given_t @ w_t)
-    pr_joint = float(clear_given_t @ w_t)
-    if belief.conditioning == "joint_unconditional":
-        return pi * pr_joint + (1.0 - pi) * truth
-    conditional = pr_joint / pr_reject if pr_reject > 0.0 else 0.0
-    if belief.conditioning == "fixed_given_published":
-        return pi * conditional + (1.0 - pi) * truth
-    # bayes_reweighted: publication probability 1 for the truthful component
-    denom = pi * pr_reject + (1.0 - pi)
-    w = pi * pr_reject / denom if denom > 0.0 else 0.0
-    return w * conditional + (1.0 - w) * truth
+    covered = np.asarray(proc.bounds) <= p_control
+    if pi > 0.0:
+        rct = np.column_stack(_rct_control_weights(
+            n, alpha_prime, p_control, p_control))
+
+    def at(pmf):
+        # exceedance_prob(proc, p, p_control), sharing the pmf with the RCT terms
+        truth = 1.0 - pmf.compress(covered, axis=1).sum(axis=1)
+        if pi == 0.0:
+            return truth
+        pr_reject, pr_joint = (pmf @ rct).T
+        if conditioning == "joint_unconditional":
+            return pi * pr_joint + (1.0 - pi) * truth
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conditional = np.where(pr_reject > 0.0, pr_joint / pr_reject, 0.0)
+        if conditioning == "fixed_given_published":
+            return pi * conditional + (1.0 - pi) * truth
+        # bayes_reweighted: publication probability 1 for the truthful
+        # component, so the denominator is positive unless pi = 1
+        denom = pi * pr_reject + (1.0 - pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(denom > 0.0, pi * pr_reject / denom, 0.0)
+        return w * conditional + (1.0 - w) * truth
+
+    return binom_pmf_reduce(n, p, at)
 
 
 def mixture_actual_fp(alpha_prime: float, p_control: float, n: int,

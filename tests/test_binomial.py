@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guaranteesim import binomial
 from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_pmf,
+    binom_pmf_reduce,
     binom_pmf_vector,
     clopper_pearson_lower,
     clopper_pearson_lower_vector,
@@ -118,6 +120,31 @@ class TestPmf:
             binom_pmf(0, 0.5, 0)
         with pytest.raises(ValueError):
             binom_pmf(5, 1.5, 2)
+        with pytest.raises(ValueError):
+            binom_pmf_vector(5, np.array([0.2, 1.5]))
+        with pytest.raises(ValueError):
+            binom_pmf_vector(5, np.array([0.2, np.nan]))
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1000])
+    def test_rate_matrix_matches_scalar_rows(self, n):
+        rates = np.concatenate([[0.0, 1e-9, 0.37, 0.999, 1.0],
+                                probability_grid(512)])
+        mat = binom_pmf_vector(n, rates)
+        assert mat.shape == (rates.size, n + 1)
+        for row, p in zip(mat, rates):
+            assert np.array_equal(row, binom_pmf_vector(n, float(p)))
+
+    def test_reduce_chunks_rates(self, monkeypatch):
+        # a 3-row chunk limit at n = 300 gives the same values as one matrix
+        rates = probability_grid(64, open_ends=True)
+        covered = np.arange(301) < 140
+        fn = lambda pmf: pmf[:, covered].sum(axis=1)
+        whole = binom_pmf_reduce(300, rates, fn)
+        monkeypatch.setattr(binomial, "_PMF_CELLS", 1000)
+        chunked = binom_pmf_reduce(300, rates, fn)
+        assert np.array_equal(whole, chunked)
+        assert isinstance(binom_pmf_reduce(300, 0.4, fn), float)
+        assert binom_pmf_reduce(300, np.empty(0), fn).shape == (0,)
         with pytest.raises(ValueError):
             binom_pmf(5, 0.5, 9)
 
@@ -245,6 +272,14 @@ class TestCoverage:
         # the sup search must do at least as well as the frozen witness
         assert sup_false_positive(proc, 0.5) >= WALD_FP_AT_WITNESS - 1e-12
 
+    @pytest.mark.parametrize("kind", ["clopper_pearson", "wald"])
+    def test_batched_exceedance_matches_per_rate_loop(self, kind):
+        proc = LowerBoundProcedure(kind, 0.05, 300)
+        grid = np.concatenate([[0.0], probability_grid(512, hi=0.5), [1.0]])
+        batched = exceedance_prob(proc, grid, 0.5)
+        looped = np.array([exceedance_prob(proc, p, 0.5) for p in grid])
+        assert np.array_equal(batched, looped)
+
     def test_cp_sup_respects_nominal(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 300)
         assert sup_false_positive(proc, 0.5) <= 0.05 + 1e-12
@@ -272,8 +307,47 @@ class TestGrids:
         assert abs(argmax - peak) <= 1.0 / 8192
 
     def test_refinement_never_worse_than_base(self):
-        fn = lambda p: math.sin(17.0 * p)
+        fn = lambda p: np.sin(17.0 * p)
         base = probability_grid(32, open_ends=True)
         coarse = max(fn(p) for p in base)
         refined, _ = refined_grid_max(fn, base, 4096, 0.0, 1.0)
         assert refined >= coarse
+
+    @pytest.mark.parametrize("fn,base,refine,lo,hi", [
+        (lambda p: -(p - 0.3337) ** 2, probability_grid(16), 8192, 0.0, 1.0),
+        # a plateau: refined ties with the coarse maximum never win
+        (lambda p: np.minimum(p, 0.4), probability_grid(32), 4096, 0.0, 1.0),
+        (lambda p: -((p - 0.2) * (p - 0.7)) ** 2 + 0.01 * p,
+         probability_grid(64, hi=0.9), 2048, 0.0, 0.9),
+        # the peak sits next to the open upper end
+        (lambda p: p * p, probability_grid(512, hi=0.5), 8192, 0.0, 0.5),
+        (lambda p: 1.0 - p, probability_grid(512, hi=0.3), 8192, 0.0, 0.3),
+        (lambda p: -(p - 0.41) ** 2, [0.4], 8192, 0.0, 0.5),
+    ], ids=["peak", "plateau", "two_modes", "upper_end", "lower_end",
+            "one_point"])
+    def test_batched_matches_scalar_loop(self, fn, base, refine, lo, hi):
+        # exact arithmetic, so the batched search must agree to the bit
+        assert refined_grid_max(fn, base, refine, lo, hi) == \
+            _scalar_refined_grid_max(fn, base, refine, lo, hi)
+
+
+def _scalar_refined_grid_max(fn, base_grid, refine_denom, lo, hi):
+    """The per-rate search refined_grid_max replaced: one fn call per point."""
+    base = np.asarray(base_grid, dtype=float)
+    vals = [fn(p) for p in base]
+    k = int(np.argmax(vals))
+    best_p, best_v = float(base[k]), float(vals[k])
+    if refine_denom and base.size > 1:
+        step = float(np.diff(base).max())
+        w_lo = max(best_p - step, lo)
+        w_hi = min(best_p + step, hi)
+        first = int(w_lo * refine_denom) + 1
+        last = int(math.ceil(w_hi * refine_denom))
+        for j in range(first, last):
+            p = j / refine_denom
+            if not (w_lo < p < w_hi and lo < p < hi):
+                continue
+            v = fn(p)
+            if v > best_v:
+                best_p, best_v = p, v
+    return best_v, best_p

@@ -148,16 +148,17 @@ class TestValidation:
         }})
         assert len(s.pool.members) == 2
         assert s.pool.members[1].base == 1.0
-        assert s.pool.share_matrix().shape == (2, 2)
+        assert s.pool.shares.shape == (2, 2)
 
     def test_pool_share_matrix_shape(self):
-        s = scenario_from_dict({"pool": {
-            "iid": {"count": 2, "values": [0.0, -10.0], "probs": [0.7, 0.3]},
-            "utility": {"form": "cara", "risk_aversion": 0.1},
-            "shares": [[1.0]],
-        }})
-        with pytest.raises(ConfigError, match="share matrix"):
-            s.pool.share_matrix()
+        # the share matrix is checked when the scenario loads
+        with pytest.raises(ConfigError, match="share matrix") as exc:
+            scenario_from_dict({"pool": {
+                "iid": {"count": 2, "values": [0.0, -10.0], "probs": [0.7, 0.3]},
+                "utility": {"form": "cara", "risk_aversion": 0.1},
+                "shares": [[1.0]],
+            }})
+        assert exc.value.key_path == "pool.shares"
 
 
 SECOND_MEMBER = {"pool": {
@@ -186,8 +187,18 @@ class TestConfigMistakesExit2:
                         "risk_strategy": {"variant": "tail_only", "k": "deep"}},
          "risk_strategy.k", '"k": "deep"'),
         ("pool", SECOND_MEMBER, "pool.members[1].base", '"base": "one"'),
+        ("decide", {"policy": {"u_bar": 5.0, "alpha_belief": 0.25, "p0": None}},
+         "policy.u_bar", '"u_bar"'),
+        ("researcher", {"policy": {"u_bar": -12.0, "alpha_belief": 0.25,
+                                   "p0": 1.5}}, "policy.p0", '"p0"'),
+        ("decide", {"policy": {"u_bar": -12.0, "alpha_belief": 1.5, "p0": None}},
+         "policy.alpha_belief", '"alpha_belief"'),
+        ("pool", {"pool": {"iid": POOL_IID, "utility": {
+            "form": "cara", "risk_aversion": 0.1},
+            "shares": [[0.5, 0.4], [0.5, 0.5]]}}, "pool.shares", '"shares"'),
     ], ids=["refine_denom", "base_denom", "alpha_levels", "seed", "cara_zero",
-            "pool_probs", "nested_k", "member_index"])
+            "pool_probs", "nested_k", "member_index", "u_bar_positive",
+            "p0_above_one", "alpha_belief", "share_rows"])
     def test_exit_2_with_key_path_and_line(self, tmp_path, capsys, command,
                                            edit, key_path, line_of):
         cfg = write_config(tmp_path, edit)
@@ -261,6 +272,20 @@ class TestCliCommands:
             main(["coverage", *flags, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert f"argument {flags[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["example1", "--alpha-prime", "0"], ["example1", "--pi", "-0.1"],
+        ["example2", "--n", "0"], ["example2", "--pi", "1.5"],
+        ["example2", "--p-c", "1"], ["fig1", "--pi", "2"],
+        ["fig1", "--n", "-3"], ["fig1", "--p-c", "0.5", "0"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_examples_and_fig1_reject_bad_flags(self, tmp_path, capsys, argv):
+        # out-of-range values exit 2 at parse time instead of 1 at run time
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_example1(self, tmp_path, capsys):
@@ -364,6 +389,18 @@ class TestCliCommands:
         assert summary["scale"] == 20
         assert summary["v_bar"] == -6.0
         assert isinstance(summary["participates"], bool)
+
+    def test_researcher_builds_each_world_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        # both reports come from one pass over the 19-point grid
+        from guaranteesim import researcher
+        calls = []
+        world = researcher.researcher_world
+        monkeypatch.setattr(researcher, "researcher_world",
+                            lambda *a: calls.append(a[-1]) or world(*a))
+        assert main(["researcher", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 19 and len(set(calls)) == 19
 
     def test_pool_reports_gains(self, tmp_path, capsys):
         rc = main(["pool", "--out", str(tmp_path)])

@@ -340,9 +340,37 @@ class TestPooling:
         with pytest.raises(ValueError):
             pool_expected_utility([self.member()], np.eye(2))
 
+    @pytest.mark.parametrize("case", ["equal", "unequal", "non_iid"])
+    def test_matches_outcome_matrix_enumeration(self, case):
+        wide = DiscreteDist([0.0, -2.0, -7.5], [0.5, 0.3, 0.2])
+        laws = [self.LOSS, self.LOSS, self.LOSS]
+        if case == "non_iid":
+            laws = [self.LOSS, wide, DiscreteDist([1.0, -4.0], [0.6, 0.4])]
+        members = [PoolMember(base, law, UtilitySpec("cara", a)) for base, law, a
+                   in zip((0.0, 1.5, -0.5), laws, (0.1, 0.2, 0.05))]
+        shares = np.full((3, 3), 1.0 / 3)
+        if case != "equal":
+            shares = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3],
+                               [0.25, 0.25, 0.5]])
+        got = pool_expected_utility(members, shares)
+        want = _outcome_matrix_pool_eu(members, shares)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_outcome_limit_guards_enumeration(self):
         wide = DiscreteDist(-np.arange(12.0), np.full(12, 1.0 / 12))
         members = [PoolMember(0.0, wide, UtilitySpec("cara", 0.1))
                    for _ in range(8)]
         with pytest.raises(ValueError):
             pool_expected_utility(members, np.full((8, 8), 1.0 / 8))
+
+
+def _outcome_matrix_pool_eu(members, shares):
+    """Pooled expected utilities through the (N, J) matrix of joint outcomes,
+    the enumeration pool_expected_utility replaced with outer products."""
+    grids = np.meshgrid(*[m.loss.values for m in members], indexing="ij")
+    outcomes = np.stack([g.ravel() for g in grids], axis=1)
+    probs = np.ones(outcomes.shape[0])
+    for g in np.meshgrid(*[m.loss.probs for m in members], indexing="ij"):
+        probs = probs * g.ravel()
+    return np.array([float(probs @ m.utility.value(m.base + outcomes @ shares[i]))
+                     for i, m in enumerate(members)])

@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guaranteesim.binomial import LowerBoundProcedure, probability_grid
+from guaranteesim.binomial import (
+    LowerBoundProcedure,
+    binom_pmf_vector,
+    normal_quantile,
+    probability_grid,
+)
 from guaranteesim.strategies import (
     CONDITIONING_VARIANTS,
     FraudulentStrategy,
     MixtureBelief,
     SelectiveStrategy,
     TruthfulStrategy,
+    _rct_rejects,
     _rct_tables,
     actual_fp_curve,
     fraud_mixture_fp,
@@ -40,6 +46,25 @@ SUP_BAYES_05 = 0.06194423251906704
 SUP_BAYES_025 = 0.0301294785659469
 SUP_TRUTHFUL_05 = 0.046538565669747615     # pi = 0
 SUP_TRUTHFUL_025 = 0.02134702281374849
+
+
+def _dense_z(n):
+    """The gate's z over every (x_control, x_treatment) pair, NaN where the
+    pooled proportion is 0 or 1: the (n+1)^2 table the thresholds replaced."""
+    phat = np.arange(n + 1) / n
+    pooled = (phat[:, None] + phat[None, :]) / 2.0
+    gap = phat[None, :] - phat[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = gap / np.sqrt(2.0 * pooled * (1.0 - pooled) / n)
+    return np.where((pooled > 0.0) & (pooled < 1.0), z, np.nan)
+
+
+def _dense_reject(n, alpha_prime, z=None):
+    """Rejection mask over (x_control, x_treatment), the oracle for n <= 2000."""
+    z = _dense_z(n) if z is None else z
+    with np.errstate(invalid="ignore"):
+        return z >= normal_quantile(1.0 - alpha_prime)
+
 
 FIXED_CURVE = {
     0.001: 0.08364153773492122,
@@ -139,7 +164,8 @@ class TestIndividualStrategies:
         assert np.allclose(got, want, rtol=0.0, atol=1e-15)
         sel = SelectiveStrategy(40, 0.1)
         got = sel.sample(0.45, 0.5, SeededStream(4, 0).generator(), 100)
-        reject, wald = _rct_tables(40, 0.1)
+        reject = _dense_reject(40, 0.1)
+        _, wald = _rct_tables(40, 0.1)
         rng = SeededStream(4, 0).generator()
         x_c, x_t = rng.binomial(40, 0.5, 100), rng.binomial(40, 0.45, 100)
         want = np.where(reject[x_c, x_t], wald[x_t], np.nan)
@@ -170,18 +196,59 @@ class TestRctEnumeration:
         assert -1e-12 <= j <= r + 1e-12
 
     def test_degenerate_pooled_cells_never_reject(self):
-        reject, _ = _rct_tables(40, 0.1)
-        assert not reject[0, 0]
-        assert not reject[40, 40]
+        # at 0.9, z_crit < -1 and row n rejects before reaching (n, n)
+        for a in (0.1, 0.9):
+            thr, _ = _rct_tables(40, a)
+            assert not _rct_rejects(thr, 0, 0)
+            assert not _rct_rejects(thr, 40, 40)
+        assert thr[40] <= 40
 
     def test_rejection_at_zero_control_implies_positive_bound(self):
         # if the gate rejects with an empty control arm, the published
         # Wald bound is already positive
         for n in (12, 40):
-            reject, wald = _rct_tables(n, 0.1)
-            triggered = np.nonzero(reject[0])[0]
-            assert triggered.size > 0
-            assert (wald[triggered] > 0.0).all()
+            thr, wald = _rct_tables(n, 0.1)
+            assert thr[0] <= n
+            assert (wald[thr[0]:] > 0.0).all()
+
+    @pytest.mark.parametrize("n", [12, 40, 300, 1000, 2000])
+    def test_thresholds_match_dense_table(self, n):
+        z = _dense_z(n)
+        cells = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        for a in (0.2, 0.05, 0.01, 0.001, 0.5, 0.9):
+            dense = _dense_reject(n, a, z)
+            thr, _ = _rct_tables(n, a)
+            first = np.where(dense.any(axis=1), dense.argmax(axis=1), n + 1)
+            assert np.array_equal(thr, first)
+            assert np.array_equal(_rct_rejects(thr, *cells), dense)
+
+    @pytest.mark.parametrize("n,a,p_c,p", [
+        (40, 0.1, 0.5, 0.45), (300, 0.05, 0.5, 0.55), (3, 0.9, 0.9, 0.9),
+    ])
+    def test_control_weights_match_dense_table(self, n, a, p_c, p):
+        # rows of the dense mask averaged over the control law, the
+        # enumeration the cumulative threshold sums replaced
+        dense = _dense_reject(n, a)
+        _, wald = _rct_tables(n, a)
+        w_c, w_t = binom_pmf_vector(n, p_c), binom_pmf_vector(n, p)
+        reject = w_c @ dense @ w_t
+        clear = w_c @ (dense & (wald > p_c)[None, :]) @ w_t
+        assert rct_reject_prob(p, p_c, n, a) == pytest.approx(reject, rel=1e-12)
+        assert rct_publish_and_clear_prob(p, p_c, n, a) == pytest.approx(
+            clear, rel=1e-12)
+
+    @pytest.mark.parametrize("n,a,p_c,p", [
+        (40, 0.1, 0.5, 0.45), (300, 0.01, 0.3, 0.4), (3, 0.9, 0.9, 0.9),
+    ])
+    def test_sample_matches_dense_mask(self, n, a, p_c, p):
+        # (3, 0.9) at rates 0.9 draws the never-rejecting pair (n, n) often
+        got = SelectiveStrategy(n, a).sample(
+            p, p_c, SeededStream(31, 0).generator(), 5000)
+        rng = SeededStream(31, 0).generator()
+        x_c, x_t = rng.binomial(n, p_c, 5000), rng.binomial(n, p, 5000)
+        _, wald = _rct_tables(n, a)
+        want = np.where(_dense_reject(n, a)[x_c, x_t], wald[x_t], np.nan)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestMixture:
@@ -210,6 +277,15 @@ class TestMixture:
                 a, 0.5, 300, MixtureBelief(0.0, "fixed_given_published"))
             assert value == pytest.approx(target, abs=1e-9)
             assert value <= a + 1e-12
+
+    @pytest.mark.parametrize("variant", CONDITIONING_VARIANTS)
+    def test_batched_matches_per_rate_loop(self, variant):
+        grid = np.concatenate([[0.0], probability_grid(512, hi=0.5)])
+        for n, a, pi in ((300, 0.05, 0.5), (1000, 0.01, 0.5), (40, 0.9, 1.0)):
+            belief = MixtureBelief(pi, variant)
+            batched = mixture_fp_at(grid, 0.5, n, a, belief)
+            looped = np.array([mixture_fp_at(p, 0.5, n, a, belief) for p in grid])
+            assert np.max(np.abs(batched - looped)) <= 1e-14
 
     def test_belief_validation(self):
         with pytest.raises(ValueError):
