@@ -6,10 +6,12 @@ quantile, and coverage numbers from enumeration over all n+1 outcomes.
 No sampling, no approximation beyond the Wald formula itself (which is
 the point of including it).
 
-Every "sup over p < p0" runs on one batched kernel: binom_pmf_reduce
-evaluates a row functional of the pmf matrix over an array of rates,
-and refined_grid_max calls its function once on the base grid and once
-on the refinement window.
+Every exceedance functional is a short list of terms (w, num, den),
+vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
+terms_value evaluates them on the batched pmf kernel binom_pmf_reduce.
+Every "sup over p < p0" is sup_below, which returns f(p0) when an O(n)
+monotone-ratio check certifies that f is nondecreasing, and otherwise
+searches the open grid below p0 with refined_grid_max.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ __all__ = [
     "exact_lower_coverage",
     "exceedance_prob",
     "coverage_report",
+    "exceedance_terms",
+    "terms_value",
+    "sup_below",
     "sup_false_positive",
     "probability_grid",
     "refined_grid_max",
@@ -206,10 +211,7 @@ def clopper_pearson_lower(x: int, n: int, alpha_prime: float) -> float:
 
 def clopper_pearson_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
     """Bounds for every x = 0..n, as Beta quantiles in one vectorised call."""
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
-    if not 0.0 < alpha_prime < 1.0:
-        raise ValueError(f"nominal level must lie in (0,1), got {alpha_prime}")
+    _check_cp_args(0, n, alpha_prime)
     xs = np.arange(1, n + 1)
     out = np.zeros(n + 1)
     out[1:] = betaincinv(xs, n - xs + 1, alpha_prime)
@@ -255,10 +257,7 @@ class LowerBoundProcedure:
     def __post_init__(self):
         if self.kind not in ("clopper_pearson", "wald"):
             raise ValueError(f"unknown procedure kind {self.kind!r}")
-        if not 0.0 < self.nominal_alpha < 1.0:
-            raise ValueError(f"nominal level must lie in (0,1), got {self.nominal_alpha}")
-        if self.n < 1:
-            raise ValueError(f"need at least one trial, got n={self.n}")
+        _check_cp_args(0, self.n, self.nominal_alpha)
 
     @cached_property
     def bounds(self) -> np.ndarray:
@@ -288,6 +287,30 @@ def exceedance_prob(proc, p, threshold: float):
     covered = np.asarray(proc.bounds) <= threshold
     return binom_pmf_reduce(
         proc.n, p, lambda pmf: 1.0 - pmf.compress(covered, axis=1).sum(axis=1))
+
+
+def exceedance_terms(proc, threshold: float) -> list:
+    """Pr(L > threshold) as terms_value terms: one unweighted indicator."""
+    exceed = (np.asarray(proc.bounds) > threshold).astype(float)
+    return [(1.0, exceed, np.ones(proc.n + 1))]
+
+
+def terms_value(n: int, terms, p):
+    """f(p) = sum of w * (pmf . num) / (pmf . den) over the terms (w, num, den).
+
+    num and den are vectors over x = 0..n; a term whose pmf . den is 0
+    counts as 0. An array of rates gives an array, a scalar a float.
+    """
+    weights = np.array([w for w, _, _ in terms], dtype=float)
+    vecs = np.column_stack([v for _, num, den in terms for v in (num, den)])
+
+    def at(pmf):
+        sums = pmf @ vecs
+        num, den = sums[:, 0::2], sums[:, 1::2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0.0, num / den, 0.0) @ weights
+
+    return binom_pmf_reduce(n, p, at)
 
 
 @dataclass(frozen=True)
@@ -370,18 +393,40 @@ def refined_grid_max(fn, base_grid, refine_denom: int, lo: float, hi: float):
     return best_v, best_p
 
 
-def sup_false_positive(proc, p0: float, grid=None, refine_denom: int = 8192) -> float:
-    """sup over p < p0 of Pr(L > p0), the decision rule's false positive rate."""
+def _monotone_term(w: float, num, den) -> bool:
+    """w >= 0, den >= 0, num = 0 where den = 0, num/den nondecreasing on
+    den > 0; compared exactly, so a rounding dip fails the check."""
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    live = den > 0.0
+    ratio = num[live] / den[live]
+    return bool(w >= 0.0 and (den[~live] == 0.0).all()
+                and (num[~live] == 0.0).all() and (ratio[1:] >= ratio[:-1]).all())
+
+
+def sup_below(n: int, terms, p0: float, base_denom: int = 512,
+              refine_denom: int = 8192):
+    """sup over p < p0 of terms_value(n, terms, p): (value, argmax, certificate).
+
+    Each functional is continuous in p, so the supremum is at least f(p0).
+    Reweighting the binomial by a fixed den >= 0 keeps its monotone
+    likelihood ratio in x (Karlin & Rubin 1956), so a term whose num/den is
+    nondecreasing in x makes a nondecreasing function of p. If every term
+    passes that O(n) check, the certificate is "monotone" and the supremum
+    is f(p0), with argmax p0. Otherwise it is "grid": the larger of f(p0)
+    and refined_grid_max over the open grid of multiples of 1/base_denom
+    below p0.
+    """
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"threshold must lie strictly in (0,1), got {p0}")
-    if grid is None:
-        grid = probability_grid(512, lo=0.0, hi=p0)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty probability grid")
-    if (grid >= p0).any():
-        raise ValueError("sup grid must lie strictly below the threshold")
-    value, _ = refined_grid_max(
-        lambda p: exceedance_prob(proc, p, p0), grid, refine_denom, 0.0, p0
-    )
-    return value
+    at_p0 = terms_value(n, terms, p0)
+    if all(_monotone_term(*term) for term in terms):
+        return at_p0, p0, "monotone"
+    value, argmax = refined_grid_max(
+        lambda p: terms_value(n, terms, p),
+        probability_grid(base_denom, lo=0.0, hi=p0), refine_denom, 0.0, p0)
+    return (at_p0, p0, "grid") if at_p0 >= value else (value, argmax, "grid")
+
+
+def sup_false_positive(proc, p0: float) -> float:
+    """sup over p < p0 of Pr(L > p0), the decision rule's false positive rate."""
+    return sup_below(proc.n, exceedance_terms(proc, p0), p0)[0]

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -71,14 +72,9 @@ def _resolve_variant(scenario: Scenario) -> str:
 def _meta_lines(scenario: Scenario, variant: Optional[str] = None) -> list:
     """CSV provenance lines; variant is the conditioning variant the output
     was computed with, recorded only by the commands that use one."""
-    grids = scenario.grids
-    lines = [
-        f"# guaranteesim {__version__}",
-        f"# seed={scenario.seed}",
-        f"# grids: coverage_denom={grids.coverage_denom} "
-        f"sup_base_denom={grids.sup_base_denom} "
-        f"sup_refine_denom={grids.sup_refine_denom}",
-    ]
+    meta = _meta_dict(scenario, variant)
+    grids = " ".join(f"{key}={value}" for key, value in meta["grids"].items())
+    lines = [f"# {meta['tool']}", f"# seed={meta['seed']}", f"# grids: {grids}"]
     if variant is not None:
         lines.append(f"# fig1_variant={variant}")
     return lines
@@ -216,17 +212,7 @@ def cmd_fig1(scenario: Scenario, args) -> int:
     sidecar = out / "fig1_calibration.json"
     _write_json(sidecar, {
         "meta": _meta_dict(scenario, variant),
-        "calibration": {
-            "variant": cal.variant,
-            "value": cal.value,
-            "residual": cal.residual,
-            "target": cal.target,
-            "candidates": cal.candidates,
-            "p_control": cal.p_control,
-            "n": cal.n,
-            "pi": cal.pi,
-            "alpha_prime": cal.alpha_prime,
-        },
+        "calibration": asdict(cal),
     })
     print(f"wrote {path}")
     print(f"wrote {sidecar}")
@@ -394,34 +380,25 @@ def cmd_reproduce(scenario: Scenario, args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(kind, ok, need: str):
+    """An argparse type: kind(text), which must satisfy ok, or exit 2."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {need}, got {value}")
+        return value
+
+    return parse
 
 
-def _open_unit(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly in (0,1), got {value}")
-    return value
-
-
-def _weight(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0,1], got {value}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "be at least 1")
+_open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly in (0,1)")
+_weight = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0,1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -467,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", parents=[common],
                        help="implementer decision for a published bound")
-    p.add_argument("--published-bound", type=float, default=0.5)
+    p.add_argument("--published-bound", type=_weight, default=0.5)
     p.set_defaults(handler=cmd_decide)
 
     p = sub.add_parser("contract", parents=[common],
@@ -492,6 +469,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "pi", 0.0) > 0.0 and getattr(args, "n", 2) < 2:
+        # the selective gate compares two arms of at least 2 each
+        parser.error(f"argument --n: must be at least 2 when --pi > 0, "
+                     f"got {args.n}")
     try:
         scenario = load_scenario(args.config)
         return args.handler(scenario, args)

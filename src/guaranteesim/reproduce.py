@@ -5,7 +5,7 @@ identities through exact-enumeration values to Monte-Carlo agreement.
 The CLI `reproduce` subcommand prints the table; the test suite asserts
 the same targets independently. Anchor 3b is expected to fail: the
 conditioning variant calibrated to reproduce the 0.22 anchor yields
-about 0.196 at the 97.5% nominal level, and no implemented conditioning
+about 0.197 at the 97.5% nominal level, and no implemented conditioning
 satisfies both anchors at once. It stays in the table, red, rather than
 being retuned.
 """
@@ -21,6 +21,8 @@ from .binomial import (
     LowerBoundProcedure,
     exact_lower_coverage,
     probability_grid,
+    sup_below,
+    terms_value,
 )
 from .contracts import (
     FullGuarantee,
@@ -202,18 +204,14 @@ def _strategy_suite_bound():
     fraud = FraudulentStrategy(LowerBoundProcedure("clopper_pearson", alpha, n),
                                guess_spread=0.05)
     sel = SelectiveStrategy(n=n, alpha_prime=alpha)
-    exceedance_fns = (
-        lambda p: cp.exceedance_prob(p, p0),
-        lambda p: wald.exceedance_prob(p, p0),
-        lambda p: fraud.exceedance_prob(p, p0),
-        lambda p: sel.exceedance_prob(p, p0, p0),
-    )
+    suite = (cp.exceedance_terms(p0), wald.exceedance_terms(p0),
+             fraud.exceedance_terms(p0), sel.exceedance_terms(p0, p0))
     grid = probability_grid(64, lo=0.0, hi=p0)
     ok = True
     worst = float("inf")
-    for fn in exceedance_fns:
-        exceed = fn(grid)
-        sup = exceed.max()
+    for terms in suite:
+        exceed = terms_value(n, terms, grid)
+        sup, _, _ = sup_below(n, terms, p0)
         for m in (1, 3, 5):
             floor = -econ.cost(m) * sup
             for p, e in zip(grid, exceed):

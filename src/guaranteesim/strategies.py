@@ -12,7 +12,10 @@ The implementer sees a bound without knowing which behavior produced it.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
-interacts with the publication event.
+interacts with the publication event. Each strategy and each mixture
+variant states its exceedance as terms (w, num, den) over the treatment
+count, and binomial.sup_below takes the supremum of any of them: their
+value at the threshold, when the monotone-ratio check certifies it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from .binomial import (
     binom_pmf_reduce,
     binom_pmf_vector,
     exceedance_prob,
+    exceedance_terms,
     normal_quantile,
-    probability_grid,
-    refined_grid_max,
+    sup_below,
+    terms_value,
     wald_lower_vector,
 )
 
@@ -43,16 +47,14 @@ __all__ = [
     "CONDITIONING_VARIANTS",
     "rct_reject_prob",
     "rct_publish_and_clear_prob",
+    "mixture_terms",
     "mixture_fp_at",
     "mixture_actual_fp",
     "actual_fp_curve",
     "CurveRow",
     "calibrate_conditioning",
     "CalibrationResult",
-    "RCT_ENUMERATION_LIMIT",
 ]
-
-RCT_ENUMERATION_LIMIT = 2000
 
 CONDITIONING_VARIANTS = (
     "fixed_given_published",
@@ -85,6 +87,9 @@ class TruthfulStrategy:
     def exceedance_prob(self, p: float, threshold: float) -> float:
         return exceedance_prob(self.procedure, p, threshold)
 
+    def exceedance_terms(self, threshold: float) -> list:
+        return exceedance_terms(self.procedure, threshold)
+
     def sample(self, p: float, rng: np.random.Generator, size: int) -> np.ndarray:
         """size published bounds drawn at true success rate p."""
         return self.procedure.bounds[rng.binomial(self.procedure.n, p, size)]
@@ -111,11 +116,14 @@ class FraudulentStrategy:
                 f"guesses {threshold}+-{self.guess_spread} leave [0,1]")
 
     def exceedance_prob(self, p: float, threshold: float) -> float:
-        """Closed form: the high guess always clears the threshold, the low
-        guess leaves the honest bound in charge."""
+        return terms_value(self.procedure.n, self.exceedance_terms(threshold), p)
+
+    def exceedance_terms(self, threshold: float) -> list:
+        """0.5 + 0.5 * honest exceedance: the high guess always clears the
+        threshold, the low guess leaves the honest bound in charge."""
         self._check_threshold(threshold)
-        honest = exceedance_prob(self.procedure, p, threshold)
-        return 0.5 + 0.5 * honest
+        (_, exceed, ones), = exceedance_terms(self.procedure, threshold)
+        return [(0.5, ones, ones), (0.5, exceed, ones)]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
                size: int) -> np.ndarray:
@@ -157,9 +165,6 @@ def _rct_tables(n: int, alpha_prime: float):
     """
     if n < 2:
         raise ValueError(f"need at least 2 per arm, got n={n}")
-    if n > RCT_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"exact enumeration supports n <= {RCT_ENUMERATION_LIMIT}, got {n}")
     if not 0.0 < alpha_prime < 1.0:
         raise ValueError(f"nominal level must lie in (0,1), got {alpha_prime}")
     z_crit = normal_quantile(1.0 - alpha_prime)
@@ -264,6 +269,12 @@ class SelectiveStrategy:
         return rct_publish_and_clear_prob(
             p, p_control, self.n, self.alpha_prime, threshold)
 
+    def exceedance_terms(self, p_control: float,
+                         threshold: Optional[float] = None) -> list:
+        thr = p_control if threshold is None else threshold
+        _, clear = _rct_control_weights(self.n, self.alpha_prime, p_control, thr)
+        return [(1.0, clear, np.ones(self.n + 1))]
+
     def sample(self, p: float, p_control: float, rng: np.random.Generator,
                size: int) -> np.ndarray:
         """size published Wald bounds, NaN where the gate stays silent.
@@ -299,75 +310,52 @@ def _truthful_proc(n: int, alpha_prime: float) -> LowerBoundProcedure:
     return LowerBoundProcedure("clopper_pearson", alpha_prime, n)
 
 
-def mixture_fp_at(p, p_control: float, n: int, alpha_prime: float,
+def mixture_terms(p_control: float, n: int, alpha_prime: float,
                   belief: MixtureBelief,
-                  truthful_proc: Optional[LowerBoundProcedure] = None):
-    """Pr(published bound > control rate) at treatment success rate(s) p.
+                  truthful_proc: Optional[LowerBoundProcedure] = None) -> list:
+    """Pr(published bound > control rate) as terms (w, num, den) over x_t.
 
     The untruthful component is the selective strategy; the truthful
     component publishes a Clopper-Pearson bound unconditionally. How the
     belief weight meets the publication event depends on the conditioning:
 
-    * fixed_given_published: weight applies to Pr(bound > thr | rejected);
-      a grid point where rejection has probability zero contributes the
-      truthful term only.
+    * fixed_given_published: weight applies to Pr(bound > thr | rejected),
+      a ratio that counts as 0 where rejection has probability zero.
     * joint_unconditional: weight applies to Pr(rejected AND bound > thr).
     * bayes_reweighted: the weight is re-scaled by each component's
-      publication probability before mixing the conditional rates.
-
-    An array of rates gives an array, one pmf matrix per chunk of rates
-    (binom_pmf_reduce); a scalar rate gives a float.
+      publication probability (1 for the truthful one) before mixing the
+      conditional rates, which leaves one ratio of mixed numerators to
+      mixed publication probabilities.
     """
     pi = belief.untruthful_weight
-    conditioning = belief.conditioning
-    proc = truthful_proc or _truthful_proc(n, alpha_prime)
-    covered = np.asarray(proc.bounds) <= p_control
-    if pi > 0.0:
-        rct = np.column_stack(_rct_control_weights(
-            n, alpha_prime, p_control, p_control))
+    (_, truth, ones), = exceedance_terms(
+        truthful_proc or _truthful_proc(n, alpha_prime), p_control)
+    if pi == 0.0:
+        return [(1.0, truth, ones)]
+    reject, clear = _rct_control_weights(n, alpha_prime, p_control, p_control)
+    if belief.conditioning == "joint_unconditional":
+        return [(pi, clear, ones), (1.0 - pi, truth, ones)]
+    if belief.conditioning == "fixed_given_published":
+        return [(pi, clear, reject), (1.0 - pi, truth, ones)]
+    return [(1.0, pi * clear + (1.0 - pi) * truth, pi * reject + (1.0 - pi))]
 
-    def at(pmf):
-        # exceedance_prob(proc, p, p_control), sharing the pmf with the RCT terms
-        truth = 1.0 - pmf.compress(covered, axis=1).sum(axis=1)
-        if pi == 0.0:
-            return truth
-        pr_reject, pr_joint = (pmf @ rct).T
-        if conditioning == "joint_unconditional":
-            return pi * pr_joint + (1.0 - pi) * truth
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conditional = np.where(pr_reject > 0.0, pr_joint / pr_reject, 0.0)
-        if conditioning == "fixed_given_published":
-            return pi * conditional + (1.0 - pi) * truth
-        # bayes_reweighted: publication probability 1 for the truthful
-        # component, so the denominator is positive unless pi = 1
-        denom = pi * pr_reject + (1.0 - pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(denom > 0.0, pi * pr_reject / denom, 0.0)
-        return w * conditional + (1.0 - w) * truth
 
-    return binom_pmf_reduce(n, p, at)
+def mixture_fp_at(p, p_control: float, n: int, alpha_prime: float,
+                  belief: MixtureBelief,
+                  truthful_proc: Optional[LowerBoundProcedure] = None):
+    """The mixture_terms rate at treatment success rate(s) p; an array of
+    rates gives an array, a scalar rate a float."""
+    return terms_value(
+        n, mixture_terms(p_control, n, alpha_prime, belief, truthful_proc), p)
 
 
 def mixture_actual_fp(alpha_prime: float, p_control: float, n: int,
                       belief: MixtureBelief,
                       truthful_proc: Optional[LowerBoundProcedure] = None,
-                      p_grid=None, base_denom: int = 512,
-                      refine_denom: int = 8192) -> float:
+                      base_denom: int = 512, refine_denom: int = 8192) -> float:
     """sup over p < p_control of the mixture false positive probability."""
-    if not 0.0 < p_control < 1.0:
-        raise ValueError(
-            f"control rate must lie strictly in (0,1), got {p_control}")
-    if p_grid is None:
-        p_grid = probability_grid(base_denom, lo=0.0, hi=p_control)
-    p_grid = np.asarray(p_grid, dtype=float)
-    if p_grid.size == 0:
-        raise ValueError("empty probability grid")
-    if (p_grid >= p_control).any():
-        raise ValueError("sup grid must lie strictly below the control rate")
-    value, _ = refined_grid_max(
-        lambda p: mixture_fp_at(p, p_control, n, alpha_prime, belief, truthful_proc),
-        p_grid, refine_denom, 0.0, p_control)
-    return value
+    terms = mixture_terms(p_control, n, alpha_prime, belief, truthful_proc)
+    return sup_below(n, terms, p_control, base_denom, refine_denom)[0]
 
 
 @dataclass(frozen=True)
@@ -385,15 +373,10 @@ def actual_fp_curve(p_control: float, conditioning: str, alpha_grid, n: int,
                     refine_denom: int = 8192) -> list[CurveRow]:
     """Nominal-vs-actual rows across a grid of nominal levels."""
     belief = MixtureBelief(pi, conditioning)
-    rows = []
-    for alpha_prime in alpha_grid:
-        actual = mixture_actual_fp(
-            alpha_prime, p_control, n, belief,
-            base_denom=base_denom, refine_denom=refine_denom)
-        rows.append(CurveRow(
-            alpha_nominal=float(alpha_prime), alpha_actual=actual,
-            p_C=p_control, variant=conditioning, n=n, pi=pi))
-    return rows
+    return [CurveRow(float(a), mixture_actual_fp(a, p_control, n, belief,
+                                                 base_denom=base_denom,
+                                                 refine_denom=refine_denom),
+                     p_control, conditioning, n, pi) for a in alpha_grid]
 
 
 @dataclass(frozen=True)
@@ -419,20 +402,11 @@ def calibrate_conditioning(p_control: float = 0.5, n: int = 300,
     and the full candidate table are reported so the choice stays visible
     in output metadata rather than baked in silently.
     """
-    candidates = {}
-    for variant in CONDITIONING_VARIANTS:
-        candidates[variant] = mixture_actual_fp(
-            alpha_prime, p_control, n, MixtureBelief(pi, variant),
-            base_denom=base_denom, refine_denom=refine_denom)
+    candidates = {variant: mixture_actual_fp(
+        alpha_prime, p_control, n, MixtureBelief(pi, variant),
+        base_denom=base_denom, refine_denom=refine_denom)
+        for variant in CONDITIONING_VARIANTS}
     variant = min(candidates, key=lambda v: abs(candidates[v] - target))
-    return CalibrationResult(
-        variant=variant,
-        value=candidates[variant],
-        residual=abs(candidates[variant] - target),
-        target=target,
-        candidates=dict(candidates),
-        p_control=p_control,
-        n=n,
-        pi=pi,
-        alpha_prime=alpha_prime,
-    )
+    return CalibrationResult(variant, candidates[variant],
+                             abs(candidates[variant] - target), target,
+                             candidates, p_control, n, pi, alpha_prime)

@@ -22,7 +22,9 @@ from guaranteesim.reproduce import evaluate_anchors
 from guaranteesim.strategies import MixtureBelief, fraud_mixture_fp, \
     mixture_fp_at
 
-SUP_FIXED_05 = 0.2188865524359944
+# the rate at p = p_C = 1/2, in exact integer arithmetic
+# (tests/test_strategies.py, _integer_oracle)
+SUP_FIXED_05 = 0.2197061623312159
 WALD_MIN_COVERAGE = 0.2540613302937401
 
 

@@ -25,11 +25,14 @@ from guaranteesim.binomial import (
     coverage_report,
     exact_lower_coverage,
     exceedance_prob,
+    exceedance_terms,
     normal_cdf,
     normal_quantile,
     probability_grid,
     refined_grid_max,
+    sup_below,
     sup_false_positive,
+    terms_value,
     wald_lower,
     wald_lower_vector,
 )
@@ -57,6 +60,8 @@ WALD_FP_WITNESS_P = 0.49951171875
 WALD_FP_AT_WITNESS = 0.045316196027871215
 WALD_MIN_COVERAGE = 0.2540613302937401
 WALD_WORST_P = 0.9990234375
+# Pr(CP > 1/2) at p = 1/2, n = 10^4, alpha' = 0.05: the supremum below 1/2
+CP_FP_10000 = 0.049469
 
 
 def _binom_survival(x, n, p):
@@ -284,10 +289,47 @@ class TestCoverage:
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 300)
         assert sup_false_positive(proc, 0.5) <= 0.05 + 1e-12
 
-    def test_sup_rejects_grid_at_threshold(self):
+    def test_cp_sup_at_ten_thousand_is_the_rate_at_the_threshold(self):
+        # an open grid stops short of p0 and read 0.047022 here
+        proc = LowerBoundProcedure("clopper_pearson", 0.05, 10_000)
+        value, argmax, certificate = sup_below(
+            proc.n, exceedance_terms(proc, 0.5), 0.5)
+        assert certificate == "monotone" and argmax == 0.5
+        assert sup_false_positive(proc, 0.5) == value
+        assert value == pytest.approx(CP_FP_10000, abs=1e-6)
+        assert value == pytest.approx(exceedance_prob(proc, 0.5, 0.5), abs=1e-12)
+
+
+class TestSupBelow:
+    def test_non_monotone_ratio_falls_back_to_the_grid(self):
+        # Pr(X = 2) at n = 10 peaks at p = 0.2, inside (0, 0.5)
+        spike = (np.arange(11) == 2).astype(float)
+        value, argmax, certificate = sup_below(
+            10, [(1.0, spike, np.ones(11))], 0.5)
+        assert certificate == "grid"
+        assert argmax == pytest.approx(0.2, abs=1.0 / 512)
+        assert value == pytest.approx(binom_pmf(10, 0.2, 2), abs=1e-6)
+        assert value > terms_value(10, [(1.0, spike, np.ones(11))], 0.5)
+
+    @pytest.mark.parametrize("term", [
+        (1.0, [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]),   # a zero den, zero num: holds
+        (1.0, [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]),   # num where den is 0
+        (-1.0, [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]),  # negative weight
+        (1.0, [0.0, 1.0, 0.5], [1.0, 1.0, 1.0]),   # ratio dips
+        (1.0, [0.0, 0.0, 0.0], [1.0, -1.0, 1.0]),  # negative den
+    ], ids=["holds", "num_on_dead_den", "negative_weight", "dip", "negative_den"])
+    def test_certificate_needs_every_condition(self, term):
+        w, num, den = term
+        terms = [(w, np.array(num), np.array(den))]
+        _, _, certificate = sup_below(2, terms, 0.5)
+        holds = w >= 0 and num == [0.0, 1.0, 1.0] and den == [0.0, 1.0, 1.0]
+        assert certificate == ("monotone" if holds else "grid")
+
+    def test_rejects_threshold_outside_unit_interval(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 40)
-        with pytest.raises(ValueError):
-            sup_false_positive(proc, 0.5, grid=[0.2, 0.5])
+        for p0 in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                sup_false_positive(proc, p0)
 
 
 class TestGrids:

@@ -279,6 +279,8 @@ class TestCliCommands:
         ["example2", "--n", "0"], ["example2", "--pi", "1.5"],
         ["example2", "--p-c", "1"], ["fig1", "--pi", "2"],
         ["fig1", "--n", "-3"], ["fig1", "--p-c", "0.5", "0"],
+        ["decide", "--published-bound", "7"],
+        ["example2", "--n", "1", "--pi", "0.5"], ["fig1", "--n", "1"],
     ], ids=lambda argv: "_".join(argv).replace("--", ""))
     def test_examples_and_fig1_reject_bad_flags(self, tmp_path, capsys, argv):
         # out-of-range values exit 2 at parse time instead of 1 at run time
@@ -287,6 +289,23 @@ class TestCliCommands:
         assert exc.value.code == 2
         assert f"argument {argv[1]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_one_trial_runs_without_the_selective_arm(self, tmp_path, capsys):
+        # --pi 0 leaves only the truthful component, which needs no gate
+        for command in ("example2", "fig1"):
+            rc = main([command, "--n", "1", "--pi", "0",
+                       "--out", str(tmp_path / command)])
+            assert rc == 0, capsys.readouterr().err
+        capsys.readouterr()
+
+    def test_fig1_runs_beyond_two_thousand_per_arm(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"grids": {"alpha_levels": [0.05]}})
+        assert main(["fig1", "--n", "2001", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _, _, rows = read_csv(tmp_path / "fig1.csv")
+        assert rows[0]["n"] == "2001"
+        assert 0.05 < float(rows[0]["alpha_actual"]) < 1.0
 
     def test_example1(self, tmp_path, capsys):
         rc = main(["example1", "--out", str(tmp_path)])

@@ -1,5 +1,9 @@
 """Strategy models against enumeration oracles frozen from an independent
-implementation (scipy binomial/beta/normal routines)."""
+implementation (scipy binomial/beta/normal routines), and mixture suprema
+against exact integer arithmetic at p = p_C = 1/2 (_integer_oracle)."""
+
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from guaranteesim.binomial import (
     binom_pmf_vector,
     normal_quantile,
     probability_grid,
+    sup_below,
+    terms_value,
 )
 from guaranteesim.strategies import (
     CONDITIONING_VARIANTS,
@@ -24,6 +30,7 @@ from guaranteesim.strategies import (
     fraud_mixture_fp,
     mixture_actual_fp,
     mixture_fp_at,
+    mixture_terms,
     rct_publish_and_clear_prob,
     rct_reject_prob,
 )
@@ -37,23 +44,43 @@ RCT_BELOW_JOINT = 0.00010783388961052952
 RCT_SMALL_REJECT = 0.04637621794708202      # (.45, .5, 40, .1)
 RCT_SMALL_JOINT = 0.016877256235912245
 
-# sup over p < 0.5 of the mixture rate, n=300, pi=0.5, production grids
-SUP_FIXED_05 = 0.2188865524359944
-SUP_FIXED_025 = 0.1961846442112993
-SUP_JOINT_05 = 0.032421129774443475
-SUP_JOINT_025 = 0.01545285370252105
-SUP_BAYES_05 = 0.06194423251906704
-SUP_BAYES_025 = 0.0301294785659469
-SUP_TRUTHFUL_05 = 0.046538565669747615     # pi = 0
-SUP_TRUTHFUL_025 = 0.02134702281374849
+# sup over p < 0.5 of the mixture rate, n=300, pi=0.5: the rate at
+# p = 1/2 itself, from _integer_oracle
+SUP_FIXED_05 = 0.2197061623312159
+SUP_FIXED_025 = 0.19690259077455816
+SUP_JOINT_05 = 0.032713975575006
+SUP_JOINT_025 = 0.015610590112664758
+SUP_BAYES_05 = 0.06248624800825502
+SUP_BAYES_025 = 0.030431700105435857
+SUP_TRUTHFUL_05 = 0.04695185045940976      # pi = 0
+SUP_TRUTHFUL_025 = 0.021564249638610856
+
+# the same suprema as an open 512-point grid refined at 1/8192 found them:
+# lower witnesses, which the certified supremum must not fall below
+GRID_FIXED_05 = 0.2188865524359944
+GRID_FIXED_025 = 0.1961846442112993
+GRID_JOINT_05 = 0.032421129774443475
+GRID_JOINT_025 = 0.01545285370252105
+GRID_BAYES_05 = 0.06194423251906704
+GRID_BAYES_025 = 0.0301294785659469
+SUPS = {
+    ("fixed_given_published", 0.05): SUP_FIXED_05,
+    ("fixed_given_published", 0.025): SUP_FIXED_025,
+    ("joint_unconditional", 0.05): SUP_JOINT_05,
+    ("joint_unconditional", 0.025): SUP_JOINT_025,
+    ("bayes_reweighted", 0.05): SUP_BAYES_05,
+    ("bayes_reweighted", 0.025): SUP_BAYES_025,
+}
 
 
-def _dense_z(n):
+def _dense_z(n, rows=None):
     """The gate's z over every (x_control, x_treatment) pair, NaN where the
-    pooled proportion is 0 or 1: the (n+1)^2 table the thresholds replaced."""
+    pooled proportion is 0 or 1: the (n+1)^2 table the thresholds replaced.
+    rows picks x_control values, for n too large for the whole table."""
     phat = np.arange(n + 1) / n
-    pooled = (phat[:, None] + phat[None, :]) / 2.0
-    gap = phat[None, :] - phat[:, None]
+    phat_c = phat if rows is None else phat[rows]
+    pooled = (phat_c[:, None] + phat[None, :]) / 2.0
+    gap = phat[None, :] - phat_c[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         z = gap / np.sqrt(2.0 * pooled * (1.0 - pooled) / n)
     return np.where((pooled > 0.0) & (pooled < 1.0), z, np.nan)
@@ -66,16 +93,46 @@ def _dense_reject(n, alpha_prime, z=None):
         return z >= normal_quantile(1.0 - alpha_prime)
 
 
+def _integer_oracle(n, alpha_prime, variant, pi=Fraction(1, 2)):
+    """The mixture rate at p = p_C = 1/2 in exact rationals.
+
+    Each arm's law is C(n, x) / 2^n. CP(x) > 1/2 exactly when
+    Pr_{1/2}(X >= x) < alpha', and the gate is the dense mask above; only
+    the Wald bounds and the mask are floating point.
+    """
+    w = [comb(n, x) for x in range(n + 1)]
+    tails = np.cumsum(w[::-1])[::-1]
+    pt = Fraction(sum(wx for wx, tail in zip(w, tails)
+                      if Fraction(int(tail), 2 ** n) < Fraction(alpha_prime)),
+                  2 ** n)
+    if pi == 0:
+        return float(pt)
+    phat = np.arange(n + 1) / n
+    wald = phat - normal_quantile(1.0 - alpha_prime) * np.sqrt(
+        phat * (1.0 - phat) / n)
+    reject = _dense_reject(n, alpha_prime)
+    pr = pj = 0
+    for x_c, row in enumerate(reject):
+        pr += w[x_c] * sum(w[t] for t in np.flatnonzero(row))
+        pj += w[x_c] * sum(w[t] for t in np.flatnonzero(row & (wald > 0.5)))
+    pr, pj = Fraction(pr, 4 ** n), Fraction(pj, 4 ** n)
+    if variant == "fixed_given_published":
+        return float(pi * pj / pr + (1 - pi) * pt)
+    if variant == "joint_unconditional":
+        return float(pi * pj + (1 - pi) * pt)
+    return float((pi * pj + (1 - pi) * pt) / (pi * pr + 1 - pi))
+
+
 FIXED_CURVE = {
-    0.001: 0.08364153773492122,
-    0.005: 0.11322192005229162,
-    0.01: 0.15747534851958433,
-    0.025: 0.1961846442112993,
-    0.05: 0.2188865524359944,
-    0.075: 0.2539327464758171,
-    0.1: 0.2675537703810721,
-    0.15: 0.34256232005220566,
-    0.2: 0.3765237322075332,
+    0.001: 0.08403193079171668,
+    0.005: 0.11371371135450739,
+    0.01: 0.1580747589617306,
+    0.025: 0.19690259077455816,
+    0.05: 0.2197061623312159,
+    0.075: 0.2548612160204676,
+    0.1: 0.268540470870981,
+    0.15: 0.34366816470597855,
+    0.2: 0.3777498069053446,
 }
 
 
@@ -222,6 +279,17 @@ class TestRctEnumeration:
             assert np.array_equal(thr, first)
             assert np.array_equal(_rct_rejects(thr, *cells), dense)
 
+    def test_thresholds_match_dense_rows_at_ten_thousand(self):
+        # the whole (n+1)^2 table has 10^8 cells: check 64 sampled rows
+        n = 10_000
+        rows = np.sort(np.random.default_rng(7).choice(n + 1, 64, replace=False))
+        z = _dense_z(n, np.concatenate([rows, [0, n]]))
+        for a in (0.05, 0.001):
+            dense = _dense_reject(n, a, z)
+            thr, _ = _rct_tables(n, a)
+            first = np.where(dense.any(axis=1), dense.argmax(axis=1), n + 1)
+            assert np.array_equal(thr[np.concatenate([rows, [0, n]])], first)
+
     @pytest.mark.parametrize("n,a,p_c,p", [
         (40, 0.1, 0.5, 0.45), (300, 0.05, 0.5, 0.55), (3, 0.9, 0.9, 0.9),
     ])
@@ -259,17 +327,66 @@ class TestMixture:
             assert mixture_fp_at(p, 0.5, 300, 0.05, belief) == pytest.approx(
                 TruthfulStrategy(proc).exceedance_prob(p, 0.5), abs=1e-12)
 
-    @pytest.mark.parametrize("variant,a,target", [
-        ("fixed_given_published", 0.05, SUP_FIXED_05),
-        ("fixed_given_published", 0.025, SUP_FIXED_025),
-        ("joint_unconditional", 0.05, SUP_JOINT_05),
-        ("joint_unconditional", 0.025, SUP_JOINT_025),
-        ("bayes_reweighted", 0.05, SUP_BAYES_05),
-        ("bayes_reweighted", 0.025, SUP_BAYES_025),
+    @pytest.mark.parametrize("variant,a,grid_sup", [
+        ("fixed_given_published", 0.05, GRID_FIXED_05),
+        ("fixed_given_published", 0.025, GRID_FIXED_025),
+        ("joint_unconditional", 0.05, GRID_JOINT_05),
+        ("joint_unconditional", 0.025, GRID_JOINT_025),
+        ("bayes_reweighted", 0.05, GRID_BAYES_05),
+        ("bayes_reweighted", 0.025, GRID_BAYES_025),
     ])
-    def test_frozen_sups(self, variant, a, target):
+    def test_frozen_sups(self, variant, a, grid_sup):
         value = mixture_actual_fp(a, 0.5, 300, MixtureBelief(0.5, variant))
-        assert value == pytest.approx(target, abs=1e-9)
+        assert value == pytest.approx(SUPS[variant, a], abs=1e-12)
+        assert value > grid_sup
+
+    @pytest.mark.parametrize("variant,a,target", [
+        (variant, a, target) for (variant, a), target in SUPS.items()] + [
+        (None, 0.05, SUP_TRUTHFUL_05),
+        (None, 0.025, SUP_TRUTHFUL_025),
+    ] + [("fixed_given_published", a, v) for a, v in FIXED_CURVE.items()
+         if ("fixed_given_published", a) not in SUPS])
+    def test_frozen_values_match_integer_oracle(self, variant, a, target):
+        pi = Fraction(0) if variant is None else Fraction(1, 2)
+        assert _integer_oracle(300, a, variant, pi) == pytest.approx(
+            target, abs=1e-12)
+
+    def test_default_anchor_is_certified(self):
+        belief = MixtureBelief(0.5, "fixed_given_published")
+        value, argmax, certificate = sup_below(
+            300, mixture_terms(0.5, 300, 0.05, belief), 0.5)
+        assert certificate == "monotone" and argmax == 0.5
+        assert value == mixture_actual_fp(0.05, 0.5, 300, belief)
+        assert value == pytest.approx(
+            _integer_oracle(300, 0.05, belief.conditioning), abs=1e-12)
+
+    @given(n=st.sampled_from([2, 12, 40, 300]),
+           a=st.sampled_from([0.2, 0.05, 0.01, 0.001, 0.6]),
+           p0=st.floats(0.02, 0.98), pi=st.floats(0.0, 1.0),
+           variant=st.sampled_from(CONDITIONING_VARIANTS))
+    @settings(max_examples=60, deadline=None)
+    def test_sup_below_bounds_every_probe(self, n, a, p0, pi, variant):
+        terms = mixture_terms(p0, n, a, MixtureBelief(pi, variant))
+        value, argmax, certificate = sup_below(n, terms, p0)
+        at_p0 = terms_value(n, terms, p0)
+        grid = p0 * np.arange(1, 65) / 65.0
+        assert value >= at_p0
+        assert value >= terms_value(n, terms, grid).max() - 1e-12
+        assert 0.0 < argmax <= p0
+        if certificate == "monotone":
+            assert value == at_p0 and argmax == p0
+        else:
+            assert certificate == "grid"
+
+    def test_uncertified_case_falls_back_to_the_grid(self):
+        # the bayes ratio dips where the CP suffix starts before the Wald one
+        terms = mixture_terms(0.1, 300, 0.001,
+                              MixtureBelief(0.5, "bayes_reweighted"))
+        value, _, certificate = sup_below(300, terms, 0.1)
+        assert certificate == "grid"
+        grid = probability_grid(512, hi=0.1)
+        assert value >= max(terms_value(300, terms, 0.1),
+                            terms_value(300, terms, grid).max())
 
     def test_truthful_component_respects_nominal(self):
         for a, target in ((0.05, SUP_TRUTHFUL_05), (0.025, SUP_TRUTHFUL_025)):
@@ -295,19 +412,22 @@ class TestMixture:
         assert set(CONDITIONING_VARIANTS) == {
             "fixed_given_published", "joint_unconditional", "bayes_reweighted"}
 
-    def test_grid_guard(self):
+    def test_sup_rejects_threshold_outside_unit_interval(self):
         belief = MixtureBelief(0.5, "fixed_given_published")
-        with pytest.raises(ValueError):
-            mixture_actual_fp(0.05, 0.5, 40, belief, p_grid=[0.3, 0.5])
+        for p_c in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                mixture_actual_fp(0.05, p_c, 40, belief)
 
 
 class TestCurveAndCalibration:
     def test_frozen_curve(self):
+        assert FIXED_CURVE[0.05] == SUP_FIXED_05
+        assert FIXED_CURVE[0.025] == SUP_FIXED_025
         rows = actual_fp_curve(0.5, "fixed_given_published",
                                sorted(FIXED_CURVE), 300, 0.5)
         for row in rows:
             assert row.alpha_actual == pytest.approx(
-                FIXED_CURVE[row.alpha_nominal], abs=1e-9)
+                FIXED_CURVE[row.alpha_nominal], abs=1e-12)
             assert row.variant == "fixed_given_published"
             assert row.n == 300 and row.p_C == 0.5 and row.pi == 0.5
 
