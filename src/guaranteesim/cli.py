@@ -33,12 +33,7 @@ from .contracts import (
 from .decisions import decide_no_guarantee, decide_with_contract
 from .economics import BenefitFunction, CostSchedule, PolicyEconomics
 from .reproduce import evaluate_anchors
-from .researcher import (
-    expected_utility,
-    pool_expected_utility,
-    publication_rate_conditions,
-)
-from .simulate import DiscreteDist
+from .researcher import pool_expected_utility, publication_rate_conditions
 from .strategies import (
     FraudulentStrategy,
     MixtureBelief,
@@ -329,19 +324,13 @@ def cmd_researcher(scenario: Scenario, args) -> int:
 
 def cmd_pool(scenario: Scenario, args) -> int:
     members = scenario.pool.members
-    pooled = pool_expected_utility(members, scenario.pool.shares)
-    rows = []
-    for i, mem in enumerate(members):
-        # standalone, a member bears only its own loss: no joint enumeration
-        standalone = expected_utility(
-            DiscreteDist(mem.base + mem.loss.values, mem.loss.probs), mem.utility)
-        rows.append({
-            "member": i,
-            "standalone_eu": standalone,
-            "pooled_eu": float(pooled[i]),
-            "standalone_ce": mem.utility.certainty_equivalent(standalone),
-            "pooled_ce": mem.utility.certainty_equivalent(float(pooled[i])),
-        })
+    pooled = pool_expected_utility(members, scenario.pool.shares).tolist()
+    # identity shares: each member bears only its own loss
+    alone = pool_expected_utility(members, np.eye(len(members))).tolist()
+    rows = [{"member": i, "standalone_eu": eu_alone, "pooled_eu": eu_pooled,
+             "standalone_ce": mem.utility.certainty_equivalent(eu_alone),
+             "pooled_ce": mem.utility.certainty_equivalent(eu_pooled)}
+            for i, (mem, eu_alone, eu_pooled) in enumerate(zip(members, alone, pooled))]
     out = _out_dir(args)
     path = out / "pool.json"
     _write_json(path, {"meta": _meta_dict(scenario), "members": rows})
@@ -432,14 +421,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exact false-positive surface over (alpha, p)")
     p.add_argument("--p-c", type=_open_unit, default=0.5)
     p.add_argument("--n", type=_positive_int, default=300)
-    p.add_argument("--pi", type=_weight, default=0.5)
+    p.add_argument("--pi", type=_weight)  # default: the scenario's weight
     p.set_defaults(handler=cmd_example2)
 
     p = sub.add_parser("fig1", parents=[common],
                        help="nominal-vs-actual curve CSV per control rate")
     p.add_argument("--p-c", type=_open_unit, nargs="+", default=[0.5])
     p.add_argument("--n", type=_positive_int, default=300)
-    p.add_argument("--pi", type=_weight, default=0.5)
+    p.add_argument("--pi", type=_weight)  # default: the scenario's weight
     p.set_defaults(handler=cmd_fig1)
 
     p = sub.add_parser("decide", parents=[common],
@@ -469,12 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "pi", 0.0) > 0.0 and getattr(args, "n", 2) < 2:
-        # the selective gate compares two arms of at least 2 each
-        parser.error(f"argument --n: must be at least 2 when --pi > 0, "
-                     f"got {args.n}")
     try:
         scenario = load_scenario(args.config)
+        if getattr(args, "pi", 0.0) is None:
+            args.pi = scenario.belief_weight
+        if getattr(args, "pi", 0.0) > 0.0 and getattr(args, "n", 2) < 2:
+            # the selective gate compares two arms of at least 2 each
+            parser.error(f"argument --n: must be at least 2 when --pi > 0, "
+                         f"got {args.n}")
         return args.handler(scenario, args)
     except ConfigError as exc:
         where = f" (line {exc.line})" if exc.line else ""

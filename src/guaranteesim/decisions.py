@@ -180,14 +180,12 @@ def decide_with_contract(L: float, contract: InsuranceContract,
         retained = 1.0 - contract.share
         alpha = policy.scalar_alpha
         alpha_eff = 1.0 if alpha is None else alpha  # no belief: sup Pr = 1
-        ok = retained * alpha_eff * econ.costs.values <= -policy.u_bar
-        m = int(ok.sum())
+        m = econ.max_scale_under_bound(retained * alpha_eff, policy.u_bar)
         if m == 0:
             return _no_implementation("proportional")
         return Decision(implement=True, scale=m,
                         bound=-retained * alpha_eff * econ.cost(m),
-                        rule="proportional",
-                        alpha_used=None if alpha is None else alpha)
+                        rule="proportional", alpha_used=alpha)
 
     raise TypeError(f"unknown contract {contract!r}")
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binomial import binom_pmf_vector
+from .binomial import binom_pmf_reduce, binom_pmf_vector
 from .simulate import ENUMERATION_LIMIT
 
 __all__ = [
@@ -196,17 +196,24 @@ class PolicyEconomics:
 
     def single_crossing_report(self, p_grid) -> "SingleCrossingReport":
         """Check the shape: net(m) negative below some m*(p), strictly
-        increasing from m*(p) on. Reports the first violating (p, m)."""
-        for p in np.asarray(p_grid, dtype=float):
-            net = np.array([self.expected_net(m, p) for m in range(1, self.M + 1)])
-            if self.M == 1:
-                continue
-            diffs = np.diff(net)
-            # i0 = start of the maximal strictly increasing suffix (1-based scale)
-            i0 = self.M
-            while i0 > 1 and diffs[i0 - 2] > 0.0:
-                i0 -= 1
-            bad = np.nonzero(net[: i0 - 1] >= 0.0)[0]
+        increasing from m*(p) on. Reports the first violating (p, m). Nets
+        match expected_net: bit for bit for linear benefits, to rounding
+        for tables (one batched pmf per scale)."""
+        if self.M == 1:
+            return SingleCrossingReport(holds=True)
+        grid = np.asarray(p_grid, dtype=float)
+        effs = np.array([self.success_rate(p) for p in grid])
+        ms = np.arange(1, self.M + 1)
+        if self.benefit.is_linear:
+            benefit = (self.benefit.beta * ms) * effs[:, None]
+        else:
+            table = self.benefit.table
+            benefit = np.column_stack([binom_pmf_reduce(
+                m, effs, lambda pmf: pmf @ table[: m + 1]) for m in ms])
+        for p, net in zip(grid, benefit - self.costs.values):
+            # nets before the strictly increasing suffix must be negative
+            flat = np.flatnonzero(~(np.diff(net) > 0.0))
+            bad = np.flatnonzero(net[: flat[-1] + 1 if flat.size else 0] >= 0.0)
             if bad.size:
                 return SingleCrossingReport(
                     holds=False, violating_p=float(p), violating_m=int(bad[0] + 1))

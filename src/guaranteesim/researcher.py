@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -76,6 +75,23 @@ class UtilitySpec:
                 expo = np.minimum(expo, _EXP_CAP)
             out = (1.0 - np.exp(expo)) / a
         return float(out) if out.ndim == 0 else out
+
+    def expected_of_sum(self, base: float, weights, laws) -> float:
+        """E[v(base + sum_j w_j*L_j)] for independent laws L_j, w_j >= 0,
+        from per-law moments: for CARA, a product of E[exp(-a*w_j*L_j)]
+        (Borch 1962) in log space. Saturation warns through value() on the
+        worst joint outcome and caps the summed log-moment, not each one."""
+        if self.form == "linear":
+            return base + sum(w * law.mean() for w, law in zip(weights, laws))
+        self.value(base + sum(w * law.values.min() for w, law in zip(weights, laws)))
+        a = self.risk_aversion
+        log_moment = -a * base
+        for w, law in zip(weights, laws):
+            live = law.probs > 0.0
+            expo = -a * w * law.values[live]
+            top = expo.max()
+            log_moment += top + np.log(law.probs[live] @ np.exp(expo - top))
+        return float(-np.expm1(min(log_moment, _EXP_CAP)) / a)
 
     def certainty_equivalent(self, eu: float) -> float:
         if self.form == "linear":
@@ -316,9 +332,6 @@ class PoolMember:
     utility: UtilitySpec
 
 
-_POOL_OUTCOME_LIMIT = 2_000_000
-
-
 def check_share_matrix(shares, j: int) -> np.ndarray:
     """shares as a j x j float matrix, checked: nonnegative, rows summing to 1."""
     mat = np.asarray(shares, dtype=float)
@@ -336,21 +349,11 @@ def pool_expected_utility(members, share_matrix) -> np.ndarray:
 
     share_matrix[i, j] is the fraction of member j's loss borne by member
     i; each row must sum to 1 so every member holds a full portfolio
-    share. Identity shares reproduce standalone positions. The joint
-    outcomes are enumerated as outer products over the members' laws, one
-    axis per member, without a matrix of outcome vectors.
+    share. Identity shares reproduce standalone positions. No joint
+    outcome is listed: UtilitySpec.expected_of_sum needs only each law.
     """
     members = list(members)
     shares = check_share_matrix(share_matrix, len(members))
-    total = int(np.prod([len(mem.loss) for mem in members]))
-    if total > _POOL_OUTCOME_LIMIT:
-        raise ValueError(
-            f"joint enumeration of {total} outcomes exceeds the limit; "
-            "coarsen the loss laws")
-    probs = reduce(np.multiply.outer, [mem.loss.probs for mem in members]).ravel()
-    out = np.empty(len(members))
-    for i, mem in enumerate(members):
-        shared = reduce(np.add.outer, [share * other.loss.values for share, other
-                                       in zip(shares[i], members)])
-        out[i] = float(probs @ mem.utility.value(mem.base + shared.ravel()))
-    return out
+    laws = [mem.loss for mem in members]
+    return np.array([mem.utility.expected_of_sum(mem.base, row, laws)
+                     for mem, row in zip(members, shares)])

@@ -450,6 +450,22 @@ class TestCliCommands:
         for row, eu in zip(rows, joint):
             assert row["standalone_eu"] == pytest.approx(eu, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("command,csv", [
+        ("fig1", "fig1.csv"), ("example2", "example2_surface.csv")])
+    def test_pi_defaults_to_the_scenario_weight(self, tmp_path, capsys,
+                                                command, csv):
+        cfg = write_config(tmp_path, {
+            "belief": {"untruthful_weight": 0.25},
+            "grids": {"sup_base_denom": 128, "sup_refine_denom": 1024,
+                      "alpha_levels": [0.05]}})
+        for flags, pi in (([], "0.25"), (["--pi", "0.75"], "0.75")):
+            out = tmp_path / pi
+            assert main([command, "--n", "40", "--config", cfg, *flags,
+                         "--out", str(out)]) == 0
+            _, _, rows = read_csv(out / csv)
+            assert rows and {row["pi"] for row in rows} == {pi}
+        capsys.readouterr()
+
     def test_fig1_outputs_are_deterministic(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"grids": {
             "sup_base_denom": 128, "sup_refine_denom": 1024,

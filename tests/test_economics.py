@@ -8,6 +8,7 @@ from guaranteesim.economics import (
     CostSchedule,
     NoBreakEvenError,
     PolicyEconomics,
+    SingleCrossingReport,
 )
 
 
@@ -142,3 +143,43 @@ class TestSingleCrossing:
         assert not rep.holds
         assert rep.violating_p == pytest.approx(0.9)
         assert rep.violating_m == 1
+
+    @pytest.mark.parametrize("case", [
+        "linear_holds", "linear_violates", "table_holds", "table_violates",
+        "one_scale"])
+    def test_matches_scalar_loop(self, case):
+        econ = {
+            "linear_holds": linear_econ(beta=2.5, M=60, q=0.8),
+            "linear_violates": PolicyEconomics(
+                CostSchedule.table([1.0, 1.1, 5.0, 6.0, 6.5]),
+                BenefitFunction.linear(2.5)),
+            "table_holds": PolicyEconomics(
+                CostSchedule.linear(1.0, 30),
+                BenefitFunction.from_table(2.5 * np.arange(31) ** 1.2)),
+            "table_violates": PolicyEconomics(
+                CostSchedule.linear(1.0, 4),
+                BenefitFunction.from_table([0.0, 5.0, 6.0, 6.5, 6.6])),
+            "one_scale": linear_econ(M=1),
+        }[case]
+        grid = np.linspace(0.05, 0.95, 10)
+        rep = econ.single_crossing_report(grid)
+        assert rep == _scalar_crossing_report(econ, grid)
+        assert rep.holds == case.endswith(("holds", "scale"))
+
+
+def _scalar_crossing_report(econ, p_grid):
+    """The shape check one expected_net call at a time, with the suffix
+    found by a scan from the top scale down."""
+    for p in p_grid:
+        net = np.array([econ.expected_net(m, p) for m in range(1, econ.M + 1)])
+        if econ.M == 1:
+            continue
+        diffs = np.diff(net)
+        i0 = econ.M
+        while i0 > 1 and diffs[i0 - 2] > 0.0:
+            i0 -= 1
+        bad = np.nonzero(net[: i0 - 1] >= 0.0)[0]
+        if bad.size:
+            return SingleCrossingReport(
+                holds=False, violating_p=float(p), violating_m=int(bad[0] + 1))
+    return SingleCrossingReport(holds=True)

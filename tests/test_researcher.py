@@ -1,5 +1,7 @@
 """Researcher-side utility, hedging, participation, and pooling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -356,17 +358,45 @@ class TestPooling:
         want = _outcome_matrix_pool_eu(members, shares)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
-    def test_outcome_limit_guards_enumeration(self):
+    @pytest.mark.parametrize("utility", [UtilitySpec("cara", 0.1), LINEAR])
+    def test_pools_past_any_joint_enumeration(self, utility):
+        # 12**8 joint outcomes; the pooled position takes 89 values
         wide = DiscreteDist(-np.arange(12.0), np.full(12, 1.0 / 12))
-        members = [PoolMember(0.0, wide, UtilitySpec("cara", 0.1))
-                   for _ in range(8)]
-        with pytest.raises(ValueError):
-            pool_expected_utility(members, np.full((8, 8), 1.0 / 8))
+        members = [PoolMember(0.5, wide, utility) for _ in range(8)]
+        got = pool_expected_utility(members, np.full((8, 8), 1.0 / 8))
+        share = DiscreteDist(wide.values / 8, wide.probs)
+        total = DiscreteDist.point(0.5)
+        for _ in members:
+            total = total.combine(share, lambda a, b: a + b).compress()
+        assert len(total) == 89
+        want = expected_utility(total, utility)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_linear_matches_outcome_matrix_enumeration(self):
+        laws = [self.LOSS, DiscreteDist([1.0, -4.0], [0.6, 0.4])]
+        members = [PoolMember(base, law, LINEAR)
+                   for base, law in zip((0.0, 1.5), laws)]
+        shares = np.array([[0.7, 0.3], [0.2, 0.8]])
+        got = pool_expected_utility(members, shares)
+        want = _outcome_matrix_pool_eu(members, shares)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_saturated_pool_warns_and_stays_finite(self):
+        # the worst joint outcome, -8000 each, puts -a*w at 800 > 700
+        deep = DiscreteDist([0.0, -8000.0], [0.99, 0.01])
+        members = [PoolMember(0.0, deep, UtilitySpec("cara", 0.1))
+                   for _ in range(2)]
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            eu = pool_expected_utility(members, np.full((2, 2), 0.5))
+        assert np.isfinite(eu).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pool_expected_utility([self.member()] * 2, np.full((2, 2), 0.5))
 
 
 def _outcome_matrix_pool_eu(members, shares):
     """Pooled expected utilities through the (N, J) matrix of joint outcomes,
-    the enumeration pool_expected_utility replaced with outer products."""
+    which pool_expected_utility never lists."""
     grids = np.meshgrid(*[m.loss.values for m in members], indexing="ij")
     outcomes = np.stack([g.ravel() for g in grids], axis=1)
     probs = np.ones(outcomes.shape[0])
