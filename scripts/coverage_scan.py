@@ -9,13 +9,17 @@ approximate one does, worst near the endpoints.
 import argparse
 
 from guaranteesim import LowerBoundProcedure, coverage_report, probability_grid
+from guaranteesim.cli import checked
+from guaranteesim.config import GRID_DENOM, OPEN_UNIT, TRIALS
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[20, 40, 100, 300])
-    ap.add_argument("--alpha-prime", type=float, default=0.05)
-    ap.add_argument("--denom", type=int, default=1024)
+    ap.add_argument("--sizes", type=checked(int, TRIALS), nargs="+",
+                    default=[20, 40, 100, 300])
+    ap.add_argument("--alpha-prime", type=checked(float, OPEN_UNIT),
+                    default=0.05)
+    ap.add_argument("--denom", type=checked(int, GRID_DENOM), default=1024)
     args = ap.parse_args()
 
     grid = probability_grid(args.denom, open_ends=True)

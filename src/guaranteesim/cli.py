@@ -22,7 +22,14 @@ import numpy as np
 
 from . import __version__
 from .binomial import LowerBoundProcedure, coverage_report, probability_grid
-from .config import ConfigError, Scenario, load_scenario
+from .config import (
+    OPEN_UNIT,
+    TRIALS,
+    UNIT,
+    ConfigError,
+    Scenario,
+    load_scenario,
+)
 from .contracts import (
     implementer_payoff,
     minimal_insurance,
@@ -77,15 +84,11 @@ def _meta_lines(scenario: Scenario, variant: Optional[str] = None) -> list:
 
 def _meta_dict(scenario: Scenario, variant: Optional[str] = None) -> dict:
     """JSON counterpart of _meta_lines."""
-    grids = scenario.grids
     meta = {
         "tool": f"guaranteesim {__version__}",
         "seed": scenario.seed,
-        "grids": {
-            "coverage_denom": grids.coverage_denom,
-            "sup_base_denom": grids.sup_base_denom,
-            "sup_refine_denom": grids.sup_refine_denom,
-        },
+        "grids": {key: value for key, value in asdict(scenario.grids).items()
+                  if key != "alpha_levels"},
     }
     if variant is not None:
         meta["fig1_variant"] = variant
@@ -369,8 +372,8 @@ def cmd_reproduce(scenario: Scenario, args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 
-def _checked(kind, ok, need: str):
-    """An argparse type: kind(text), which must satisfy ok, or exit 2."""
+def checked(kind, check):
+    """An argparse type: kind(text), which must pass check, or exit 2."""
     noun = "an integer" if kind is int else "a number"
 
     def parse(text: str):
@@ -378,16 +381,16 @@ def _checked(kind, ok, need: str):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must {need}, got {value}")
+        if not check.ok(value):
+            raise argparse.ArgumentTypeError(f"must {check.need}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _checked(int, lambda v: v >= 1, "be at least 1")
-_open_unit = _checked(float, lambda v: 0.0 < v < 1.0, "lie strictly in (0,1)")
-_weight = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0,1]")
+_trials = checked(int, TRIALS)
+_open_unit = checked(float, OPEN_UNIT)
+_weight = checked(float, UNIT)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -407,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", parents=[common],
                        help="coverage/violation curve for a bound procedure")
     p.add_argument("--proc", choices=["clopper_pearson", "wald"])
-    p.add_argument("--n", type=_positive_int)
+    p.add_argument("--n", type=_trials)
     p.add_argument("--alpha-prime", type=_open_unit)
     p.set_defaults(handler=cmd_coverage)
 
@@ -420,14 +423,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example2", parents=[common],
                        help="exact false-positive surface over (alpha, p)")
     p.add_argument("--p-c", type=_open_unit, default=0.5)
-    p.add_argument("--n", type=_positive_int, default=300)
+    p.add_argument("--n", type=_trials, default=300)
     p.add_argument("--pi", type=_weight)  # default: the scenario's weight
     p.set_defaults(handler=cmd_example2)
 
     p = sub.add_parser("fig1", parents=[common],
                        help="nominal-vs-actual curve CSV per control rate")
     p.add_argument("--p-c", type=_open_unit, nargs="+", default=[0.5])
-    p.add_argument("--n", type=_positive_int, default=300)
+    p.add_argument("--n", type=_trials, default=300)
     p.add_argument("--pi", type=_weight)  # default: the scenario's weight
     p.set_defaults(handler=cmd_fig1)
 

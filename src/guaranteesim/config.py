@@ -1,16 +1,19 @@
 """Scenario configuration: one JSON document drives every subcommand.
 
-Validation is strict: unknown keys are rejected, and errors carry the
-offending key path so the CLI can point at the line in the file.
+Validation is strict: every field goes through one checked reader, unknown
+keys are rejected, and errors carry the offending key path so the CLI can
+point at the line in the file.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .researcher import (
     UtilitySpec,
     check_share_matrix,
 )
-from .simulate import DiscreteDist
+from .simulate import ENUMERATION_LIMIT, DiscreteDist
 from .strategies import (
     CONDITIONING_VARIANTS,
     FraudulentStrategy,
@@ -45,22 +48,42 @@ from .strategies import (
 __all__ = ["ConfigError", "Scenario", "GridSpec", "load_scenario",
            "scenario_from_dict", "default_scenario_dict"]
 
+# Size limits, checked as a scenario loads and before anything is allocated.
+POOL_LIMIT = 1_000  # pool members; the share matrix is j x j
+TRIAL_LIMIT = 1_000_000  # trials per arm, and grid denominators
+
+
+class Check(NamedTuple):
+    """A check shared by scenario fields and CLI flags: ok, or must <need>."""
+    ok: Callable[[Any], bool]
+    need: str
+
+
+def _between(low: int, high: int) -> Check:
+    return Check(lambda v: low <= v <= high, f"lie in {low}..{high}")
+
+
+UNIT = Check(lambda v: 0.0 <= v <= 1.0, "lie in [0,1]")
+OPEN_UNIT = Check(lambda v: 0.0 < v < 1.0, "lie strictly in (0,1)")
+TRIALS = _between(1, TRIAL_LIMIT)
+GRID_DENOM = _between(2, TRIAL_LIMIT)
+_NEGATIVE = Check(lambda v: v < 0.0, "be negative")
+_NONEMPTY = Check(len, "be nonempty")
+_PAIR = Check(lambda v: len(v) == 2, "be a [k, alpha] pair")
+
 
 class ConfigError(ValueError):
     def __init__(self, message: str, key_path: str = "", line: Optional[int] = None):
         self.key_path = key_path
         self.line = line
-        prefix = f"{key_path}: " if key_path else ""
-        super().__init__(f"{prefix}{message}")
+        super().__init__(f"{key_path}: {message}" if key_path else message)
 
 
 def default_scenario_dict() -> dict:
-    """The bundled reference scenario.
-
-    Small enough that every researcher-side quantity enumerates exactly:
-    20 recipients, unit costs, benefit 2.5 per success (break-even rate
-    0.4), a loss floor at sixty percent of the full cost.
-    """
+    """The bundled reference scenario, small enough that every
+    researcher-side quantity enumerates exactly: 20 recipients, unit costs,
+    benefit 2.5 per success (break-even rate 0.4), a loss floor at sixty
+    percent of the full cost."""
     return {
         "seed": 20260819,
         "economics": {
@@ -88,13 +111,7 @@ def default_scenario_dict() -> dict:
             "utility": {"form": "cara", "risk_aversion": 0.1},
             "shares": "equal",
         },
-        "grids": {
-            "coverage_denom": 1024,
-            "sup_base_denom": 512,
-            "sup_refine_denom": 8192,
-            "alpha_levels": [0.001, 0.005, 0.01, 0.025, 0.05, 0.075, 0.1,
-                             0.15, 0.2],
-        },
+        "grids": {**asdict(GridSpec()), "alpha_levels": list(GridSpec.alpha_levels)},
     }
 
 
@@ -151,356 +168,309 @@ def _at(path: str):
         raise ConfigError(str(exc), path) from exc
 
 
-def _need(block: dict, key: str, path: str) -> Any:
-    if key not in block:
-        raise ConfigError(f"missing required key {key!r}", path)
-    return block[key]
-
-
 def _reject_unknown(block: dict, allowed, path: str) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"expected an object, got {type(block).__name__}", path)
-    unknown = set(block) - set(allowed)
+    unknown = sorted(set(block) - set(allowed))
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key {name!r}", f"{path}.{name}" if path else name)
+        raise ConfigError(f"unknown key {unknown[0]!r}", _child(path, unknown[0]))
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path)
-    return float(value)
+_REQUIRED = object()
+_KINDS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
+          str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
 
 
-def _integer(value, path: str, minimum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", path)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be at least {minimum}, got {value}", path)
-    return value
+def _child(path: str, key) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
 
 
-def _economics(block: dict) -> PolicyEconomics:
+def _get(block, key, path: str, kind=float, default=_REQUIRED, check=None):
+    """block[key], for an object key or a list index: present unless it has
+    a default, of the JSON kind (never a bool; float: finite, so no NaN or
+    Infinity), null only where the default is None, and passing check."""
+    if isinstance(block, dict) and key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r}", path)
+        return default
+    value, where = block[key], _child(path, key)
+    if value is None and default is None:
+        return None
+    types, name = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (kind is float and not abs(value) <= sys.float_info.max)):
+        raise ConfigError(f"expected {name}, got {reprlib.repr(value)}", where)
+    if check is not None and not check.ok(value):
+        raise ConfigError(f"must {check.need}, got {reprlib.repr(value)}", where)
+    return float(value) if kind is float else value
+
+
+def _block(parent, key, path: str, allowed, default=_REQUIRED):
+    """The object parent[key], read through _get, unknown keys rejected."""
+    block = _get(parent, key, path, dict, default)
+    if block is not None:
+        _reject_unknown(block, allowed, _child(path, key))
+    return block
+
+
+def _floats(block, key, path: str, default=_REQUIRED, check=None, each=None) -> list:
+    """A list of finite numbers: the list passes check, each item each."""
+    items = _get(block, key, path, list, default, check)
+    return [_get(items, i, _child(path, key), check=each) for i in range(len(items))]
+
+
+def _law(block: dict, path: str) -> DiscreteDist:
+    with _at(path):
+        return DiscreteDist(_floats(block, "values", path),
+                            _floats(block, "probs", path))
+
+
+def _economics(top: dict) -> PolicyEconomics:
     path = "economics"
-    _reject_unknown(block, {"population", "cost", "benefit", "dilution_q"}, path)
-    M = _integer(_need(block, "population", path), f"{path}.population")
-    cost_block = _need(block, "cost", path)
-    _reject_unknown(cost_block, {"form", "unit", "fixed", "values"}, f"{path}.cost")
-    form = _need(cost_block, "form", f"{path}.cost")
-    with _at(f"{path}.cost"):
+    block = _block(top, path, "", {"population", "cost", "benefit", "dilution_q"})
+    M = _get(block, "population", path, int, check=_between(1, ENUMERATION_LIMIT))
+    where = f"{path}.cost"
+    cost = _block(block, "cost", path, {"form", "unit", "fixed", "values"})
+    form = _get(cost, "form", where, str)
+    with _at(where):
         if form == "linear":
-            costs = CostSchedule.linear(
-                _number(_need(cost_block, "unit", f"{path}.cost"),
-                        f"{path}.cost.unit"), M)
+            costs = CostSchedule.linear(_get(cost, "unit", where), M)
         elif form == "affine":
-            costs = CostSchedule.affine(
-                _number(_need(cost_block, "fixed", f"{path}.cost"),
-                        f"{path}.cost.fixed"),
-                _number(_need(cost_block, "unit", f"{path}.cost"),
-                        f"{path}.cost.unit"), M)
+            costs = CostSchedule.affine(_get(cost, "fixed", where),
+                                        _get(cost, "unit", where), M)
         elif form == "table":
-            values = _need(cost_block, "values", f"{path}.cost")
+            values = _floats(cost, "values", where)
             if len(values) != M:
-                raise ConfigError(
-                    f"cost table has {len(values)} entries for population {M}",
-                    f"{path}.cost.values")
+                raise ConfigError(f"cost table has {len(values)} entries for "
+                                  f"population {M}", f"{where}.values")
             costs = CostSchedule.table(values)
         else:
-            raise ConfigError(f"unknown cost form {form!r}", f"{path}.cost.form")
-
-    ben_block = _need(block, "benefit", path)
-    _reject_unknown(ben_block, {"form", "per_success", "values"}, f"{path}.benefit")
-    bform = _need(ben_block, "form", f"{path}.benefit")
-    with _at(f"{path}.benefit"):
-        if bform == "linear":
-            benefit = BenefitFunction.linear(
-                _number(_need(ben_block, "per_success", f"{path}.benefit"),
-                        f"{path}.benefit.per_success"))
-        elif bform == "table":
-            benefit = BenefitFunction.from_table(
-                _need(ben_block, "values", f"{path}.benefit"))
+            raise ConfigError(f"unknown cost form {form!r}", f"{where}.form")
+    where = f"{path}.benefit"
+    ben = _block(block, "benefit", path, {"form", "per_success", "values"})
+    form = _get(ben, "form", where, str)
+    with _at(where):
+        if form == "linear":
+            benefit = BenefitFunction.linear(_get(ben, "per_success", where))
+        elif form == "table":
+            benefit = BenefitFunction.from_table(_floats(ben, "values", where))
         else:
-            raise ConfigError(f"unknown benefit form {bform!r}",
-                              f"{path}.benefit.form")
-
-    q = _number(block.get("dilution_q", 1.0), f"{path}.dilution_q")
+            raise ConfigError(f"unknown benefit form {form!r}", f"{where}.form")
+    q = _get(block, "dilution_q", path, default=PolicyEconomics.dilution)
     with _at(path):
         return PolicyEconomics(costs=costs, benefit=benefit, dilution=q)
 
 
-def _procedure(block: dict) -> LowerBoundProcedure:
+def _procedure(top: dict) -> LowerBoundProcedure:
     path = "procedure"
-    _reject_unknown(block, {"kind", "alpha", "n"}, path)
+    block = _block(top, path, "", {"kind", "alpha", "n"})
     with _at(path):
         return LowerBoundProcedure(
-            kind=_need(block, "kind", path),
-            nominal_alpha=_number(_need(block, "alpha", path), f"{path}.alpha"),
-            n=_integer(_need(block, "n", path), f"{path}.n"))
+            kind=_get(block, "kind", path, str),
+            nominal_alpha=_get(block, "alpha", path, check=OPEN_UNIT),
+            n=_get(block, "n", path, int, check=TRIALS))
 
 
-def _strategy(block: dict, procedure: LowerBoundProcedure):
+def _strategy(top: dict, procedure: LowerBoundProcedure):
     path = "strategy"
-    _reject_unknown(block, {"variant", "guess_spread", "n_per_arm", "alpha"}, path)
-    variant = _need(block, "variant", path)
+    block = _block(top, path, "", {"variant", "guess_spread", "n_per_arm", "alpha"})
+    variant = _get(block, "variant", path, str)
     with _at(path):
         if variant == "truthful":
             return TruthfulStrategy(procedure)
         if variant == "fraudulent":
-            return FraudulentStrategy(
-                procedure,
-                guess_spread=_number(block.get("guess_spread", 0.05),
-                                     f"{path}.guess_spread"))
+            return FraudulentStrategy(procedure, guess_spread=_get(
+                block, "guess_spread", path, default=FraudulentStrategy.guess_spread))
         if variant == "selective":
             return SelectiveStrategy(
-                n=_integer(_need(block, "n_per_arm", path), f"{path}.n_per_arm"),
-                alpha_prime=_number(_need(block, "alpha", path), f"{path}.alpha"))
+                n=_get(block, "n_per_arm", path, int, check=TRIALS),
+                alpha_prime=_get(block, "alpha", path, check=OPEN_UNIT))
     raise ConfigError(f"unknown strategy variant {variant!r}", f"{path}.variant")
 
 
-def _contract(block) -> Optional[InsuranceContract]:
+def _contract(top: dict) -> Optional[InsuranceContract]:
+    path = "contract"
+    block = _block(top, path, "", {"variant", "k", "share"}, default=None)
     if block is None:
         return None
-    path = "contract"
-    _reject_unknown(block, {"variant", "k", "share"}, path)
-    variant = _need(block, "variant", path)
+    variant = _get(block, "variant", path, str)
     with _at(path):
         if variant == "full":
             return FullGuarantee()
         if variant == "tail":
-            return TailGuarantee(k=_number(_need(block, "k", path), f"{path}.k"))
+            return TailGuarantee(k=_get(block, "k", path))
         if variant == "proportional":
-            return ProportionalGuarantee(
-                share=_number(_need(block, "share", path), f"{path}.share"))
+            return ProportionalGuarantee(share=_get(block, "share", path))
     raise ConfigError(f"unknown contract variant {variant!r}", f"{path}.variant")
 
 
-def _alpha_belief(value, path: str):
-    if isinstance(value, dict):
-        _reject_unknown(value, {"knots"}, path)
-        knots = _need(value, "knots", path)
-        with _at(f"{path}.knots"):
-            return AlphaSchedule(tuple((float(k), float(a)) for k, a in knots))
-    alpha = _number(value, path)
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha belief must lie in [0,1], got {alpha}", path)
-    return alpha
+def _alpha_belief(policy: dict, path: str):
+    """A scalar belief, or {"knots": [[k, alpha], ...]} for a schedule."""
+    if not isinstance(policy.get("alpha_belief"), dict):
+        return _get(policy, "alpha_belief", path, check=UNIT)
+    where = f"{path}.alpha_belief"
+    knots = _get(_block(policy, "alpha_belief", path, {"knots"}), "knots", where, list)
+    where = f"{where}.knots"
+    pairs = [_floats(knots, i, where, check=_PAIR) for i in range(len(knots))]
+    with _at(where):
+        return AlphaSchedule(tuple(pairs))
 
 
-def _utility(block: dict) -> UtilitySpec:
-    path = "utility"
-    _reject_unknown(block, {"form", "risk_aversion", "v_bar"}, path)
-    with _at(path):
+def _utility(parent: dict, path: str, key: str,
+             allowed=("form", "risk_aversion", "v_bar")) -> UtilitySpec:
+    block = _block(parent, key, path, allowed)
+    where = _child(path, key)
+    with _at(where):
         return UtilitySpec(
-            form=_need(block, "form", path),
-            risk_aversion=_number(block.get("risk_aversion", 0.0),
-                                  f"{path}.risk_aversion"),
-            v_bar=_number(block.get("v_bar", float("-inf")), f"{path}.v_bar"))
+            form=_get(block, "form", where, str),
+            risk_aversion=_get(block, "risk_aversion", where,
+                               default=UtilitySpec.risk_aversion),
+            v_bar=_get(block, "v_bar", where, default=UtilitySpec.v_bar))
 
 
-def _payoff(block: dict) -> ResearcherPayoffModel:
+def _payoff(top: dict) -> ResearcherPayoffModel:
     path = "researcher_payoff"
-    _reject_unknown(block, {"base_pub", "impl_value", "failure_exposure",
-                            "noise"}, path)
-    impl_block = block.get("impl_value", {"kind": "constant", "amount": 0.0})
-    _reject_unknown(impl_block, {"kind", "amount"}, f"{path}.impl_value")
-    noise_block = block.get("noise")
-    noise = None
-    if noise_block is not None:
-        _reject_unknown(noise_block, {"epsilon"}, f"{path}.noise")
+    block = _block(top, path, "", {"base_pub", "impl_value", "failure_exposure",
+                                   "noise"})
+    where = f"{path}.impl_value"
+    impl = _block(block, "impl_value", path, {"kind", "amount"}, default={})
+    noise = _block(block, "noise", path, {"epsilon"}, default=None)
+    if noise is not None:
         with _at(f"{path}.noise"):
-            noise = NoiseSpec(epsilon=_number(
-                _need(noise_block, "epsilon", f"{path}.noise"),
-                f"{path}.noise.epsilon"))
+            noise = NoiseSpec(epsilon=_get(noise, "epsilon", f"{path}.noise"))
+    model = ResearcherPayoffModel  # its field defaults are the key defaults
     with _at(path):
-        return ResearcherPayoffModel(
-            base_pub=_number(block.get("base_pub", 0.0), f"{path}.base_pub"),
+        return model(
+            base_pub=_get(block, "base_pub", path, default=model.base_pub),
             impl_value=ImplValue(
-                kind=impl_block.get("kind", "constant"),
-                amount=_number(impl_block.get("amount", 0.0),
-                               f"{path}.impl_value.amount")),
-            failure_exposure=_number(block.get("failure_exposure", 0.0),
-                                     f"{path}.failure_exposure"),
+                kind=_get(impl, "kind", where, str, default=ImplValue.kind),
+                amount=_get(impl, "amount", where, default=ImplValue.amount)),
+            failure_exposure=_get(block, "failure_exposure", path,
+                                  default=model.failure_exposure),
             noise=noise)
 
 
-def _risk_strategy(block: dict) -> ResearcherRisk:
+def _risk_strategy(top: dict) -> ResearcherRisk:
     """Each variant is a (contract, hedge) pair: none, transfer and exchange
     hedge a full guarantee; tail_only and proportional_only are unhedged
     tail and proportional guarantees."""
     path = "risk_strategy"
-    _reject_unknown(block, {"variant", "retained", "premium", "assumed",
-                            "partner_loss", "k", "share"}, path)
-    variant = _need(block, "variant", path)
+    block = _block(top, path, "", {"variant", "retained", "premium", "assumed",
+                                   "partner_loss", "k", "share"})
+    variant = _get(block, "variant", path, str)
     with _at(path):
         if variant == "none":
             return ResearcherRisk()
         if variant == "transfer":
             return ResearcherRisk(hedge=RiskTransfer(
-                retained=_number(_need(block, "retained", path), f"{path}.retained"),
-                premium=_number(block.get("premium", 0.0), f"{path}.premium")))
+                retained=_get(block, "retained", path),
+                premium=_get(block, "premium", path, default=RiskTransfer.premium)))
         if variant == "exchange":
-            partner = _need(block, "partner_loss", path)
-            _reject_unknown(partner, {"values", "probs"}, f"{path}.partner_loss")
-            law = DiscreteDist(_need(partner, "values", f"{path}.partner_loss"),
-                               _need(partner, "probs", f"{path}.partner_loss"))
+            partner = _block(block, "partner_loss", path, {"values", "probs"})
+            law = _law(partner, f"{path}.partner_loss")
             return ResearcherRisk(hedge=RiskExchange(
-                retained=_number(_need(block, "retained", path), f"{path}.retained"),
-                assumed=_number(_need(block, "assumed", path), f"{path}.assumed"),
-                partner_loss=law))
+                retained=_get(block, "retained", path),
+                assumed=_get(block, "assumed", path), partner_loss=law))
         if variant == "tail_only":
-            return ResearcherRisk(TailGuarantee(
-                k=_number(_need(block, "k", path), f"{path}.k")))
+            return ResearcherRisk(TailGuarantee(k=_get(block, "k", path)))
         if variant == "proportional_only":
-            return ResearcherRisk(ProportionalGuarantee(
-                share=_number(_need(block, "share", path), f"{path}.share")))
+            return ResearcherRisk(ProportionalGuarantee(_get(block, "share", path)))
     raise ConfigError(f"unknown risk strategy {variant!r}", f"{path}.variant")
 
 
-def _pool(block: dict) -> PoolSpec:
+def _member(block: dict, path: str, utility: UtilitySpec) -> PoolMember:
+    return PoolMember(loss=_law(block, path), utility=utility,
+                      base=_get(block, "base", path, default=0.0))
+
+
+def _pool(top: dict) -> PoolSpec:
     path = "pool"
-    _reject_unknown(block, {"iid", "members", "utility", "shares"}, path)
-    util_block = _need(block, "utility", path)
-    _reject_unknown(util_block, {"form", "risk_aversion"}, f"{path}.utility")
-    with _at(f"{path}.utility"):
-        utility = UtilitySpec(form=_need(util_block, "form", f"{path}.utility"),
-                              risk_aversion=_number(
-                                  util_block.get("risk_aversion", 0.0),
-                                  f"{path}.utility.risk_aversion"))
-    members = []
+    block = _block(top, path, "", {"iid", "members", "utility", "shares"})
+    utility = _utility(block, path, "utility", ("form", "risk_aversion"))
     if "iid" in block:
-        iid = block["iid"]
-        _reject_unknown(iid, {"count", "values", "probs", "base"}, f"{path}.iid")
-        count = _integer(_need(iid, "count", f"{path}.iid"), f"{path}.iid.count",
-                         minimum=1)
-        with _at(f"{path}.iid"):
-            law = DiscreteDist(_need(iid, "values", f"{path}.iid"),
-                               _need(iid, "probs", f"{path}.iid"))
-        base = _number(iid.get("base", 0.0), f"{path}.iid.base")
-        members = [PoolMember(base=base, loss=law, utility=utility)
-                   for _ in range(count)]
+        where = f"{path}.iid"
+        iid = _block(block, "iid", path, {"count", "values", "probs", "base"})
+        count = _get(iid, "count", where, int, check=_between(1, POOL_LIMIT))
+        members = [_member(iid, where, utility)] * count
     elif "members" in block:
-        for i, m in enumerate(block["members"]):
-            where = f"{path}.members[{i}]"
-            _reject_unknown(m, {"base", "values", "probs"}, where)
-            with _at(where):
-                law = DiscreteDist(_need(m, "values", where),
-                                   _need(m, "probs", where))
-            members.append(PoolMember(
-                base=_number(m.get("base", 0.0), f"{where}.base"),
-                loss=law, utility=utility))
-        if not members:
-            raise ConfigError("pool needs at least one member", f"{path}.members")
+        where = f"{path}.members"
+        items = _get(block, "members", path, list, check=Check(
+            lambda v: 1 <= len(v) <= POOL_LIMIT, f"hold 1..{POOL_LIMIT} members"))
+        members = [_member(_block(items, i, where, {"base", "values", "probs"}),
+                           f"{where}[{i}]", utility) for i in range(len(items))]
     else:
         raise ConfigError("pool needs either iid or members", path)
-    shares = block.get("shares", "equal")
-    j = len(members)
-    if isinstance(shares, str):
-        if shares != "equal":
-            raise ConfigError(f"unknown share rule {shares!r}", f"{path}.shares")
-        return PoolSpec(members=members, shares=np.full((j, j), 1.0 / j))
-    with _at(f"{path}.shares"):
+    j, where, shares = len(members), f"{path}.shares", block.get("shares")
+    if isinstance(shares, list):
+        shares = [_floats(shares, i, where) for i in range(len(shares))]
+    elif _get(block, "shares", path, str, "equal", Check(
+            lambda v: v == "equal", 'be "equal" or a share matrix')):
+        shares = np.full((j, j), 1.0 / j)
+    with _at(where):
         return PoolSpec(members=members, shares=check_share_matrix(shares, j))
 
 
-def _grids(block: dict) -> GridSpec:
+def _grids(top: dict) -> GridSpec:
     path = "grids"
-    _reject_unknown(block, {"coverage_denom", "sup_base_denom",
-                            "sup_refine_denom", "alpha_levels"}, path)
-    base = _integer(block.get("sup_base_denom", 512), f"{path}.sup_base_denom",
-                    minimum=2)
-    levels = block.get("alpha_levels", GridSpec().alpha_levels)
-    if not isinstance(levels, (list, tuple)) or not levels:
-        raise ConfigError(f"expected a nonempty list of levels, got {levels!r}",
-                          f"{path}.alpha_levels")
-    alpha_levels = tuple(_number(a, f"{path}.alpha_levels[{i}]")
-                         for i, a in enumerate(levels))
-    for i, a in enumerate(alpha_levels):
-        if not 0.0 < a < 1.0:
-            raise ConfigError(f"level must lie strictly in (0,1), got {a}",
-                              f"{path}.alpha_levels[{i}]")
+    block = _block(top, path, "", {f.name for f in fields(GridSpec)})
+    def denom(key, check=GRID_DENOM):
+        return _get(block, key, path, int, getattr(GridSpec, key), check)
+    base = denom("sup_base_denom")
     return GridSpec(
-        coverage_denom=_integer(block.get("coverage_denom", 1024),
-                                f"{path}.coverage_denom", minimum=2),
+        coverage_denom=denom("coverage_denom"),
         sup_base_denom=base,
         # a coarser lattice refines nothing, and one of 0 or less skips it
-        sup_refine_denom=_integer(block.get("sup_refine_denom", 8192),
-                                  f"{path}.sup_refine_denom", minimum=base),
-        alpha_levels=alpha_levels)
-
-
-_TOP_KEYS = {"seed", "economics", "procedure", "strategy", "belief", "policy",
-             "contract", "utility", "researcher_payoff", "risk_strategy",
-             "pool", "grids"}
+        sup_refine_denom=denom("sup_refine_denom", _between(base, TRIAL_LIMIT)),
+        alpha_levels=tuple(_floats(block, "alpha_levels", path,
+                                   GridSpec.alpha_levels, _NONEMPTY, OPEN_UNIT)))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    _reject_unknown(data, _TOP_KEYS, "")
+    """Build a scenario; each omitted top-level block is the default's."""
     defaults = default_scenario_dict()
+    _reject_unknown(data, defaults, "")
     merged = {**defaults, **data}
-
-    belief_block = merged["belief"]
-    _reject_unknown(belief_block, {"untruthful_weight", "conditioning"}, "belief")
-    weight = _number(_need(belief_block, "untruthful_weight", "belief"),
-                     "belief.untruthful_weight")
-    if not 0.0 <= weight <= 1.0:
-        raise ConfigError("weight must lie in [0,1]", "belief.untruthful_weight")
-    conditioning = belief_block.get("conditioning", "calibrated")
+    belief = _block(merged, "belief", "", {"untruthful_weight", "conditioning"})
+    conditioning = _get(belief, "conditioning", "belief", str, default="calibrated")
     if conditioning not in CONDITIONING_VARIANTS + ("calibrated",):
         raise ConfigError(f"unknown conditioning {conditioning!r}",
                           "belief.conditioning")
-
-    policy_block = merged["policy"]
-    _reject_unknown(policy_block, {"u_bar", "alpha_belief", "p0"}, "policy")
-    p0 = policy_block.get("p0")
-    if p0 is not None:
-        p0 = _number(p0, "policy.p0")
-        if not 0.0 < p0 < 1.0:
-            raise ConfigError(f"threshold must lie strictly in (0,1), got {p0}",
-                              "policy.p0")
-    u_bar = _number(_need(policy_block, "u_bar", "policy"), "policy.u_bar")
-    if u_bar >= 0.0:
-        raise ConfigError(f"loss limit must be negative, got {u_bar}",
-                          "policy.u_bar")
-
-    seed = _integer(merged["seed"], "seed", minimum=0)
-    if seed >= 2 ** 64:
-        raise ConfigError(f"must be below 2**64, got {seed}", "seed")
-    procedure = _procedure(merged["procedure"])
+    policy = _block(merged, "policy", "", {"u_bar", "alpha_belief", "p0"})
+    procedure = _procedure(merged)
     return Scenario(
-        seed=seed,
-        economics=_economics(merged["economics"]),
+        seed=_get(merged, "seed", "", int, check=_between(0, 2 ** 64 - 1)),
+        economics=_economics(merged),
         procedure=procedure,
-        strategy=_strategy(merged["strategy"], procedure),
-        belief_weight=weight,
+        strategy=_strategy(merged, procedure),
+        belief_weight=_get(belief, "untruthful_weight", "belief", check=UNIT),
         belief_conditioning=conditioning,
-        policy_u_bar=u_bar,
-        policy_alpha=_alpha_belief(_need(policy_block, "alpha_belief", "policy"),
-                                   "policy.alpha_belief"),
-        policy_p0=p0,
-        contract=_contract(merged["contract"]),
-        utility=_utility(merged["utility"]),
-        researcher_payoff=_payoff(merged["researcher_payoff"]),
-        risk_strategy=_risk_strategy(merged["risk_strategy"]),
-        pool=_pool(merged["pool"]),
-        grids=_grids(merged["grids"]),
+        policy_u_bar=_get(policy, "u_bar", "policy", check=_NEGATIVE),
+        policy_alpha=_alpha_belief(policy, "policy"),
+        policy_p0=_get(policy, "p0", "policy", default=None, check=OPEN_UNIT),
+        contract=_contract(merged),
+        utility=_utility(merged, "", "utility"),
+        researcher_payoff=_payoff(merged),
+        risk_strategy=_risk_strategy(merged),
+        pool=_pool(merged),
+        grids=_grids(merged),
     )
 
 
 def _line_of_key(raw: str, key_path: str) -> Optional[int]:
-    """Line of key_path in the raw JSON text.
-
-    Walks the path's keys in order, each searched after the one before it,
-    and steps into array items by index; stops at the deepest key found.
-    """
+    """Line of key_path in the raw JSON text: each key is searched after the
+    one before it, array items (nested ones too) are stepped into by index,
+    and the deepest key found wins."""
     pos = None
     for part in key_path.split(".") if key_path else []:
-        name, _, index = part.partition("[")
+        name = part.partition("[")[0]
         found = re.compile(rf'"{re.escape(name)}"\s*:').search(raw, pos or 0)
         if found is None:
             break
         pos = found.end()
-        if index:
-            pos = _array_item(raw, pos, int(index.rstrip("]")))
+        for index in re.findall(r"\[(\d+)\]", part):
+            pos = _array_item(raw, pos, int(index))
     return None if pos is None else raw.count("\n", 0, pos) + 1
 
 

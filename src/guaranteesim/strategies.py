@@ -311,8 +311,7 @@ def _truthful_proc(n: int, alpha_prime: float) -> LowerBoundProcedure:
 
 
 def mixture_terms(p_control: float, n: int, alpha_prime: float,
-                  belief: MixtureBelief,
-                  truthful_proc: Optional[LowerBoundProcedure] = None) -> list:
+                  belief: MixtureBelief) -> list:
     """Pr(published bound > control rate) as terms (w, num, den) over x_t.
 
     The untruthful component is the selective strategy; the truthful
@@ -328,8 +327,8 @@ def mixture_terms(p_control: float, n: int, alpha_prime: float,
       mixed publication probabilities.
     """
     pi = belief.untruthful_weight
-    (_, truth, ones), = exceedance_terms(
-        truthful_proc or _truthful_proc(n, alpha_prime), p_control)
+    (_, truth, ones), = exceedance_terms(_truthful_proc(n, alpha_prime),
+                                         p_control)
     if pi == 0.0:
         return [(1.0, truth, ones)]
     reject, clear = _rct_control_weights(n, alpha_prime, p_control, p_control)
@@ -341,20 +340,17 @@ def mixture_terms(p_control: float, n: int, alpha_prime: float,
 
 
 def mixture_fp_at(p, p_control: float, n: int, alpha_prime: float,
-                  belief: MixtureBelief,
-                  truthful_proc: Optional[LowerBoundProcedure] = None):
+                  belief: MixtureBelief):
     """The mixture_terms rate at treatment success rate(s) p; an array of
     rates gives an array, a scalar rate a float."""
-    return terms_value(
-        n, mixture_terms(p_control, n, alpha_prime, belief, truthful_proc), p)
+    return terms_value(n, mixture_terms(p_control, n, alpha_prime, belief), p)
 
 
 def mixture_actual_fp(alpha_prime: float, p_control: float, n: int,
-                      belief: MixtureBelief,
-                      truthful_proc: Optional[LowerBoundProcedure] = None,
-                      base_denom: int = 512, refine_denom: int = 8192) -> float:
+                      belief: MixtureBelief, base_denom: int = 512,
+                      refine_denom: int = 8192) -> float:
     """sup over p < p_control of the mixture false positive probability."""
-    terms = mixture_terms(p_control, n, alpha_prime, belief, truthful_proc)
+    terms = mixture_terms(p_control, n, alpha_prime, belief)
     return sup_below(n, terms, p_control, base_denom, refine_denom)[0]
 
 

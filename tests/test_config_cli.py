@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,14 @@ def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return str(path)
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(REPO / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestDefaults:
@@ -214,6 +223,69 @@ class TestConfigMistakesExit2:
         rc = main(["example1", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
         assert "unknown key 'mc'" in capsys.readouterr().err
+
+
+NAN = float("nan")
+POOL_UTILITY = {"form": "cara", "risk_aversion": 0.1}
+
+
+def linear_economics(**cost):
+    return {"economics": {"population": 20,
+                          "cost": {"form": "linear", "unit": 1.0, **cost},
+                          "benefit": {"form": "linear", "per_success": 2.5}}}
+
+
+class TestNumbersAndSizesExit2:
+    """Non-finite numbers, which used to run to the end, and oversized
+    counts, which used to fail allocating, exit 2 at load."""
+
+    @pytest.mark.parametrize("command,edit,key_path,line_of", [
+        ("decide", {"policy": {"u_bar": NAN, "alpha_belief": 0.25}},
+         "policy.u_bar", '"u_bar"'),
+        ("decide", linear_economics(unit=NAN), "economics.cost.unit", '"unit"'),
+        ("pool", {"pool": {"iid": POOL_IID, "utility": {
+            "form": "cara", "risk_aversion": NAN}}},
+         "pool.utility.risk_aversion", '"risk_aversion"'),
+        ("decide", {"economics": {**linear_economics()["economics"],
+                                  "population": 10 ** 12}},
+         "economics.population", '"population"'),
+        ("pool", {"pool": {"iid": {**POOL_IID, "count": 10 ** 12},
+                           "utility": POOL_UTILITY}},
+         "pool.iid.count", '"count"'),
+        ("pool", {"pool": {"members": 5, "utility": POOL_UTILITY}},
+         "pool.members", '"members"'),
+        ("researcher", {"strategy": {"variant": "selective",
+                                     "n_per_arm": 10 ** 12, "alpha": 0.05}},
+         "strategy.n_per_arm", '"n_per_arm"'),
+    ], ids=["u_bar_nan", "unit_nan", "risk_aversion_nan", "population",
+            "iid_count", "members_not_a_list", "n_per_arm"])
+    def test_exit_2_at_key_path_within_a_second(self, tmp_path, capsys, command,
+                                                edit, key_path, line_of):
+        cfg = write_config(tmp_path, edit)
+        lines = Path(cfg).read_text().splitlines()
+        line = next(i for i, ln in enumerate(lines, 1) if line_of in ln)
+        start = time.perf_counter()
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config error (line {line}): {key_path}: " in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command", ["coverage", "fig1"])
+    def test_trial_flag_above_the_limit_exits_2(self, tmp_path, capsys, command):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", str(10 ** 12), "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        assert "argument --n: must lie in 1..1000000" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_omitted_v_bar_means_no_floor(self):
+        s = scenario_from_dict({"utility": {"form": "cara",
+                                            "risk_aversion": 0.05}})
+        assert s.utility.v_bar == float("-inf")
 
 
 class TestLineAnchoring:
@@ -449,6 +521,17 @@ class TestCliCommands:
         rows = json.loads((tmp_path / "pool.json").read_text())["members"]
         for row, eu in zip(rows, joint):
             assert row["standalone_eu"] == pytest.approx(eu, rel=1e-12, abs=0.0)
+
+    def test_coverage_scan_small_run(self):
+        proc = run_script("coverage_scan.py", "--sizes", "20", "--denom", "64")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1].split()[:2] == ["clopper_pearson", "20"]
+
+    def test_coverage_scan_rejects_a_bad_flag(self):
+        proc = run_script("coverage_scan.py", "--denom", "1")
+        assert proc.returncode == 2
+        assert "argument --denom: must lie in 2..1000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command,csv", [
         ("fig1", "fig1.csv"), ("example2", "example2_surface.csv")])
