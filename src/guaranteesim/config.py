@@ -505,8 +505,14 @@ def load_scenario(path: Optional[str]) -> Scenario:
     """Read and validate a scenario file; None loads the bundled default."""
     if path is None:
         return scenario_from_dict(default_scenario_dict())
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

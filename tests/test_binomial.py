@@ -2,9 +2,11 @@
 
 The frozen literals were computed through independent routes (rational
 arithmetic for pmfs, beta quantiles for the exact bounds, a reference
-normal ppf) and pasted here as constants. The closed-form Clopper-Pearson
-bounds are also checked against a bisection on the pmf-summed survival
-function, kept here as the reference implementation.
+normal ppf) and pasted here as constants. The Clopper-Pearson bounds are
+also checked against a bisection on the pmf-summed survival function,
+kept here as the reference implementation, and, where scipy is
+installed, the log-gamma table, the covered rule and the bound values
+against scipy.special.
 """
 
 import math
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guaranteesim import binomial
+from guaranteesim.config import TRIAL_LIMIT
 from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_pmf,
@@ -114,6 +117,11 @@ class TestPmf:
         k = x.draw(st.integers(0, n))
         assert binom_pmf(n, p, k) == pytest.approx(
             float(binom_pmf_vector(n, p)[k]), rel=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(40, 0.3), (13, 0.5), (1000, 0.013)])
+    def test_scalar_equals_vector_bit_for_bit(self, n, p):
+        vec = binom_pmf_vector(n, p)
+        assert [binom_pmf(n, p, x) for x in range(n + 1)] == vec.tolist()
 
     def test_survival_edges(self):
         assert _binom_survival(0, 12, 0.3) == 1.0
@@ -242,6 +250,12 @@ class TestWald:
         assert wald_lower(0, 50, 0.05) == 0.0
         assert wald_lower(50, 50, 0.05) == 1.0
 
+    @given(n=st.integers(1, 3000), a=st.floats(0.001, 0.999))
+    @settings(max_examples=60, deadline=None)
+    def test_vector_nondecreasing(self, n, a):
+        # LowerBoundProcedure.covered counts the bounds <= t by bisection
+        assert (np.diff(wald_lower_vector(n, a)) >= 0.0).all()
+
     @given(n=st.integers(2, 200), a=st.floats(0.01, 0.2))
     @settings(max_examples=30, deadline=None)
     def test_vector_in_unit_interval(self, n, a):
@@ -298,6 +312,58 @@ class TestCoverage:
         assert sup_false_positive(proc, 0.5) == value
         assert value == pytest.approx(CP_FP_10000, abs=1e-6)
         assert value == pytest.approx(exceedance_prob(proc, 0.5, 0.5), abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def special():
+    return pytest.importorskip("scipy.special")
+
+
+class TestScipyOracles:
+    """scipy.special, a test-only dependency, as an independent oracle."""
+
+    def test_log_gamma_table_is_gammaln(self, special):
+        # every Gamma argument k = 1..TRIAL_LIMIT + 1 a pmf can need
+        table = binomial._log_factorials(TRIAL_LIMIT)
+        assert np.array_equal(
+            table, special.gammaln(np.arange(1.0, TRIAL_LIMIT + 2.0)))
+
+    @pytest.mark.parametrize(
+        "n", [1, 12, 13, 40, 300, 999, 1000, 1001, 2000, 10_000])
+    def test_pmf_terms_are_gammaln(self, special, n):
+        xs = np.arange(n + 1)
+        want = (special.gammaln(n + 1) - special.gammaln(xs + 1)
+                - special.gammaln(n - xs + 1))
+        assert np.array_equal(binomial._pmf_terms(n)[0], want)
+
+    @pytest.mark.parametrize("ns", [range(1, 81), [300], [2000]],
+                             ids=["1-80", "300", "2000"])
+    def test_covered_rule_is_the_beta_quantile_rule(self, special, ns):
+        # the rule on the whole grid at once, through proc.covered on every
+        # 64th rate, and with the pmf at t computed by proc.covered itself
+        grid = probability_grid(1024, open_ends=False)
+        for n in ns:
+            pmf = binom_pmf_vector(n, grid)
+            tails = binomial._tails_from_top(pmf)
+            xs = np.arange(1, n + 1)
+            for a in (0.2, 0.05, 0.01, 0.001):
+                proc = LowerBoundProcedure("clopper_pearson", a, n)
+                quantiles = np.concatenate(
+                    [[0.0], special.betaincinv(xs, n - xs + 1, a)])
+                want = quantiles <= grid[:, None]
+                counts = (tails >= a).sum(axis=1)
+                assert np.array_equal(want, np.arange(n + 1) < counts[:, None])
+                for i in range(0, grid.size, 64):
+                    assert proc.covered(grid[i], pmf[i]) == counts[i]
+                    assert proc.covered(grid[i]) == counts[i]
+
+    @pytest.mark.parametrize("n", [*range(1, 81), 300, 2000])
+    def test_bound_values_are_beta_quantiles(self, special, n):
+        # n = 2000 takes only the level slowest to converge, at 0.5 s
+        xs = np.arange(n + 1)
+        for a in (0.001,) if n == 2000 else (0.2, 0.05, 0.01, 0.001):
+            want = np.where(xs > 0, special.betaincinv(xs, n - xs + 1, a), 0.0)
+            assert np.abs(clopper_pearson_lower_vector(n, a) - want).max() <= 1e-10
 
 
 class TestSupBelow:

@@ -224,6 +224,25 @@ class TestConfigMistakesExit2:
         assert rc == 2
         assert "unknown key 'mc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,content,message", [
+        ("absent.json", None, "No such file or directory"),
+        ("", None, "Is a directory"),
+        ("latin1.json", b'{"seed": "\xff"}',
+         "is not UTF-8 text: invalid start byte at byte 10"),
+    ], ids=["missing", "directory", "not_utf8"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, name, content,
+                                     message):
+        cfg = tmp_path / name
+        if content is not None:
+            cfg.write_bytes(content)
+        cfg = str(cfg)
+        rc = main(["example1", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ") and message in err
+        with pytest.raises(ConfigError):
+            load_scenario(cfg)
+
 
 NAN = float("nan")
 POOL_UTILITY = {"form": "cara", "risk_aversion": 0.1}
