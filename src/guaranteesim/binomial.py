@@ -56,17 +56,11 @@ def _check_law(n: int, p: float) -> None:
 
 
 def binom_pmf(n: int, p: float, x: int) -> float:
-    """Pr(X = x) for X ~ Binomial(n, p), computed in log space."""
+    """Pr(X = x) for X ~ Binomial(n, p): entry x of binom_pmf_vector."""
     _check_law(n, p)
     if not 0 <= x <= n:
         raise ValueError(f"count x={x} outside 0..{n}")
-    if p == 0.0:
-        return 1.0 if x == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if x == n else 0.0
-    logc = _pmf_terms(n)[0][x]
-    # np.exp, as in binom_pmf_vector: math.exp differs in the last bit
-    return float(np.exp(logc + x * math.log(p) + (n - x) * math.log1p(-p)))
+    return float(binom_pmf_vector(n, p)[x])
 
 
 # log sqrt(2 pi) and the Stirling-series correction of cephes lgam
@@ -186,53 +180,25 @@ def binom_pmf_reduce(n: int, p, fn):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Normal quantile: rational approximation plus one Newton refinement.
-
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _normal_quantile_approx(q: float) -> float:
-    if q < _P_LOW:
-        r = math.sqrt(-2.0 * math.log(q))
-        num = ((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5]
-        den = (((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0
-        return num / den
-    if q > 1.0 - _P_LOW:
-        r = math.sqrt(-2.0 * math.log(1.0 - q))
-        num = ((((_C[0] * r + _C[1]) * r + _C[2]) * r + _C[3]) * r + _C[4]) * r + _C[5]
-        den = (((_D[0] * r + _D[1]) * r + _D[2]) * r + _D[3]) * r + 1.0
-        return -num / den
-    u = q - 0.5
-    r = u * u
-    num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-    den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-    return num * u / den
-
-
 def normal_quantile(q: float) -> float:
-    """Inverse standard-normal cdf, |Phi(z) - q| <= 1e-9."""
+    """Inverse standard-normal cdf: the smallest double z with normal_cdf(z)
+    >= q, by bisection on normal_cdf (0 at -40, 1 at 40) until the bracket
+    holds adjacent doubles."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie strictly in (0,1), got {q}")
-    z = _normal_quantile_approx(q)
-    # one Newton step against the erfc-based cdf tightens the rational
-    # approximation from ~1e-9 relative to near machine precision
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= (normal_cdf(z) - q) / pdf
-    return z
+    lo, hi = -40.0, 40.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if normal_cdf(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
 
 
 # ---------------------------------------------------------------------------
@@ -316,18 +282,14 @@ def _check_cp_args(x: int, n: int, alpha_prime: float) -> None:
 
 
 def wald_lower(x: int, n: int, alpha_prime: float) -> float:
-    """Normal-approximation lower bound, clamped to [0,1].
-
-    x in {0, n} gives zero standard error, hence the raw point estimate.
-    """
+    """Normal-approximation lower bound: entry x of wald_lower_vector."""
     _check_cp_args(x, n, alpha_prime)
-    phat = x / n
-    z = normal_quantile(1.0 - alpha_prime)
-    bound = phat - z * math.sqrt(phat * (1.0 - phat) / n)
-    return min(1.0, max(0.0, bound))
+    return float(wald_lower_vector(n, alpha_prime)[x])
 
 
 def wald_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
+    """Wald bounds for every x = 0..n, clamped to [0,1]; x in {0, n} has
+    zero standard error, hence the raw point estimate."""
     phat = np.arange(n + 1) / n
     z = normal_quantile(1.0 - alpha_prime)
     bound = phat - z * np.sqrt(phat * (1.0 - phat) / n)
@@ -435,12 +397,12 @@ class CoverageReport:
         return float(self.p_grid[int(self.coverage.argmin())])
 
 
-def coverage_report(proc, p_grid) -> CoverageReport:
+def coverage_report(proc: LowerBoundProcedure, p_grid) -> CoverageReport:
     grid = np.asarray(p_grid, dtype=float)
     cov = np.array([exact_lower_coverage(proc, p) for p in grid])
     return CoverageReport(
-        kind=getattr(proc, "kind", "custom"),
-        nominal_alpha=getattr(proc, "nominal_alpha", float("nan")),
+        kind=proc.kind,
+        nominal_alpha=proc.nominal_alpha,
         n=proc.n,
         p_grid=grid,
         coverage=cov,

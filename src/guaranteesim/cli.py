@@ -45,10 +45,7 @@ from .economics import BenefitFunction, CostSchedule, PolicyEconomics
 from .reproduce import evaluate_anchors
 from .researcher import pool_expected_utility, publication_rate_conditions
 from .strategies import (
-    FraudulentStrategy,
     MixtureBelief,
-    SelectiveStrategy,
-    TruthfulStrategy,
     actual_fp_curve,
     calibrate_conditioning,
     fraud_mixture_fp,
@@ -117,15 +114,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _pub_prob_fn(scenario: Scenario, p0: float):
-    strat = scenario.strategy
-    if isinstance(strat, SelectiveStrategy):
-        return lambda p: strat.exceedance_prob(p, p0, p0)
-    if isinstance(strat, (TruthfulStrategy, FraudulentStrategy)):
-        return lambda p: strat.exceedance_prob(p, p0)
-    raise TypeError(f"unknown strategy {strat!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +274,6 @@ def cmd_contract(scenario: Scenario, args) -> int:
 def cmd_researcher(scenario: Scenario, args) -> int:
     econ = scenario.economics
     policy = scenario.policy()
-    pub = _pub_prob_fn(scenario, policy.p0)
     probe = policy.p0 + 0.5 * (1.0 - policy.p0)
     if scenario.contract is None:
         decision = decide_no_guarantee(probe, policy, econ)
@@ -297,9 +284,10 @@ def cmd_researcher(scenario: Scenario, args) -> int:
         print(f"note: implementer would decline; reporting at full scale {m}")
     p_grid = np.linspace(0.05, 0.95, 19)
     # one pass over the worlds serves both reports
-    conds = publication_rate_conditions(pub, scenario.risk_strategy,
-                                        scenario.researcher_payoff,
-                                        scenario.utility, econ, m, p_grid)
+    conds = publication_rate_conditions(
+        lambda p: scenario.strategy.exceedance_prob(p, policy.p0),
+        scenario.risk_strategy, scenario.researcher_payoff, scenario.utility,
+        econ, m, p_grid)
     part = conds.participation()
     out = _out_dir(args)
     part_path = out / "researcher_participation.csv"

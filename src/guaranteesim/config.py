@@ -25,7 +25,12 @@ from .contracts import (
     TailGuarantee,
 )
 from .decisions import AlphaSchedule, ImplementerPolicy
-from .economics import BenefitFunction, CostSchedule, PolicyEconomics
+from .economics import (
+    BenefitFunction,
+    CostSchedule,
+    NoBreakEvenError,
+    PolicyEconomics,
+)
 from .researcher import (
     ImplValue,
     NoiseSpec,
@@ -439,7 +444,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                           "belief.conditioning")
     policy = _block(merged, "policy", "", {"u_bar", "alpha_belief", "p0"})
     procedure = _procedure(merged)
-    return Scenario(
+    scenario = Scenario(
         seed=_get(merged, "seed", "", int, check=_between(0, 2 ** 64 - 1)),
         economics=_economics(merged),
         procedure=procedure,
@@ -456,6 +461,23 @@ def scenario_from_dict(data: dict) -> Scenario:
         pool=_pool(merged),
         grids=_grids(merged),
     )
+    _check_guesses(scenario)
+    return scenario
+
+
+def _check_guesses(scenario: Scenario) -> None:
+    """A fraudulent strategy's guesses p0 +- guess_spread lie in [0,1], for
+    the p0 every command reads: policy.p0, else the break-even rate."""
+    if not isinstance(scenario.strategy, FraudulentStrategy):
+        return
+    p0 = scenario.policy_p0
+    if p0 is None:
+        try:
+            p0 = scenario.economics.break_even_success_rate()
+        except NoBreakEvenError:
+            return
+    with _at("strategy.guess_spread"):
+        scenario.strategy.check_threshold(p0)
 
 
 def _line_of_key(raw: str, key_path: str) -> Optional[int]:

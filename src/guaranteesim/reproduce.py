@@ -19,7 +19,7 @@ import numpy as np
 
 from .binomial import (
     LowerBoundProcedure,
-    exact_lower_coverage,
+    coverage_report,
     probability_grid,
     sup_below,
     terms_value,
@@ -122,16 +122,13 @@ def evaluate_anchors(seed: int = 20260819, sup_base_denom: int = 512,
 
     # 5: coverage properties at n=300
     cov_grid = probability_grid(coverage_denom, open_ends=True)
-    cp_ok = True
-    cp_worst = 1.0
-    for alpha in (0.2, 0.1, 0.05, 0.025, 0.01):
-        proc = LowerBoundProcedure("clopper_pearson", alpha, 300)
-        margin = min(exact_lower_coverage(proc, p) - (1.0 - alpha)
-                     for p in cov_grid)
-        cp_worst = min(cp_worst, margin)
-        cp_ok = cp_ok and margin >= -1e-9
-    wald_proc = LowerBoundProcedure("wald", 0.05, 300)
-    wald_min = min(exact_lower_coverage(wald_proc, p) for p in cov_grid)
+    cp_worst = min(
+        coverage_report(LowerBoundProcedure("clopper_pearson", alpha, 300),
+                        cov_grid).min_coverage - (1.0 - alpha)
+        for alpha in (0.2, 0.1, 0.05, 0.025, 0.01))
+    cp_ok = cp_worst >= -1e-9
+    wald_min = coverage_report(LowerBoundProcedure("wald", 0.05, 300),
+                               cov_grid).min_coverage
     rows.append(_row(
         "5", "exact coverage floor and approximate-bound witness",
         "CP margin >= 0; Wald witness < 0.95",
@@ -205,7 +202,7 @@ def _strategy_suite_bound():
                                guess_spread=0.05)
     sel = SelectiveStrategy(n=n, alpha_prime=alpha)
     suite = (cp.exceedance_terms(p0), wald.exceedance_terms(p0),
-             fraud.exceedance_terms(p0), sel.exceedance_terms(p0, p0))
+             fraud.exceedance_terms(p0), sel.exceedance_terms(p0))
     grid = probability_grid(64, lo=0.0, hi=p0)
     ok = True
     worst = float("inf")

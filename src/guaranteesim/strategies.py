@@ -8,7 +8,10 @@ Three reporting behaviors feed the implementer's decision rule:
 * selective: run a two-arm comparison first, publish a Wald lower bound
   for the treatment arm only on rejection, otherwise stay silent.
 
-The implementer sees a bound without knowing which behavior produced it.
+The implementer sees a bound without knowing which behavior produced it,
+and reads it against one threshold: every strategy states its exceedance
+as exceedance_prob(p, threshold) and exceedance_terms(threshold), and the
+selective gate's control rate is that threshold.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -110,7 +112,7 @@ class FraudulentStrategy:
         if self.guess_spread <= 0.0:
             raise ValueError(f"guess spread must be positive, got {self.guess_spread}")
 
-    def _check_threshold(self, threshold: float) -> None:
+    def check_threshold(self, threshold: float) -> None:
         if threshold - self.guess_spread < 0.0 or threshold + self.guess_spread > 1.0:
             raise ValueError(
                 f"guesses {threshold}+-{self.guess_spread} leave [0,1]")
@@ -121,14 +123,14 @@ class FraudulentStrategy:
     def exceedance_terms(self, threshold: float) -> list:
         """0.5 + 0.5 * honest exceedance: the high guess always clears the
         threshold, the low guess leaves the honest bound in charge."""
-        self._check_threshold(threshold)
+        self.check_threshold(threshold)
         (_, exceed, ones), = exceedance_terms(self.procedure, threshold)
         return [(0.5, ones, ones), (0.5, exceed, ones)]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
                size: int) -> np.ndarray:
         """size published bounds; all guesses are drawn before the outcomes."""
-        self._check_threshold(threshold)
+        self.check_threshold(threshold)
         guesses = threshold + self.guess_spread * np.where(
             rng.random(size) < 0.5, 1.0, -1.0)
         xs = rng.binomial(self.procedure.n, p, size)
@@ -197,9 +199,9 @@ def _rct_rejects(thr: np.ndarray, x_c, x_t):
 
 
 @lru_cache(maxsize=64)
-def _rct_control_weights(n: int, alpha_prime: float, p_control: float,
-                         threshold: float):
-    """Control-arm averages of the rejection and publish-and-clear events.
+def _rct_control_weights(n: int, alpha_prime: float, p_control: float):
+    """Control-arm averages of the rejection and publish-and-clear events,
+    where a published bound clears when it exceeds the control rate.
 
     Returns vectors over x_treatment, so each treatment-arm law costs one
     dot product. Pr(reject | x_treatment) sums the control weights of the
@@ -212,7 +214,7 @@ def _rct_control_weights(n: int, alpha_prime: float, p_control: float,
         np.bincount(thr, weights=w_control, minlength=n + 2)[:n + 1])
     if thr[n] <= n:  # the pair (n, n) sits in row n's suffix but never rejects
         reject_given_t[n] -= w_control[n]
-    clear_given_t = np.where(wald > threshold, reject_given_t, 0.0)
+    clear_given_t = np.where(wald > p_control, reject_given_t, 0.0)
     reject_given_t.setflags(write=False)
     clear_given_t.setflags(write=False)
     return reject_given_t, clear_given_t
@@ -223,31 +225,15 @@ def rct_reject_prob(p, p_control: float, n: int, alpha_prime: float):
 
     p may be an array of treatment rates; p_control is one rate.
     """
-    _check_prob(p, "treatment probability")
-    _check_prob(p_control, "control probability")
-    reject_given_t, _ = _rct_control_weights(n, alpha_prime, p_control, p_control)
+    reject_given_t, _ = _rct_control_weights(n, alpha_prime, p_control)
     return binom_pmf_reduce(n, p, lambda pmf: pmf @ reject_given_t)
 
 
-def rct_publish_and_clear_prob(p, p_control: float, n: int,
-                               alpha_prime: float,
-                               threshold: Optional[float] = None):
-    """Exact Pr(reject AND published Wald bound > threshold).
-
-    threshold defaults to the control rate, the natural decision cutoff.
-    p may be an array of treatment rates.
-    """
-    _check_prob(p, "treatment probability")
-    _check_prob(p_control, "control probability")
-    thr = p_control if threshold is None else threshold
-    _, clear_given_t = _rct_control_weights(n, alpha_prime, p_control, thr)
+def rct_publish_and_clear_prob(p, p_control: float, n: int, alpha_prime: float):
+    """Exact Pr(reject AND published Wald bound > p_control); p may be an
+    array of treatment rates."""
+    _, clear_given_t = _rct_control_weights(n, alpha_prime, p_control)
     return binom_pmf_reduce(n, p, lambda pmf: pmf @ clear_given_t)
-
-
-def _check_prob(value, label: str) -> None:
-    v = np.asarray(value)
-    if not ((v >= 0.0) & (v <= 1.0)).all():
-        raise ValueError(f"{label} must lie in [0,1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -263,16 +249,13 @@ class SelectiveStrategy:
     def reject_prob(self, p: float, p_control: float) -> float:
         return rct_reject_prob(p, p_control, self.n, self.alpha_prime)
 
-    def exceedance_prob(self, p: float, p_control: float,
-                        threshold: Optional[float] = None) -> float:
-        """Pr(published AND bound > threshold); silence never exceeds."""
-        return rct_publish_and_clear_prob(
-            p, p_control, self.n, self.alpha_prime, threshold)
+    def exceedance_prob(self, p: float, threshold: float) -> float:
+        """Pr(published AND bound > threshold), the control arm running at
+        the threshold; silence never exceeds."""
+        return rct_publish_and_clear_prob(p, threshold, self.n, self.alpha_prime)
 
-    def exceedance_terms(self, p_control: float,
-                         threshold: Optional[float] = None) -> list:
-        thr = p_control if threshold is None else threshold
-        _, clear = _rct_control_weights(self.n, self.alpha_prime, p_control, thr)
+    def exceedance_terms(self, threshold: float) -> list:
+        _, clear = _rct_control_weights(self.n, self.alpha_prime, threshold)
         return [(1.0, clear, np.ones(self.n + 1))]
 
     def sample(self, p: float, p_control: float, rng: np.random.Generator,
@@ -305,11 +288,6 @@ class MixtureBelief:
                 f"got {self.conditioning!r}")
 
 
-@lru_cache(maxsize=64)
-def _truthful_proc(n: int, alpha_prime: float) -> LowerBoundProcedure:
-    return LowerBoundProcedure("clopper_pearson", alpha_prime, n)
-
-
 def mixture_terms(p_control: float, n: int, alpha_prime: float,
                   belief: MixtureBelief) -> list:
     """Pr(published bound > control rate) as terms (w, num, den) over x_t.
@@ -327,11 +305,11 @@ def mixture_terms(p_control: float, n: int, alpha_prime: float,
       mixed publication probabilities.
     """
     pi = belief.untruthful_weight
-    (_, truth, ones), = exceedance_terms(_truthful_proc(n, alpha_prime),
-                                         p_control)
+    (_, truth, ones), = exceedance_terms(
+        LowerBoundProcedure("clopper_pearson", alpha_prime, n), p_control)
     if pi == 0.0:
         return [(1.0, truth, ones)]
-    reject, clear = _rct_control_weights(n, alpha_prime, p_control, p_control)
+    reject, clear = _rct_control_weights(n, alpha_prime, p_control)
     if belief.conditioning == "joint_unconditional":
         return [(pi, clear, ones), (1.0 - pi, truth, ones)]
     if belief.conditioning == "fixed_given_published":

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guaranteesim import binomial
-from guaranteesim.config import TRIAL_LIMIT
+from guaranteesim.config import TRIAL_LIMIT, GridSpec
 from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_pmf,
@@ -183,6 +183,12 @@ class TestNormalQuantile:
         for q in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 normal_quantile(q)
+
+    @pytest.mark.parametrize("q", [1.0 - a for a in GridSpec.alpha_levels]
+                             + [1e-6, 0.5, 1.0 - 1e-6])
+    def test_smallest_double_reaching_q(self, q):
+        z = normal_quantile(q)
+        assert normal_cdf(z) >= q > normal_cdf(np.nextafter(z, -np.inf))
 
 
 class TestClopperPearson:

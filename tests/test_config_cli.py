@@ -205,9 +205,11 @@ class TestConfigMistakesExit2:
         ("pool", {"pool": {"iid": POOL_IID, "utility": {
             "form": "cara", "risk_aversion": 0.1},
             "shares": [[0.5, 0.4], [0.5, 0.5]]}}, "pool.shares", '"shares"'),
+        ("researcher", {"strategy": {"variant": "fraudulent", "guess_spread": 0.5}},
+         "strategy.guess_spread", '"guess_spread"'),
     ], ids=["refine_denom", "base_denom", "alpha_levels", "seed", "cara_zero",
             "pool_probs", "nested_k", "member_index", "u_bar_positive",
-            "p0_above_one", "alpha_belief", "share_rows"])
+            "p0_above_one", "alpha_belief", "share_rows", "guess_spread"])
     def test_exit_2_with_key_path_and_line(self, tmp_path, capsys, command,
                                            edit, key_path, line_of):
         cfg = write_config(tmp_path, edit)
@@ -499,6 +501,25 @@ class TestCliCommands:
         assert summary["scale"] == 20
         assert summary["v_bar"] == -6.0
         assert isinstance(summary["participates"], bool)
+
+    @pytest.mark.parametrize("strategy", [
+        {"variant": "selective", "n_per_arm": 60, "alpha": 0.05},
+        {"variant": "fraudulent", "guess_spread": 0.05},
+    ], ids=["selective", "fraudulent"])
+    def test_researcher_actual_is_the_strategys_exceedance(self, tmp_path,
+                                                           capsys, strategy):
+        # every strategy is read at the policy threshold through one call
+        cfg = write_config(tmp_path, {"strategy": strategy})
+        assert main(["researcher", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        scenario = load_scenario(cfg)
+        p0 = scenario.policy().p0
+        _, _, rows = read_csv(tmp_path / "researcher_conditions.csv")
+        assert len(rows) == 19
+        for row in rows:
+            assert float(row["actual"]) == scenario.strategy.exceedance_prob(
+                float(row["p"]), p0)
 
     def test_researcher_builds_each_world_once(self, tmp_path, capsys,
                                                monkeypatch):
