@@ -28,6 +28,7 @@ __all__ = [
     "binom_pmf",
     "binom_pmf_vector",
     "binom_pmf_reduce",
+    "binom_draws",
     "normal_cdf",
     "normal_quantile",
     "clopper_pearson_lower",
@@ -141,7 +142,13 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
         raise ValueError(f"need at least one trial, got n={n}")
     if not ((rates >= 0.0) & (rates <= 1.0)).all():
         raise ValueError(f"success probabilities must lie in [0,1], got {rates}")
-    logc, xs, rest = _pmf_terms(n)
+    return _pmf_columns(n, rates, 0)
+
+
+def _pmf_columns(n: int, rates: np.ndarray, first: int) -> np.ndarray:
+    """Columns x = first..n of binom_pmf_vector(n, rates), bit for bit:
+    each cell is computed on its own, so dropping columns changes none."""
+    logc, xs, rest = (t[first:] for t in _pmf_terms(n))
     inner = np.where((rates > 0.0) & (rates < 1.0), rates, 0.5)
     # math's logs, as in the scalar route: np.log can differ in the last
     # bit, and x * log(p) carries that into the pmf n-fold
@@ -154,8 +161,30 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
     for edge, x in ((0.0, 0), (1.0, n)):
         rows = rates == edge
         out[rows] = 0.0
-        out[rows, x] = 1.0
+        if x >= first:
+            out[rows, x - first] = 1.0
     return out
+
+
+def binom_draws(n: int, p: float, rng: np.random.Generator,
+                size: int) -> np.ndarray:
+    """size counts from Binomial(n, p), by inversion of the exact cdf.
+
+    One rng.random uniform per count, looked up in the cumulative sum of
+    binom_pmf_vector (Devroye 1986, section III.2); p > 1/2 draws n - X
+    at 1 - p. This is the inversion numpy's Generator.binomial runs when
+    n * min(p, 1 - p) <= 30, so there the counts equal rng.binomial's on
+    the same stream for 0 < p < 1; beyond that numpy switches to BTPE
+    (Kachitvichyanukul & Schmeiser 1988) and only the law agrees. The cdf
+    is divided by its last entry, so it ends at exactly 1 and every count
+    lies in 0..n: the rounding of the sum, 2.4e-10 short of 1 at n = 10**6,
+    would otherwise all land on the count n.
+    """
+    if p > 0.5:
+        return n - binom_draws(n, 1.0 - p, rng, size)
+    cdf = np.cumsum(binom_pmf_vector(n, p))
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 # Largest pmf matrix binom_pmf_reduce builds at once, in cells.
@@ -245,24 +274,27 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
     bracket [lo, hi] of the root bisects it instead. It starts from the
     Wilson score bound and stops after a round of Newton steps below 1e-10
     relative, whose quadratic convergence leaves only the rounding of the
-    tail. Counts are taken in blocks of at most _PMF_CELLS pmf cells.
+    tail. Counts are taken in blocks of at most _PMF_CELLS pmf cells, and
+    a block's pmf holds only the columns x.min()..n its tails read: they
+    are summed from x = n down, so the cut leaves them bit for bit.
     """
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
     block = max(1, _PMF_CELLS // (n + 1))
     for i in range(0, xs.size, block):
         x = xs[i:i + block]
+        first = int(x.min())
         rows = np.arange(x.size)
         lo, hi = np.zeros(x.size), np.ones(x.size)
         wilson = (x + 0.5 * z * z
                   - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
         p = np.where(wilson > 0.0, wilson, x / n)
         for _ in range(_CP_STEPS):
-            pmf = binom_pmf_vector(n, p)
+            pmf = _pmf_columns(n, p, first)
             gap = _tails_from_top(pmf)[rows, n - x] - alpha_prime
             lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
             with np.errstate(all="ignore"):
-                step = gap * p / (x * pmf[rows, x])
+                step = gap * p / (x * pmf[rows, x - first])
             newton = p - step
             if (np.abs(step) <= 1e-10 * p).all():
                 p = np.clip(newton, lo, hi)

@@ -276,30 +276,32 @@ def _pooling_properties():
 def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     checks = []
 
+    # estimates 1 and 5 and the reruns draw with numpy's rng.binomial, so
+    # one path of the gate shares no code with binom_pmf_vector
     exact1 = 20 * 0.3
     est1 = mc_estimate(lambda rng, k: rng.binomial(20, 0.3, size=k).astype(float),
                        1_000_000, SeededStream(seed, 101))
     checks.append((exact1, est1))
 
-    # estimates 2-4 draw from the strategies' own samplers
+    # estimates 2-4 draw from the strategies' own samplers: (strategy,
+    # rate, threshold, event on the published bounds, its exact rate)
     sel = SelectiveStrategy(n=40, alpha_prime=0.1)
-    exact2 = sel.reject_prob(0.45, 0.5)
-    est2 = mc_estimate(
-        lambda rng, k: ~np.isnan(sel.sample(0.45, 0.5, rng, k)),
-        1_000_000, SeededStream(seed, 102))
-    checks.append((exact2, est2))
-
-    exact3 = sel.exceedance_prob(0.45, 0.5)
-    est3 = mc_estimate(lambda rng, k: sel.sample(0.45, 0.5, rng, k) > 0.5,
-                       1_000_000, SeededStream(seed, 103))
-    checks.append((exact3, est3))
-
     fraud = FraudulentStrategy(LowerBoundProcedure("clopper_pearson", 0.05, 40),
                                guess_spread=0.05)
-    exact4 = fraud.exceedance_prob(0.3, 0.4)
-    est4 = mc_estimate(lambda rng, k: fraud.sample(0.3, 0.4, rng, k) > 0.4,
-                       1_000_000, SeededStream(seed, 104))
-    checks.append((exact4, est4))
+
+    def published(bounds, t):
+        return ~np.isnan(bounds)
+
+    def clears(bounds, t):
+        return bounds > t
+
+    suite = ((sel, 0.45, 0.5, published, sel.reject_prob),
+             (sel, 0.45, 0.5, clears, sel.exceedance_prob),
+             (fraud, 0.3, 0.4, clears, fraud.exceedance_prob))
+    for stream_id, (strat, p, t, event, exact) in enumerate(suite, 102):
+        est = mc_estimate(lambda rng, k: event(strat.sample(p, t, rng, k), t),
+                          1_000_000, SeededStream(seed, stream_id))
+        checks.append((exact(p, t), est))
 
     tail = TailGuarantee(-5.0)
     exact5 = enumerate_outcomes(

@@ -10,8 +10,10 @@ Three reporting behaviors feed the implementer's decision rule:
 
 The implementer sees a bound without knowing which behavior produced it,
 and reads it against one threshold: every strategy states its exceedance
-as exceedance_prob(p, threshold) and exceedance_terms(threshold), and the
-selective gate's control rate is that threshold.
+as exceedance_prob(p, threshold) and exceedance_terms(threshold), draws
+published bounds with sample(p, threshold, rng, size), and the selective
+gate's control rate is that threshold. Samplers draw counts with
+binomial.binom_draws, by inversion of the exact pmf.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
@@ -30,6 +32,7 @@ import numpy as np
 
 from .binomial import (
     LowerBoundProcedure,
+    binom_draws,
     binom_pmf_reduce,
     binom_pmf_vector,
     exceedance_prob,
@@ -92,9 +95,11 @@ class TruthfulStrategy:
     def exceedance_terms(self, threshold: float) -> list:
         return exceedance_terms(self.procedure, threshold)
 
-    def sample(self, p: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        """size published bounds drawn at true success rate p."""
-        return self.procedure.bounds[rng.binomial(self.procedure.n, p, size)]
+    def sample(self, p: float, threshold: float, rng: np.random.Generator,
+               size: int) -> np.ndarray:
+        """size published bounds drawn at true success rate p; the honest
+        bound does not depend on the threshold."""
+        return self.procedure.bounds[binom_draws(self.procedure.n, p, rng, size)]
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ class FraudulentStrategy:
         self.check_threshold(threshold)
         guesses = threshold + self.guess_spread * np.where(
             rng.random(size) < 0.5, 1.0, -1.0)
-        xs = rng.binomial(self.procedure.n, p, size)
+        xs = binom_draws(self.procedure.n, p, rng, size)
         return np.maximum(self.procedure.bounds[xs], guesses)
 
 
@@ -258,15 +263,16 @@ class SelectiveStrategy:
         _, clear = _rct_control_weights(self.n, self.alpha_prime, threshold)
         return [(1.0, clear, np.ones(self.n + 1))]
 
-    def sample(self, p: float, p_control: float, rng: np.random.Generator,
+    def sample(self, p: float, threshold: float, rng: np.random.Generator,
                size: int) -> np.ndarray:
-        """size published Wald bounds, NaN where the gate stays silent.
+        """size published Wald bounds, NaN where the gate stays silent; the
+        control arm runs at the threshold, as in exceedance_prob.
 
         All control arms are drawn before the treatment arms.
         """
         thr, wald = _rct_tables(self.n, self.alpha_prime)
-        x_c = rng.binomial(self.n, p_control, size)
-        x_t = rng.binomial(self.n, p, size)
+        x_c = binom_draws(self.n, threshold, rng, size)
+        x_t = binom_draws(self.n, p, rng, size)
         return np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan)
 
 

@@ -147,3 +147,16 @@ def test_criterion_10(anchors, tmp_path, capsys):
     second = (tmp_path / "b" / "coverage_wald_n40_a0.05.csv").read_bytes()
     assert first == second
     assert rows["10"].passed
+
+
+def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):
+    # every strategy count drawn at p + 0.01 instead of p: anchor 10's
+    # checks against the exact rates must go red
+    from guaranteesim import reproduce, strategies
+    real = strategies.binom_draws
+    monkeypatch.setattr(strategies, "binom_draws",
+                        lambda n, p, rng, size: real(n, p + 0.01, rng, size))
+    econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
+                              BenefitFunction.linear(2.5))
+    ok, detail = reproduce._infrastructure_properties(20260819, econ_20)
+    assert not ok, detail

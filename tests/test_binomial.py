@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from guaranteesim import binomial
 from guaranteesim.config import TRIAL_LIMIT, GridSpec
+from guaranteesim.simulate import SeededStream
 from guaranteesim.binomial import (
     LowerBoundProcedure,
+    binom_draws,
     binom_pmf,
     binom_pmf_reduce,
     binom_pmf_vector,
@@ -162,6 +164,87 @@ class TestPmf:
             binom_pmf(5, 0.5, 9)
 
 
+def _cp_roots_full(n, alpha_prime, xs):
+    """binomial._cp_roots as it was before the column cut: every Newton
+    step builds the full (rows, n+1) pmf matrix."""
+    z = normal_quantile(1.0 - alpha_prime)
+    out = np.empty(xs.size)
+    block = max(1, binomial._PMF_CELLS // (n + 1))
+    for i in range(0, xs.size, block):
+        x = xs[i:i + block]
+        rows = np.arange(x.size)
+        lo, hi = np.zeros(x.size), np.ones(x.size)
+        wilson = (x + 0.5 * z * z
+                  - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
+        p = np.where(wilson > 0.0, wilson, x / n)
+        for _ in range(binomial._CP_STEPS):
+            pmf = binom_pmf_vector(n, p)
+            gap = binomial._tails_from_top(pmf)[rows, n - x] - alpha_prime
+            lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
+            with np.errstate(all="ignore"):
+                step = gap * p / (x * pmf[rows, x])
+            newton = p - step
+            if (np.abs(step) <= 1e-10 * p).all():
+                p = np.clip(newton, lo, hi)
+                break
+            p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        out[i:i + block] = p
+    return out
+
+
+class TestBinomDraws:
+    @pytest.mark.parametrize("n,p,seed", [
+        (1, 0.3, 1), (5, 0.5, 2), (12, 0.9, 3), (20, 0.05, 4), (40, 0.45, 5),
+        (40, 0.75, 6), (60, 0.5, 7), (100, 0.2, 8), (300, 0.09, 9),
+        (300, 0.97, 10), (1000, 0.02, 11),
+    ])
+    def test_equals_numpy_where_numpy_inverts(self, n, p, seed):
+        # n * min(p, 1 - p) <= 30: Generator.binomial inverts the cdf with
+        # one uniform per count, flipping p > 1/2 the same way
+        assert n * min(p, 1.0 - p) <= 30.0
+        ours = SeededStream(seed, 0).generator()
+        theirs = SeededStream(seed, 0).generator()
+        assert np.array_equal(binom_draws(n, p, ours, 100_000),
+                              theirs.binomial(n, p, 100_000))
+        assert ours.random() == theirs.random()  # the streams stay in step
+
+    def test_degenerate_rates(self):
+        rng = SeededStream(3, 0).generator()
+        assert (binom_draws(17, 0.0, rng, 1000) == 0).all()
+        assert (binom_draws(17, 1.0, rng, 1000) == 17).all()
+
+    @pytest.mark.parametrize("n,p", [(1, 0.5), (7, 1e-9), (40, 0.3),
+                                     (40, 0.999999), (2000, 0.3)])
+    def test_integer_counts_in_range(self, n, p):
+        draws = binom_draws(n, p, SeededStream(4, 0).generator(), 50_000)
+        assert np.issubdtype(draws.dtype, np.integer)
+        assert draws.shape == (50_000,)
+        assert draws.min() >= 0 and draws.max() <= n
+
+    def test_top_uniform_stays_in_the_tail(self):
+        # at n = 10**6 the summed pmf falls 2.4e-10 short of 1; the largest
+        # uniform below 1 must still map into the upper tail, not onto n
+        class TopUniform:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        n, p = 10**6, 0.3
+        top = int(binom_draws(n, p, TopUniform(), 1)[0])
+        assert n * p < top < n * p + 20.0 * math.sqrt(n * p * (1.0 - p))
+        assert int(binom_draws(n, 1.0 - p, TopUniform(), 1)[0]) == n - top
+
+    def test_law_where_numpy_uses_btpe(self):
+        # n * p = 600: numpy draws by BTPE, so only the law can agree
+        n, p, size = 2000, 0.3, 1_000_000
+        draws = binom_draws(n, p, SeededStream(5, 0).generator(), size)
+        pmf = binom_pmf_vector(n, p)
+        assert abs(draws.mean() - n * p) <= 4.0 * math.sqrt(n * p * (1 - p) / size)
+        freq = np.bincount(draws, minlength=n + 1) / size
+        for x in range(598, 603):
+            se = math.sqrt(pmf[x] * (1.0 - pmf[x]) / size)
+            assert abs(freq[x] - pmf[x]) <= 4.0 * se
+
+
 class TestNormalQuantile:
     @pytest.mark.parametrize("q,z", [(0.95, Z_95), (0.975, Z_975),
                                      (0.99, Z_99), (0.8, Z_80), (0.5, 0.0)])
@@ -228,6 +311,14 @@ class TestClopperPearson:
             vec = clopper_pearson_lower_vector(n, a)
             for x in xs:
                 assert abs(vec[x] - _cp_lower_bisect(x, n, a)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
+    def test_column_cut_keeps_bounds_bit_for_bit(self, n):
+        # blocks of counts build pmf columns x.min()..n only; the tails
+        # are summed from the top, so no bound moves by a bit
+        for a in (0.2, 0.05, 0.001):
+            vec = clopper_pearson_lower_vector(n, a)
+            assert np.array_equal(vec[1:n], _cp_roots_full(n, a, np.arange(1, n)))
 
     def test_defining_equation(self):
         # the bound solves Pr(X >= x | p) = alpha'

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from guaranteesim.binomial import (
     LowerBoundProcedure,
+    binom_draws,
     binom_pmf_vector,
     normal_quantile,
     probability_grid,
@@ -161,9 +162,12 @@ class TestIndividualStrategies:
         for p in (0.2, 0.4):
             assert 0.0 <= strat.exceedance_prob(p, 0.4) <= 1.0
         rng = SeededStream(5, 0).generator()
-        published = strat.sample(0.3, rng, 50)
+        published = strat.sample(0.3, 0.4, rng, 50)
         assert published.shape == (50,)
         assert set(published.tolist()) <= set(proc.bounds.tolist())
+        # the honest bound ignores the threshold
+        again = strat.sample(0.3, 0.9, SeededStream(5, 0).generator(), 50)
+        assert np.array_equal(published, again)
 
     def test_fraudulent_shifts_by_half(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 40)
@@ -190,9 +194,9 @@ class TestIndividualStrategies:
     CP40 = LowerBoundProcedure("clopper_pearson", 0.05, 40)
 
     @pytest.mark.parametrize("strat,args,event,exact", [
-        (TruthfulStrategy(CP40), (0.5,), lambda b: b > 0.4,
+        (TruthfulStrategy(CP40), (0.5, 0.4), lambda b: b > 0.4,
          lambda s: s.exceedance_prob(0.5, 0.4)),
-        (TruthfulStrategy(LowerBoundProcedure("wald", 0.1, 60)), (0.45,),
+        (TruthfulStrategy(LowerBoundProcedure("wald", 0.1, 60)), (0.45, 0.4),
          lambda b: b > 0.4, lambda s: s.exceedance_prob(0.45, 0.4)),
         (FraudulentStrategy(CP40, 0.05), (0.3, 0.4), lambda b: b > 0.4,
          lambda s: s.exceedance_prob(0.3, 0.4)),
@@ -212,19 +216,21 @@ class TestIndividualStrategies:
 
     def test_sample_draw_order(self):
         # fraud draws every guess before the outcomes; selective draws the
-        # control arm before the treatment arm
+        # control arm before the treatment arm; counts come from binom_draws
         fraud = FraudulentStrategy(self.CP40, 0.05)
         got = fraud.sample(0.3, 0.4, SeededStream(3, 0).generator(), 100)
         rng = SeededStream(3, 0).generator()
         guesses = np.where(rng.random(100) < 0.5, 0.45, 0.35)
-        want = np.maximum(self.CP40.bounds[rng.binomial(40, 0.3, 100)], guesses)
+        want = np.maximum(self.CP40.bounds[binom_draws(40, 0.3, rng, 100)],
+                          guesses)
         assert np.allclose(got, want, rtol=0.0, atol=1e-15)
         sel = SelectiveStrategy(40, 0.1)
         got = sel.sample(0.45, 0.5, SeededStream(4, 0).generator(), 100)
         reject = _dense_reject(40, 0.1)
         _, wald = _rct_tables(40, 0.1)
         rng = SeededStream(4, 0).generator()
-        x_c, x_t = rng.binomial(40, 0.5, 100), rng.binomial(40, 0.45, 100)
+        x_c = binom_draws(40, 0.5, rng, 100)
+        x_t = binom_draws(40, 0.45, rng, 100)
         want = np.where(reject[x_c, x_t], wald[x_t], np.nan)
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -313,7 +319,8 @@ class TestRctEnumeration:
         got = SelectiveStrategy(n, a).sample(
             p, p_c, SeededStream(31, 0).generator(), 5000)
         rng = SeededStream(31, 0).generator()
-        x_c, x_t = rng.binomial(n, p_c, 5000), rng.binomial(n, p, 5000)
+        x_c = binom_draws(n, p_c, rng, 5000)
+        x_t = binom_draws(n, p, rng, 5000)
         _, wald = _rct_tables(n, a)
         want = np.where(_dense_reject(n, a)[x_c, x_t], wald[x_t], np.nan)
         assert np.array_equal(got, want, equal_nan=True)
