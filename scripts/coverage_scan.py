@@ -22,7 +22,7 @@ def main() -> None:
     ap.add_argument("--denom", type=checked(int, GRID_DENOM), default=1024)
     args = ap.parse_args()
 
-    grid = probability_grid(args.denom, open_ends=True)
+    grid = probability_grid(args.denom)
     nominal = 1.0 - args.alpha_prime
     print(f"{'procedure':<16} {'n':>5} {'min_coverage':>13} {'at_p':>10} "
           f"{'below_nominal':>14}")

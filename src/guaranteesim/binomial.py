@@ -13,7 +13,7 @@ vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
 terms_value evaluates them on the batched pmf kernel binom_pmf_reduce.
 Every "sup over p < p0" is sup_below, which returns f(p0) when an O(n)
 monotone-ratio check certifies that f is nondecreasing, and otherwise
-searches the open grid below p0 with refined_grid_max.
+scans every multiple of 1/denom below p0 with refined_grid_max.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "binom_draws",
     "normal_cdf",
     "normal_quantile",
+    "smallest_double",
     "clopper_pearson_lower",
     "clopper_pearson_lower_vector",
     "wald_lower",
@@ -46,6 +47,7 @@ __all__ = [
     "sup_false_positive",
     "probability_grid",
     "refined_grid_max",
+    "SUP_DENOM",
 ]
 
 
@@ -213,21 +215,26 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def normal_quantile(q: float) -> float:
-    """Inverse standard-normal cdf: the smallest double z with normal_cdf(z)
-    >= q, by bisection on normal_cdf (0 at -40, 1 at 40) until the bracket
-    holds adjacent doubles."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie strictly in (0,1), got {q}")
-    lo, hi = -40.0, 40.0
+def smallest_double(pred, lo: float, hi: float) -> float:
+    """The smallest double in (lo, hi] where the nondecreasing predicate
+    pred holds, given that it holds at hi: midpoint bisection until the
+    bracket holds adjacent doubles."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        if normal_cdf(mid) >= q:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
+
+
+def normal_quantile(q: float) -> float:
+    """Inverse standard-normal cdf: the smallest double z with normal_cdf(z)
+    >= q, which is 0 at -40 and 1 at 40."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must lie strictly in (0,1), got {q}")
+    return smallest_double(lambda z: normal_cdf(z) >= q, -40.0, 40.0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,53 +449,31 @@ def coverage_report(proc: LowerBoundProcedure, p_grid) -> CoverageReport:
     )
 
 
-def probability_grid(denom: int = 1024, lo: float = 0.0, hi: float = 1.0,
-                     open_ends: bool = True) -> np.ndarray:
-    """Evenly spaced multiples of 1/denom inside [lo, hi].
-
-    open_ends drops points equal to lo or hi, which strict-inequality
-    suprema require.
-    """
+def probability_grid(denom: int = 1024, lo: float = 0.0,
+                     hi: float = 1.0) -> np.ndarray:
+    """The multiples of 1/denom strictly between lo and hi: open ends, as
+    strict-inequality suprema require."""
     if denom < 2:
         raise ValueError(f"grid denominator must be at least 2, got {denom}")
-    ks = np.arange(0, denom + 1)
-    grid = ks / denom
-    if open_ends:
-        keep = (grid > lo) & (grid < hi)
-    else:
-        keep = (grid >= lo) & (grid <= hi)
-    return grid[keep]
+    grid = np.arange(0, denom + 1) / denom
+    return grid[(grid > lo) & (grid < hi)]
 
 
-def refined_grid_max(fn, base_grid, refine_denom: int, lo: float, hi: float):
-    """Maximize fn over base_grid, then over a finer lattice near the argmax.
+def refined_grid_max(fn, grid):
+    """(max, argmax) of fn over the grid, the first rate attaining the max.
 
-    fn maps an array of rates to an array of values; it is called once on
-    the base grid and once on the refinement window, which spans one base
-    step either side of the coarse argmax, clipped to the open interval
-    (lo, hi). The first refined point strictly above the coarse maximum
-    wins. Returns (value, argmax).
+    fn maps an array of rates to an array of values and is called once;
+    sup_below passes the fine lattice of multiples of 1/denom below p0.
     """
-    base = np.asarray(base_grid, dtype=float)
-    if base.size == 0:
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
         raise ValueError("empty probability grid")
-    vals = np.asarray(fn(base), dtype=float)
+    vals = np.asarray(fn(grid), dtype=float)
     k = int(np.argmax(vals))
-    best_p, best_v = float(base[k]), float(vals[k])
-    if refine_denom and base.size > 1:
-        step = float(np.diff(base).max())
-        w_lo = max(best_p - step, lo)
-        w_hi = min(best_p + step, hi)
-        first = int(w_lo * refine_denom) + 1
-        last = int(math.ceil(w_hi * refine_denom))
-        fine = np.arange(first, last) / refine_denom
-        fine = fine[(w_lo < fine) & (fine < w_hi) & (lo < fine) & (fine < hi)]
-        if fine.size:
-            fine_vals = np.asarray(fn(fine), dtype=float)
-            j = int(np.argmax(fine_vals))
-            if fine_vals[j] > best_v:
-                best_p, best_v = float(fine[j]), float(fine_vals[j])
-    return best_v, best_p
+    return float(vals[k]), float(grid[k])
+
+
+SUP_DENOM = 8192  # sup_below scans multiples of 1/SUP_DENOM when uncertified
 
 
 def _monotone_term(w: float, num, den) -> bool:
@@ -501,8 +486,7 @@ def _monotone_term(w: float, num, den) -> bool:
                 and (num[~live] == 0.0).all() and (ratio[1:] >= ratio[:-1]).all())
 
 
-def sup_below(n: int, terms, p0: float, base_denom: int = 512,
-              refine_denom: int = 8192):
+def sup_below(n: int, terms, p0: float, denom: int = SUP_DENOM):
     """sup over p < p0 of terms_value(n, terms, p): (value, argmax, certificate).
 
     Each functional is continuous in p, so the supremum is at least f(p0).
@@ -511,17 +495,15 @@ def sup_below(n: int, terms, p0: float, base_denom: int = 512,
     nondecreasing in x makes a nondecreasing function of p. If every term
     passes that O(n) check, the certificate is "monotone" and the supremum
     is f(p0), with argmax p0. Otherwise it is "grid": the larger of f(p0)
-    and refined_grid_max over the open grid of multiples of 1/base_denom
-    below p0.
+    and refined_grid_max over every multiple of 1/denom below p0.
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"threshold must lie strictly in (0,1), got {p0}")
     at_p0 = terms_value(n, terms, p0)
     if all(_monotone_term(*term) for term in terms):
         return at_p0, p0, "monotone"
-    value, argmax = refined_grid_max(
-        lambda p: terms_value(n, terms, p),
-        probability_grid(base_denom, lo=0.0, hi=p0), refine_denom, 0.0, p0)
+    value, argmax = refined_grid_max(lambda p: terms_value(n, terms, p),
+                                     probability_grid(denom, hi=p0))
     return (at_p0, p0, "grid") if at_p0 >= value else (value, argmax, "grid")
 
 

@@ -59,16 +59,14 @@ __all__ = ["main"]
 # Shared plumbing.
 
 @lru_cache(maxsize=8)
-def _calibration(base_denom: int, refine_denom: int):
-    return calibrate_conditioning(base_denom=base_denom,
-                                  refine_denom=refine_denom)
+def _calibration(sup_denom: int):
+    return calibrate_conditioning(sup_denom=sup_denom)
 
 
 def _resolve_variant(scenario: Scenario) -> str:
     if scenario.belief_conditioning != "calibrated":
         return scenario.belief_conditioning
-    grids = scenario.grids
-    return _calibration(grids.sup_base_denom, grids.sup_refine_denom).variant
+    return _calibration(scenario.grids.sup_refine_denom).variant
 
 
 def _meta_lines(scenario: Scenario, variant: Optional[str] = None) -> list:
@@ -125,7 +123,7 @@ def cmd_coverage(scenario: Scenario, args) -> int:
     alpha = (scenario.procedure.nominal_alpha if args.alpha_prime is None
              else args.alpha_prime)
     proc = LowerBoundProcedure(kind, alpha, n)
-    grid = probability_grid(scenario.grids.coverage_denom, open_ends=True)
+    grid = probability_grid(scenario.grids.coverage_denom)
     report = coverage_report(proc, grid)
     out = _out_dir(args)
     path = out / f"coverage_{kind}_n{n}_a{alpha:g}.csv"
@@ -182,12 +180,11 @@ def cmd_example2(scenario: Scenario, args) -> int:
 def cmd_fig1(scenario: Scenario, args) -> int:
     variant = _resolve_variant(scenario)
     grids = scenario.grids
-    cal = _calibration(grids.sup_base_denom, grids.sup_refine_denom)
+    cal = _calibration(grids.sup_refine_denom)
     rows = []
     for p_c in args.p_c:
         for row in actual_fp_curve(p_c, variant, grids.alpha_levels, args.n,
-                                   args.pi, base_denom=grids.sup_base_denom,
-                                   refine_denom=grids.sup_refine_denom):
+                                   args.pi, grids.sup_refine_denom):
             rows.append([_fmt(row.alpha_nominal), _fmt(row.alpha_actual),
                          _fmt(row.p_C), row.variant, str(row.n),
                          _fmt(row.pi)])
@@ -337,8 +334,7 @@ def cmd_pool(scenario: Scenario, args) -> int:
 def cmd_reproduce(scenario: Scenario, args) -> int:
     grids = scenario.grids
     rows, cal = evaluate_anchors(seed=scenario.seed,
-                                 sup_base_denom=grids.sup_base_denom,
-                                 sup_refine_denom=grids.sup_refine_denom,
+                                 sup_denom=grids.sup_refine_denom,
                                  coverage_denom=grids.coverage_denom)
     print(f"calibrated variant: {cal.variant} "
           f"(value {cal.value:.6f}, residual {cal.residual:.4f})")

@@ -17,7 +17,7 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .binomial import LowerBoundProcedure
+from .binomial import SUP_DENOM, LowerBoundProcedure
 from .contracts import (
     FullGuarantee,
     InsuranceContract,
@@ -124,7 +124,7 @@ def default_scenario_dict() -> dict:
 class GridSpec:
     coverage_denom: int = 1024
     sup_base_denom: int = 512
-    sup_refine_denom: int = 8192
+    sup_refine_denom: int = SUP_DENOM
     alpha_levels: tuple = (0.001, 0.005, 0.01, 0.025, 0.05, 0.075, 0.1,
                            0.15, 0.2)
 
@@ -420,14 +420,12 @@ def _pool(top: dict) -> PoolSpec:
 def _grids(top: dict) -> GridSpec:
     path = "grids"
     block = _block(top, path, "", {f.name for f in fields(GridSpec)})
-    def denom(key, check=GRID_DENOM):
-        return _get(block, key, path, int, getattr(GridSpec, key), check)
-    base = denom("sup_base_denom")
+    def denom(key):
+        return _get(block, key, path, int, getattr(GridSpec, key), GRID_DENOM)
     return GridSpec(
         coverage_denom=denom("coverage_denom"),
-        sup_base_denom=base,
-        # a coarser lattice refines nothing, and one of 0 or less skips it
-        sup_refine_denom=denom("sup_refine_denom", _between(base, TRIAL_LIMIT)),
+        sup_base_denom=denom("sup_base_denom"),
+        sup_refine_denom=denom("sup_refine_denom"),
         alpha_levels=tuple(_floats(block, "alpha_levels", path,
                                    GridSpec.alpha_levels, _NONEMPTY, OPEN_UNIT)))
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binomial import binom_pmf_reduce, binom_pmf_vector
+from .binomial import binom_pmf_reduce, binom_pmf_vector, smallest_double
 from .simulate import ENUMERATION_LIMIT
 
 __all__ = [
@@ -167,20 +167,15 @@ class PolicyEconomics:
         self._check_scale(m)
         return np.asarray(self.benefit.value(x), dtype=float) - self.cost(m)
 
-    def break_even_success_rate(self, tol: float = 1e-10) -> float:
-        """p0 with E[b(X_M)] = c_M, the undiluted p as root variable."""
+    def break_even_success_rate(self) -> float:
+        """p0, the smallest double p with E[b(X_M)] >= c_M, the undiluted
+        p as root variable."""
         c_M = self.cost(self.M)
         if self.expected_benefit(self.M, 1.0) < c_M:
             raise NoBreakEvenError(
                 "full-population benefit cannot cover cost even at p = 1")
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.expected_benefit(self.M, mid) >= c_M:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return smallest_double(
+            lambda p: self.expected_benefit(self.M, p) >= c_M, 0.0, 1.0)
 
     def max_scale_under_bound(self, alpha: float, u_bar: float) -> int:
         """Largest m with -alpha*c_m >= u_bar; 0 when even m = 1 fails."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import (
+    SUP_DENOM,
     LowerBoundProcedure,
     coverage_report,
     probability_grid,
@@ -73,8 +74,7 @@ def _row(ident, name, target, computed, tolerance, passed) -> AnchorRow:
                      computed=computed, tolerance=tolerance, passed=bool(passed))
 
 
-def evaluate_anchors(seed: int = 20260819, sup_base_denom: int = 512,
-                     sup_refine_denom: int = 8192,
+def evaluate_anchors(seed: int = 20260819, sup_denom: int = SUP_DENOM,
                      coverage_denom: int = 1024):
     """Run every anchor; returns (rows, calibration result)."""
     rows = []
@@ -97,17 +97,15 @@ def evaluate_anchors(seed: int = 20260819, sup_base_denom: int = 512,
         str(m_back), "exact integer", m_back == 373))
 
     # 3: calibrated conditioning reproduces the 0.22 anchor...
-    cal = calibrate_conditioning(
-        p_control=0.5, n=300, pi=0.5, alpha_prime=0.05, target=0.22,
-        base_denom=sup_base_denom, refine_denom=sup_refine_denom)
+    cal = calibrate_conditioning(p_control=0.5, n=300, pi=0.5, alpha_prime=0.05,
+                                 target=0.22, sup_denom=sup_denom)
     rows.append(_row(
         "3a", f"actual rate at nominal 0.05 ({cal.variant})",
         "within [0.17, 0.27]", f"{cal.value:.6f} (residual {cal.residual:.4f})",
         "0.05", 0.17 <= cal.value <= 0.27))
     # ...and the stricter-level anchor, which the same variant cannot meet
-    strict = mixture_actual_fp(
-        0.025, 0.5, 300, MixtureBelief(0.5, cal.variant),
-        base_denom=sup_base_denom, refine_denom=sup_refine_denom)
+    strict = mixture_actual_fp(0.025, 0.5, 300, MixtureBelief(0.5, cal.variant),
+                               sup_denom)
     rows.append(_row(
         "3b", f"actual rate at nominal 0.025 ({cal.variant})",
         "<= 0.07", f"{strict:.6f}", "0.02 over 0.05", strict <= 0.07))
@@ -121,7 +119,7 @@ def evaluate_anchors(seed: int = 20260819, sup_base_denom: int = 512,
         "exact arithmetic", m_sel > 0 and ratio <= 0.2273))
 
     # 5: coverage properties at n=300
-    cov_grid = probability_grid(coverage_denom, open_ends=True)
+    cov_grid = probability_grid(coverage_denom)
     cp_worst = min(
         coverage_report(LowerBoundProcedure("clopper_pearson", alpha, 300),
                         cov_grid).min_coverage - (1.0 - alpha)
@@ -297,7 +295,7 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
 
     suite = ((sel, 0.45, 0.5, published, sel.reject_prob),
              (sel, 0.45, 0.5, clears, sel.exceedance_prob),
-             (fraud, 0.3, 0.4, clears, fraud.exceedance_prob))
+             (fraud, 0.4, 0.4, clears, fraud.exceedance_prob))
     for stream_id, (strat, p, t, event, exact) in enumerate(suite, 102):
         est = mc_estimate(lambda rng, k: event(strat.sample(p, t, rng, k), t),
                           1_000_000, SeededStream(seed, stream_id))

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .binomial import (
+    SUP_DENOM,
     LowerBoundProcedure,
     binom_draws,
     binom_pmf_reduce,
@@ -331,11 +332,10 @@ def mixture_fp_at(p, p_control: float, n: int, alpha_prime: float,
 
 
 def mixture_actual_fp(alpha_prime: float, p_control: float, n: int,
-                      belief: MixtureBelief, base_denom: int = 512,
-                      refine_denom: int = 8192) -> float:
+                      belief: MixtureBelief, sup_denom: int = SUP_DENOM) -> float:
     """sup over p < p_control of the mixture false positive probability."""
     terms = mixture_terms(p_control, n, alpha_prime, belief)
-    return sup_below(n, terms, p_control, base_denom, refine_denom)[0]
+    return sup_below(n, terms, p_control, sup_denom)[0]
 
 
 @dataclass(frozen=True)
@@ -349,13 +349,10 @@ class CurveRow:
 
 
 def actual_fp_curve(p_control: float, conditioning: str, alpha_grid, n: int,
-                    pi: float, base_denom: int = 512,
-                    refine_denom: int = 8192) -> list[CurveRow]:
+                    pi: float, sup_denom: int = SUP_DENOM) -> list[CurveRow]:
     """Nominal-vs-actual rows across a grid of nominal levels."""
     belief = MixtureBelief(pi, conditioning)
-    return [CurveRow(float(a), mixture_actual_fp(a, p_control, n, belief,
-                                                 base_denom=base_denom,
-                                                 refine_denom=refine_denom),
+    return [CurveRow(float(a), mixture_actual_fp(a, p_control, n, belief, sup_denom),
                      p_control, conditioning, n, pi) for a in alpha_grid]
 
 
@@ -374,8 +371,8 @@ class CalibrationResult:
 
 def calibrate_conditioning(p_control: float = 0.5, n: int = 300,
                            pi: float = 0.5, alpha_prime: float = 0.05,
-                           target: float = 0.22, base_denom: int = 512,
-                           refine_denom: int = 8192) -> CalibrationResult:
+                           target: float = 0.22,
+                           sup_denom: int = SUP_DENOM) -> CalibrationResult:
     """Pick the conditioning variant whose actual rate lands nearest the target.
 
     All three variants are evaluated at the reference settings; the winner
@@ -383,8 +380,7 @@ def calibrate_conditioning(p_control: float = 0.5, n: int = 300,
     in output metadata rather than baked in silently.
     """
     candidates = {variant: mixture_actual_fp(
-        alpha_prime, p_control, n, MixtureBelief(pi, variant),
-        base_denom=base_denom, refine_denom=refine_denom)
+        alpha_prime, p_control, n, MixtureBelief(pi, variant), sup_denom)
         for variant in CONDITIONING_VARIANTS}
     variant = min(candidates, key=lambda v: abs(candidates[v] - target))
     return CalibrationResult(variant, candidates[variant],

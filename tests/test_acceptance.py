@@ -103,7 +103,7 @@ def test_criterion_04(anchors):
 def test_criterion_05(anchors):
     rows, _ = anchors
     show(rows["5"])
-    grid = probability_grid(1024, open_ends=True)
+    grid = probability_grid(1024)
     wald = coverage_report(LowerBoundProcedure("wald", 0.05, 300), grid)
     assert wald.min_coverage == pytest.approx(WALD_MIN_COVERAGE, abs=1e-9)
     assert wald.min_coverage < 0.95
@@ -156,6 +156,26 @@ def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):
     real = strategies.binom_draws
     monkeypatch.setattr(strategies, "binom_draws",
                         lambda n, p, rng, size: real(n, p + 0.01, rng, size))
+    econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
+                              BenefitFunction.linear(2.5))
+    ok, detail = reproduce._infrastructure_properties(20260819, econ_20)
+    assert not ok, detail
+
+
+def test_monte_carlo_gate_sees_the_honest_half_of_the_fraudulent_sampler(
+        monkeypatch):
+    # a fraudulent sampler that publishes its guess alone, dropping the
+    # honest bound the clamp keeps: at rate 0.4, threshold 0.4 the honest
+    # half adds 0.0196 to the exceedance, about 40 standard errors
+    from guaranteesim import reproduce, strategies
+
+    def guess_only(self, p, threshold, rng, size):
+        guesses = threshold + self.guess_spread * np.where(
+            rng.random(size) < 0.5, 1.0, -1.0)
+        strategies.binom_draws(self.procedure.n, p, rng, size)
+        return guesses
+
+    monkeypatch.setattr(strategies.FraudulentStrategy, "sample", guess_only)
     econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
                               BenefitFunction.linear(2.5))
     ok, detail = reproduce._infrastructure_properties(20260819, econ_20)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from guaranteesim import binomial
 from guaranteesim.config import TRIAL_LIMIT, GridSpec
 from guaranteesim.simulate import SeededStream
+from guaranteesim.strategies import MixtureBelief, mixture_terms
 from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_draws,
@@ -35,6 +36,7 @@ from guaranteesim.binomial import (
     normal_quantile,
     probability_grid,
     refined_grid_max,
+    smallest_double,
     sup_below,
     sup_false_positive,
     terms_value,
@@ -151,7 +153,7 @@ class TestPmf:
 
     def test_reduce_chunks_rates(self, monkeypatch):
         # a 3-row chunk limit at n = 300 gives the same values as one matrix
-        rates = probability_grid(64, open_ends=True)
+        rates = probability_grid(64)
         covered = np.arange(301) < 140
         fn = lambda pmf: pmf[:, covered].sum(axis=1)
         whole = binom_pmf_reduce(300, rates, fn)
@@ -274,6 +276,18 @@ class TestNormalQuantile:
         assert normal_cdf(z) >= q > normal_cdf(np.nextafter(z, -np.inf))
 
 
+class TestSmallestDouble:
+    @pytest.mark.parametrize("t", [0.3, 0.4, 1e-300, 0.7, 1.0])
+    def test_threshold_predicates(self, t):
+        assert smallest_double(lambda x: x >= t, 0.0, 1.0) == t
+        above = smallest_double(lambda x: x > t, 0.0, 2.0)
+        assert above == np.nextafter(t, np.inf)
+
+    def test_holding_everywhere_gives_the_double_after_lo(self):
+        assert smallest_double(lambda x: True, -1.0, 1.0) == np.nextafter(-1.0, 0.0)
+        assert smallest_double(lambda x: True, 0.0, 1.0) == 5e-324
+
+
 class TestClopperPearson:
     def test_frozen_values(self):
         assert clopper_pearson_lower(150, 300, 0.05) == pytest.approx(
@@ -371,12 +385,12 @@ class TestCoverage:
 
     def test_cp_exact_coverage_floor(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.1, 40)
-        for p in probability_grid(64, open_ends=True):
+        for p in probability_grid(64):
             assert exact_lower_coverage(proc, p) >= 0.9 - 1e-9
 
     def test_wald_witness_frozen(self):
         proc = LowerBoundProcedure("wald", 0.05, 300)
-        rep = coverage_report(proc, probability_grid(1024, open_ends=True))
+        rep = coverage_report(proc, probability_grid(1024))
         assert rep.min_coverage == pytest.approx(WALD_MIN_COVERAGE, abs=1e-9)
         assert rep.worst_p == pytest.approx(WALD_WORST_P, abs=1e-12)
         assert rep.min_coverage < 0.95
@@ -438,7 +452,7 @@ class TestScipyOracles:
     def test_covered_rule_is_the_beta_quantile_rule(self, special, ns):
         # the rule on the whole grid at once, through proc.covered on every
         # 64th rate, and with the pmf at t computed by proc.covered itself
-        grid = probability_grid(1024, open_ends=False)
+        grid = np.arange(1025) / 1024
         for n in ns:
             pmf = binom_pmf_vector(n, grid)
             tails = binomial._tails_from_top(pmf)
@@ -470,7 +484,7 @@ class TestSupBelow:
         value, argmax, certificate = sup_below(
             10, [(1.0, spike, np.ones(11))], 0.5)
         assert certificate == "grid"
-        assert argmax == pytest.approx(0.2, abs=1.0 / 512)
+        assert argmax == pytest.approx(0.2, abs=1.0 / 8192)
         assert value == pytest.approx(binom_pmf(10, 0.2, 2), abs=1e-6)
         assert value > terms_value(10, [(1.0, spike, np.ones(11))], 0.5)
 
@@ -494,50 +508,87 @@ class TestSupBelow:
             with pytest.raises(ValueError):
                 sup_false_positive(proc, p0)
 
+    @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
+    @pytest.mark.parametrize("pi", [0.25, 0.5, 0.9])
+    def test_uncertified_census_cases_reach_the_window_search(self, n, pi):
+        # the 12 census cases no certificate covers: bayes_reweighted at
+        # alpha' = 0.001 and p0 = 0.1 (n in 40..2000, alpha' in 0.2..0.001,
+        # p0 in 0.1..0.9, pi in 0.25..0.9, three variants: 720 cases)
+        terms = mixture_terms(0.1, n, 0.001,
+                              MixtureBelief(pi, "bayes_reweighted"))
+        value, _, certificate = sup_below(n, terms, 0.1)
+        assert certificate == "grid"
+        _assert_at_least_the_window_search(n, terms, 0.1, value)
+
+    def test_spike_reaches_the_window_search(self):
+        spike = [(1.0, (np.arange(11) == 2).astype(float), np.ones(11))]
+        value, _, certificate = sup_below(10, spike, 0.5)
+        assert certificate == "grid"
+        _assert_at_least_the_window_search(10, spike, 0.5, value)
+
+
+def _assert_at_least_the_window_search(n, terms, p0, value):
+    """The scan's supremum is at least f(p0) and the two-stage search's
+    maximum, from a 1/512 base grid and a 1/8192 window."""
+    fn = lambda p: terms_value(n, terms, p)
+    window, _ = _scalar_refined_grid_max(
+        fn, probability_grid(512, hi=p0), 8192, 0.0, p0)
+    assert value >= fn(p0) and value >= window
+
 
 class TestGrids:
     def test_open_ends(self):
-        g = probability_grid(8, open_ends=True)
+        g = probability_grid(8)
         assert g[0] == 0.125 and g[-1] == 0.875 and len(g) == 7
-
-    def test_closed_window(self):
-        g = probability_grid(8, lo=0.25, hi=0.75, open_ends=False)
-        assert g[0] == 0.25 and g[-1] == 0.75
 
     def test_refinement_tightens_argmax(self):
         peak = 0.3337
         fn = lambda p: -(p - peak) ** 2
-        base = probability_grid(16, open_ends=True)
-        _, argmax = refined_grid_max(fn, base, 8192, 0.0, 1.0)
+        _, argmax = refined_grid_max(fn, probability_grid(8192))
         assert abs(argmax - peak) <= 1.0 / 8192
 
     def test_refinement_never_worse_than_base(self):
         fn = lambda p: np.sin(17.0 * p)
-        base = probability_grid(32, open_ends=True)
-        coarse = max(fn(p) for p in base)
-        refined, _ = refined_grid_max(fn, base, 4096, 0.0, 1.0)
+        coarse = max(fn(p) for p in probability_grid(32))
+        refined, _ = refined_grid_max(fn, probability_grid(4096))
         assert refined >= coarse
 
-    @pytest.mark.parametrize("fn,base,refine,lo,hi", [
-        (lambda p: -(p - 0.3337) ** 2, probability_grid(16), 8192, 0.0, 1.0),
-        # a plateau: refined ties with the coarse maximum never win
-        (lambda p: np.minimum(p, 0.4), probability_grid(32), 4096, 0.0, 1.0),
+    @pytest.mark.parametrize("fn,grid", [
+        (lambda p: -(p - 0.3337) ** 2, probability_grid(8192)),
+        # a plateau: the scan returns its first point, as the loop does
+        (lambda p: np.minimum(p, 0.4), probability_grid(4096)),
         (lambda p: -((p - 0.2) * (p - 0.7)) ** 2 + 0.01 * p,
-         probability_grid(64, hi=0.9), 2048, 0.0, 0.9),
+         probability_grid(2048, hi=0.9)),
         # the peak sits next to the open upper end
-        (lambda p: p * p, probability_grid(512, hi=0.5), 8192, 0.0, 0.5),
-        (lambda p: 1.0 - p, probability_grid(512, hi=0.3), 8192, 0.0, 0.3),
-        (lambda p: -(p - 0.41) ** 2, [0.4], 8192, 0.0, 0.5),
+        (lambda p: p * p, probability_grid(8192, hi=0.5)),
+        (lambda p: 1.0 - p, probability_grid(8192, hi=0.3)),
+        (lambda p: -(p - 0.41) ** 2, [0.4]),
     ], ids=["peak", "plateau", "two_modes", "upper_end", "lower_end",
             "one_point"])
-    def test_batched_matches_scalar_loop(self, fn, base, refine, lo, hi):
-        # exact arithmetic, so the batched search must agree to the bit
-        assert refined_grid_max(fn, base, refine, lo, hi) == \
-            _scalar_refined_grid_max(fn, base, refine, lo, hi)
+    def test_batched_matches_scalar_loop(self, fn, grid):
+        # exact arithmetic, so the one batched call must agree to the bit
+        assert refined_grid_max(fn, grid) == _scalar_grid_max(fn, grid)
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError):
+            refined_grid_max(lambda p: p, probability_grid(8, lo=0.5, hi=0.6))
+
+
+def _scalar_grid_max(fn, grid):
+    """The scan one rate at a time, where only a strictly larger value wins."""
+    best_v, best_p = -math.inf, None
+    for p in np.asarray(grid, dtype=float):
+        v = fn(p)
+        if v > best_v:
+            best_v, best_p = v, p
+    return float(best_v), float(best_p)
 
 
 def _scalar_refined_grid_max(fn, base_grid, refine_denom, lo, hi):
-    """The per-rate search refined_grid_max replaced: one fn call per point."""
+    """The two-stage search the scan replaced, one fn call per point: the
+    base grid, then the lattice of multiples of 1/refine_denom within one
+    base step of the coarse argmax, where the first strictly larger value
+    wins. It visits a subset of the scan's points: a lower witness."""
     base = np.asarray(base_grid, dtype=float)
     vals = [fn(p) for p in base]
     k = int(np.argmax(vals))

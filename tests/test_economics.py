@@ -96,6 +96,19 @@ class TestBreakEven:
         econ = linear_econ(beta=2.5, M=20, q=0.5)
         assert econ.break_even_success_rate() == pytest.approx(0.8, abs=1e-9)
 
+    @pytest.mark.parametrize("econ", [
+        linear_econ(), linear_econ(q=0.5), linear_econ(beta=3.0, M=2000),
+        PolicyEconomics(CostSchedule.table([1.0, 2.0, 3.5, 5.0]),
+                        BenefitFunction.from_table([0.0, 2.0, 4.0, 6.0, 8.0]))],
+        ids=["linear", "diluted", "large", "table"])
+    def test_smallest_double_covering_cost(self, econ):
+        # no tolerance: the double just below p0 falls short of c_M
+        p0 = econ.break_even_success_rate()
+        c_M = econ.cost(econ.M)
+        below = np.nextafter(p0, 0.0)
+        assert econ.expected_benefit(econ.M, p0) >= c_M
+        assert econ.expected_benefit(econ.M, below) < c_M
+
     def test_unreachable(self):
         econ = linear_econ(beta=0.9, M=20)
         with pytest.raises(NoBreakEvenError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guaranteesim import reproduce, strategies
 from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_draws,
@@ -35,6 +36,7 @@ from guaranteesim.strategies import (
     rct_publish_and_clear_prob,
     rct_reject_prob,
 )
+from guaranteesim.config import GridSpec
 from guaranteesim.simulate import SeededStream
 
 # exact-enumeration oracles at (p, p_C, n, alpha')
@@ -394,6 +396,28 @@ class TestMixture:
         grid = probability_grid(512, hi=0.1)
         assert value >= max(terms_value(300, terms, 0.1),
                             terms_value(300, terms, grid).max())
+
+    def test_benchmark_suprema_are_certified(self, monkeypatch):
+        # every supremum the benchmark computes (fig1 --n 1000 at p_C 0.3,
+        # 0.5 and 0.7 over the 9 levels, the three calibration candidates,
+        # and anchors 3a, 3b and 7) certifies "monotone": none runs the
+        # uncertified scan
+        certificates = []
+
+        def recording(*args):
+            out = sup_below(*args)
+            certificates.append(out[2])
+            return out
+
+        monkeypatch.setattr(strategies, "sup_below", recording)
+        monkeypatch.setattr(reproduce, "sup_below", recording)
+        cal = strategies.calibrate_conditioning()
+        assert cal.variant == "fixed_given_published"
+        for p_c in (0.3, 0.5, 0.7):
+            actual_fp_curve(p_c, cal.variant, GridSpec.alpha_levels, 1000, 0.5)
+        mixture_actual_fp(0.025, 0.5, 300, MixtureBelief(0.5, cal.variant))
+        assert reproduce._strategy_suite_bound()[0]
+        assert certificates == ["monotone"] * (3 + 3 * 9 + 1 + 4)
 
     def test_truthful_component_respects_nominal(self):
         for a, target in ((0.05, SUP_TRUTHFUL_05), (0.025, SUP_TRUTHFUL_025)):
