@@ -11,9 +11,8 @@ point of including it).
 Every exceedance functional is a short list of terms (w, num, den),
 vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
 terms_value evaluates them on the batched pmf kernel binom_pmf_reduce.
-Every "sup over p < p0" is sup_below, which returns f(p0) when an O(n)
-monotone-ratio check certifies that f is nondecreasing, and otherwise
-scans every multiple of 1/denom below p0 with refined_grid_max.
+Every "sup over p < p0" is sup_below: f(p0) when an O(n) sign-change test
+certifies it, else a scan of the multiples of 1/SUP_DENOM below p0.
 """
 
 from __future__ import annotations
@@ -449,22 +448,18 @@ def coverage_report(proc: LowerBoundProcedure, p_grid) -> CoverageReport:
     )
 
 
-def probability_grid(denom: int = 1024, lo: float = 0.0,
-                     hi: float = 1.0) -> np.ndarray:
-    """The multiples of 1/denom strictly between lo and hi: open ends, as
+def probability_grid(denom: int, hi: float = 1.0) -> np.ndarray:
+    """The multiples of 1/denom strictly between 0 and hi: open ends, as
     strict-inequality suprema require."""
     if denom < 2:
         raise ValueError(f"grid denominator must be at least 2, got {denom}")
-    grid = np.arange(0, denom + 1) / denom
-    return grid[(grid > lo) & (grid < hi)]
+    grid = np.arange(1, denom) / denom
+    return grid[grid < hi]
 
 
 def refined_grid_max(fn, grid):
-    """(max, argmax) of fn over the grid, the first rate attaining the max.
-
-    fn maps an array of rates to an array of values and is called once;
-    sup_below passes the fine lattice of multiples of 1/denom below p0.
-    """
+    """(max, argmax) of fn over the grid, the first rate attaining the max;
+    fn maps an array of rates to an array of values and is called once."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty probability grid")
@@ -476,35 +471,52 @@ def refined_grid_max(fn, grid):
 SUP_DENOM = 8192  # sup_below scans multiples of 1/SUP_DENOM when uncertified
 
 
-def _monotone_term(w: float, num, den) -> bool:
-    """w >= 0, den >= 0, num = 0 where den = 0, num/den nondecreasing on
-    den > 0; compared exactly, so a rounding dip fails the check."""
+def _sign_change_term(pmf, w: float, num, den) -> bool:
+    """w >= 0, den >= 0, and the signs of g = num - r0 * den over x run -
+    then +, or else the tail sums of pmf * g stay >= 0 (pmf, r0 at p0).
+    Ratios within 1e-9 (pmf . |num|) / (pmf . den) of r0 are ties: they may
+    sit only between the runs, and widen the sums' bounds with 1e-9 |pmf g|.
+    Sums skip non-normal pmf values, whose signs must be - below, + above."""
     num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
-    live = den > 0.0
-    ratio = num[live] / den[live]
-    return bool(w >= 0.0 and (den[~live] == 0.0).all()
-                and (num[~live] == 0.0).all() and (ratio[1:] >= ratio[:-1]).all())
+    at = pmf @ den
+    if w < 0.0 or (den < 0.0).any() or (at == 0.0 and den.any()):
+        return False  # a term read as 0 at p0 may be positive below it
+    r0, band = (pmf @ num / at, 1e-9 * (pmf @ np.abs(num)) / at) if at else (0, 0)
+    live, g = den > 0.0, num - r0 * den
+    gap = np.divide(num, den, out=num.copy(), where=live) - r0 * live
+    sign = np.where(np.abs(gap) <= band * live, 0.0, np.sign(gap))
+    used, normal = live | (num != 0.0), pmf >= np.finfo(float).tiny
+    if (np.diff(sign[used]) >= 0.0).all():  # x with num = den = 0 add nothing
+        return True
+    ends = np.where(np.cumsum(normal) == 0, -1.0, 1.0)
+    e, slack = normal * pmf * g, normal * pmf * (band * den + 1e-9 * np.abs(g))
+    tails, heads = np.cumsum((e - slack)[::-1])[-2::-1], np.cumsum(e + slack)[:-1]
+    return bool((sign == ends)[used & ~normal].all()
+                and ((tails >= 0.0) | (heads <= 0.0)).all())
 
 
-def sup_below(n: int, terms, p0: float, denom: int = SUP_DENOM):
+def sup_below(n: int, terms, p0: float):
     """sup over p < p0 of terms_value(n, terms, p): (value, argmax, certificate).
 
-    Each functional is continuous in p, so the supremum is at least f(p0).
-    Reweighting the binomial by a fixed den >= 0 keeps its monotone
-    likelihood ratio in x (Karlin & Rubin 1956), so a term whose num/den is
-    nondecreasing in x makes a nondecreasing function of p. If every term
-    passes that O(n) check, the certificate is "monotone" and the supremum
-    is f(p0), with argmax p0. Otherwise it is "grid": the larger of f(p0)
-    and refined_grid_max over every multiple of 1/denom below p0.
+    pmf(p) . g is a positive multiple of Q(t) = sum of pmf(p0) * g * t**x,
+    t = odds(p) / odds(p0), with Q(1) = 0. Q changes sign at most once on
+    (0, 1], in the order of its coefficients' signs, the binomial kernel
+    being strictly totally positive (variation diminishing, Karlin 1968),
+    and Q(t) = -(1 - t) * sum of t**(k-1) * (tail sum from k) (Abel): a term
+    passing _sign_change_term, as any nondecreasing num/den does, is at most
+    r0 below p0. If all pass: "sign_change", the supremum f(p0) at p0; else
+    "grid", the larger of f(p0) and refined_grid_max on k/SUP_DENOM < p0.
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"threshold must lie strictly in (0,1), got {p0}")
     at_p0 = terms_value(n, terms, p0)
-    if all(_monotone_term(*term) for term in terms):
-        return at_p0, p0, "monotone"
-    value, argmax = refined_grid_max(lambda p: terms_value(n, terms, p),
-                                     probability_grid(denom, hi=p0))
-    return (at_p0, p0, "grid") if at_p0 >= value else (value, argmax, "grid")
+    pmf = binom_pmf_vector(n, p0)
+    if all(_sign_change_term(pmf, *term) for term in terms):
+        return at_p0, p0, "sign_change"
+    grid = probability_grid(SUP_DENOM, hi=p0)
+    value, argmax = (refined_grid_max(lambda p: terms_value(n, terms, p), grid)
+                     if grid.size else (at_p0, p0))
+    return (value, argmax, "grid") if value > at_p0 else (at_p0, p0, "grid")
 
 
 def sup_false_positive(proc, p0: float) -> float:

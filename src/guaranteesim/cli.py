@@ -58,15 +58,15 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # Shared plumbing.
 
-@lru_cache(maxsize=8)
-def _calibration(sup_denom: int):
-    return calibrate_conditioning(sup_denom=sup_denom)
+@lru_cache(maxsize=1)
+def _calibration():
+    return calibrate_conditioning()
 
 
 def _resolve_variant(scenario: Scenario) -> str:
     if scenario.belief_conditioning != "calibrated":
         return scenario.belief_conditioning
-    return _calibration(scenario.grids.sup_refine_denom).variant
+    return _calibration().variant
 
 
 def _meta_lines(scenario: Scenario, variant: Optional[str] = None) -> list:
@@ -162,7 +162,7 @@ def cmd_example2(scenario: Scenario, args) -> int:
     variant = _resolve_variant(scenario)
     belief = MixtureBelief(args.pi, variant)
     grids = scenario.grids
-    p_grid = probability_grid(grids.sup_base_denom, lo=0.0, hi=args.p_c)
+    p_grid = probability_grid(grids.sup_base_denom, hi=args.p_c)
     rows = []
     for alpha in grids.alpha_levels:
         fps = mixture_fp_at(p_grid, args.p_c, args.n, alpha, belief)
@@ -179,12 +179,10 @@ def cmd_example2(scenario: Scenario, args) -> int:
 
 def cmd_fig1(scenario: Scenario, args) -> int:
     variant = _resolve_variant(scenario)
-    grids = scenario.grids
-    cal = _calibration(grids.sup_refine_denom)
     rows = []
     for p_c in args.p_c:
-        for row in actual_fp_curve(p_c, variant, grids.alpha_levels, args.n,
-                                   args.pi, grids.sup_refine_denom):
+        for row in actual_fp_curve(p_c, variant, scenario.grids.alpha_levels,
+                                   args.n, args.pi):
             rows.append([_fmt(row.alpha_nominal), _fmt(row.alpha_actual),
                          _fmt(row.p_C), row.variant, str(row.n),
                          _fmt(row.pi)])
@@ -198,7 +196,7 @@ def cmd_fig1(scenario: Scenario, args) -> int:
     sidecar = out / "fig1_calibration.json"
     _write_json(sidecar, {
         "meta": _meta_dict(scenario, variant),
-        "calibration": asdict(cal),
+        "calibration": asdict(_calibration()),
     })
     print(f"wrote {path}")
     print(f"wrote {sidecar}")
@@ -332,10 +330,7 @@ def cmd_pool(scenario: Scenario, args) -> int:
 
 
 def cmd_reproduce(scenario: Scenario, args) -> int:
-    grids = scenario.grids
-    rows, cal = evaluate_anchors(seed=scenario.seed,
-                                 sup_denom=grids.sup_refine_denom,
-                                 coverage_denom=grids.coverage_denom)
+    rows, cal = evaluate_anchors(scenario.seed, scenario.grids.coverage_denom)
     print(f"calibrated variant: {cal.variant} "
           f"(value {cal.value:.6f}, residual {cal.residual:.4f})")
     for row in rows:

@@ -124,7 +124,7 @@ def default_scenario_dict() -> dict:
 class GridSpec:
     coverage_denom: int = 1024
     sup_base_denom: int = 512
-    sup_refine_denom: int = SUP_DENOM
+    sup_refine_denom: int = SUP_DENOM  # retired: checked, recorded, unread
     alpha_levels: tuple = (0.001, 0.005, 0.01, 0.025, 0.05, 0.075, 0.1,
                            0.15, 0.2)
 

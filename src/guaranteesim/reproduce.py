@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binomial import (
-    SUP_DENOM,
     LowerBoundProcedure,
     coverage_report,
     probability_grid,
@@ -74,8 +73,7 @@ def _row(ident, name, target, computed, tolerance, passed) -> AnchorRow:
                      computed=computed, tolerance=tolerance, passed=bool(passed))
 
 
-def evaluate_anchors(seed: int = 20260819, sup_denom: int = SUP_DENOM,
-                     coverage_denom: int = 1024):
+def evaluate_anchors(seed: int = 20260819, coverage_denom: int = 1024):
     """Run every anchor; returns (rows, calibration result)."""
     rows = []
 
@@ -97,15 +95,13 @@ def evaluate_anchors(seed: int = 20260819, sup_denom: int = SUP_DENOM,
         str(m_back), "exact integer", m_back == 373))
 
     # 3: calibrated conditioning reproduces the 0.22 anchor...
-    cal = calibrate_conditioning(p_control=0.5, n=300, pi=0.5, alpha_prime=0.05,
-                                 target=0.22, sup_denom=sup_denom)
+    cal = calibrate_conditioning()
     rows.append(_row(
         "3a", f"actual rate at nominal 0.05 ({cal.variant})",
         "within [0.17, 0.27]", f"{cal.value:.6f} (residual {cal.residual:.4f})",
         "0.05", 0.17 <= cal.value <= 0.27))
     # ...and the stricter-level anchor, which the same variant cannot meet
-    strict = mixture_actual_fp(0.025, 0.5, 300, MixtureBelief(0.5, cal.variant),
-                               sup_denom)
+    strict = mixture_actual_fp(0.025, 0.5, 300, MixtureBelief(0.5, cal.variant))
     rows.append(_row(
         "3b", f"actual rate at nominal 0.025 ({cal.variant})",
         "<= 0.07", f"{strict:.6f}", "0.02 over 0.05", strict <= 0.07))
@@ -192,18 +188,14 @@ def _strategy_suite_bound():
     econ = PolicyEconomics(CostSchedule.linear(1.0, 5),
                            BenefitFunction.linear(2.5))
     p0 = econ.break_even_success_rate()  # 0.4 for these numbers
-    n = 12
-    alpha = 0.1
-    cp = TruthfulStrategy(LowerBoundProcedure("clopper_pearson", alpha, n))
-    wald = TruthfulStrategy(LowerBoundProcedure("wald", alpha, n))
-    fraud = FraudulentStrategy(LowerBoundProcedure("clopper_pearson", alpha, n),
-                               guess_spread=0.05)
-    sel = SelectiveStrategy(n=n, alpha_prime=alpha)
-    suite = (cp.exceedance_terms(p0), wald.exceedance_terms(p0),
-             fraud.exceedance_terms(p0), sel.exceedance_terms(p0))
-    grid = probability_grid(64, lo=0.0, hi=p0)
-    ok = True
-    worst = float("inf")
+    n, alpha = 12, 0.1
+    suite = [strategy.exceedance_terms(p0) for strategy in (
+        TruthfulStrategy(LowerBoundProcedure("clopper_pearson", alpha, n)),
+        TruthfulStrategy(LowerBoundProcedure("wald", alpha, n)),
+        FraudulentStrategy(LowerBoundProcedure("clopper_pearson", alpha, n), 0.05),
+        SelectiveStrategy(n=n, alpha_prime=alpha))]
+    grid = probability_grid(64, hi=p0)
+    ok, worst = True, float("inf")
     for terms in suite:
         exceed = terms_value(n, terms, grid)
         sup, _, _ = sup_below(n, terms, p0)

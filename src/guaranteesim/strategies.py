@@ -20,7 +20,7 @@ over behaviors, with three conditioning conventions for how the weight
 interacts with the publication event. Each strategy and each mixture
 variant states its exceedance as terms (w, num, den) over the treatment
 count, and binomial.sup_below takes the supremum of any of them: their
-value at the threshold, when the monotone-ratio check certifies it.
+value at the threshold, once its sign-change test certifies it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from .binomial import (
-    SUP_DENOM,
     LowerBoundProcedure,
     binom_draws,
     binom_pmf_reduce,
@@ -332,10 +331,10 @@ def mixture_fp_at(p, p_control: float, n: int, alpha_prime: float,
 
 
 def mixture_actual_fp(alpha_prime: float, p_control: float, n: int,
-                      belief: MixtureBelief, sup_denom: int = SUP_DENOM) -> float:
+                      belief: MixtureBelief) -> float:
     """sup over p < p_control of the mixture false positive probability."""
-    terms = mixture_terms(p_control, n, alpha_prime, belief)
-    return sup_below(n, terms, p_control, sup_denom)[0]
+    return sup_below(n, mixture_terms(p_control, n, alpha_prime, belief),
+                     p_control)[0]
 
 
 @dataclass(frozen=True)
@@ -349,10 +348,10 @@ class CurveRow:
 
 
 def actual_fp_curve(p_control: float, conditioning: str, alpha_grid, n: int,
-                    pi: float, sup_denom: int = SUP_DENOM) -> list[CurveRow]:
+                    pi: float) -> list[CurveRow]:
     """Nominal-vs-actual rows across a grid of nominal levels."""
     belief = MixtureBelief(pi, conditioning)
-    return [CurveRow(float(a), mixture_actual_fp(a, p_control, n, belief, sup_denom),
+    return [CurveRow(float(a), mixture_actual_fp(a, p_control, n, belief),
                      p_control, conditioning, n, pi) for a in alpha_grid]
 
 
@@ -369,10 +368,11 @@ class CalibrationResult:
     alpha_prime: float
 
 
-def calibrate_conditioning(p_control: float = 0.5, n: int = 300,
-                           pi: float = 0.5, alpha_prime: float = 0.05,
-                           target: float = 0.22,
-                           sup_denom: int = SUP_DENOM) -> CalibrationResult:
+# The 0.22 anchor's control rate, n, weight and level: calibration's settings.
+CAL_P_CONTROL, CAL_N, CAL_PI, CAL_ALPHA, CAL_TARGET = 0.5, 300, 0.5, 0.05, 0.22
+
+
+def calibrate_conditioning() -> CalibrationResult:
     """Pick the conditioning variant whose actual rate lands nearest the target.
 
     All three variants are evaluated at the reference settings; the winner
@@ -380,9 +380,9 @@ def calibrate_conditioning(p_control: float = 0.5, n: int = 300,
     in output metadata rather than baked in silently.
     """
     candidates = {variant: mixture_actual_fp(
-        alpha_prime, p_control, n, MixtureBelief(pi, variant), sup_denom)
+        CAL_ALPHA, CAL_P_CONTROL, CAL_N, MixtureBelief(CAL_PI, variant))
         for variant in CONDITIONING_VARIANTS}
-    variant = min(candidates, key=lambda v: abs(candidates[v] - target))
+    variant = min(candidates, key=lambda v: abs(candidates[v] - CAL_TARGET))
     return CalibrationResult(variant, candidates[variant],
-                             abs(candidates[variant] - target), target,
-                             candidates, p_control, n, pi, alpha_prime)
+                             abs(candidates[variant] - CAL_TARGET), CAL_TARGET,
+                             candidates, CAL_P_CONTROL, CAL_N, CAL_PI, CAL_ALPHA)

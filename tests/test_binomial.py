@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from guaranteesim import binomial
@@ -419,7 +419,7 @@ class TestCoverage:
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 10_000)
         value, argmax, certificate = sup_below(
             proc.n, exceedance_terms(proc, 0.5), 0.5)
-        assert certificate == "monotone" and argmax == 0.5
+        assert certificate == "sign_change" and argmax == 0.5
         assert sup_false_positive(proc, 0.5) == value
         assert value == pytest.approx(CP_FP_10000, abs=1e-6)
         assert value == pytest.approx(exceedance_prob(proc, 0.5, 0.5), abs=1e-12)
@@ -500,7 +500,7 @@ class TestSupBelow:
         terms = [(w, np.array(num), np.array(den))]
         _, _, certificate = sup_below(2, terms, 0.5)
         holds = w >= 0 and num == [0.0, 1.0, 1.0] and den == [0.0, 1.0, 1.0]
-        assert certificate == ("monotone" if holds else "grid")
+        assert certificate == ("sign_change" if holds else "grid")
 
     def test_rejects_threshold_outside_unit_interval(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 40)
@@ -511,13 +511,15 @@ class TestSupBelow:
     @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
     @pytest.mark.parametrize("pi", [0.25, 0.5, 0.9])
     def test_uncertified_census_cases_reach_the_window_search(self, n, pi):
-        # the 12 census cases no certificate covers: bayes_reweighted at
-        # alpha' = 0.001 and p0 = 0.1 (n in 40..2000, alpha' in 0.2..0.001,
-        # p0 in 0.1..0.9, pi in 0.25..0.9, three variants: 720 cases)
+        # the 12 census cases a monotone-ratio test left uncertified:
+        # bayes_reweighted at alpha' = 0.001 and p0 = 0.1, whose ratio dips
+        # where the CP suffix starts before the Wald one; the signs about
+        # r0 still run - then +, and f(p0) beats the old search's witness
         terms = mixture_terms(0.1, n, 0.001,
                               MixtureBelief(pi, "bayes_reweighted"))
-        value, _, certificate = sup_below(n, terms, 0.1)
-        assert certificate == "grid"
+        value, argmax, certificate = sup_below(n, terms, 0.1)
+        assert certificate == "sign_change" and argmax == 0.1
+        assert value == terms_value(n, terms, 0.1)
         _assert_at_least_the_window_search(n, terms, 0.1, value)
 
     def test_spike_reaches_the_window_search(self):
@@ -525,6 +527,98 @@ class TestSupBelow:
         value, _, certificate = sup_below(10, spike, 0.5)
         assert certificate == "grid"
         _assert_at_least_the_window_search(10, spike, 0.5, value)
+
+    def test_empty_scan_returns_the_value_at_p0(self):
+        # no multiple of 1/SUP_DENOM lies below 1e-5, and the spike fails
+        # the certificate: the scan adds nothing to f(p0)
+        spike = [(1.0, (np.arange(11) == 2).astype(float), np.ones(11))]
+        assert binomial.SUP_DENOM * 1e-5 < 1.0
+        assert sup_below(10, spike, 1e-5) == (
+            terms_value(10, spike, 1e-5), 1e-5, "grid")
+
+    @pytest.mark.parametrize("n,p0", [(10, 0.5), (300, 0.1), (2000, 0.9)])
+    def test_decreasing_ratio_does_not_certify(self, n, p0):
+        # Pr(X = 0) falls in p: its signs about r0 run + then -
+        term = (1.0, (np.arange(n + 1) == 0).astype(float), np.ones(n + 1))
+        pmf = binom_pmf_vector(n, p0)
+        assert not binomial._sign_change_term(pmf, *term)
+        value, argmax, certificate = sup_below(n, [term], p0)
+        assert certificate == "grid" and argmax == 1.0 / binomial.SUP_DENOM
+        assert value == pytest.approx(binom_pmf(n, argmax, 0), rel=1e-12)
+
+    @given(n=st.integers(1, 60), p0=st.floats(0.01, 0.99),
+           w=st.floats(0.0, 3.0), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nondecreasing_ratio_always_certifies(self, n, p0, w, data):
+        # the monotone-ratio condition the certificate replaced, contained
+        # in it: any den >= 0 (zeros included, with num = 0 there) and any
+        # nondecreasing num/den of either sign
+        ratio = np.sort(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)))
+        den = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0]),
+            min_size=n + 1, max_size=n + 1)))
+        term = (w, ratio * den, den)
+        assert binomial._sign_change_term(binom_pmf_vector(n, p0), *term)
+        value, argmax, certificate = sup_below(n, [term], p0)
+        assert certificate == "sign_change" and argmax == p0
+
+    @given(n=st.integers(2, 60), p0=st.floats(0.05, 0.95),
+           c=st.floats(0.0, 1.0), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sign_change_terms_stay_below_their_value_at_p0(self, n, p0, c,
+                                                            data):
+        # num = c * den + g with g running - then + and pmf(p0) . g = 0,
+        # so r0 = c however the ratio wanders: Karlin's bound, checked on
+        # the 1/1024 lattice below p0. The cut leaves at least 1% of the
+        # mass on each side, so no |g / den| falls into the tie band.
+        pmf = binom_pmf_vector(n, p0)
+        cdf = np.cumsum(pmf)[:-1]
+        cut = data.draw(st.sampled_from(
+            (np.flatnonzero((cdf >= 0.01) & (cdf <= 0.99)) + 1).tolist()))
+        den = np.array(data.draw(st.lists(
+            st.floats(0.1, 2.0), min_size=n + 1, max_size=n + 1)))
+        g = np.array(data.draw(st.lists(
+            st.floats(0.01, 0.99), min_size=n + 1, max_size=n + 1)))
+        g[:cut] -= 1.0
+        g[cut:] *= -(pmf[:cut] @ g[:cut]) / (pmf[cut:] @ g[cut:])
+        terms = [(1.0, c * den + g, den)]
+        value, argmax, certificate = sup_below(n, terms, p0)
+        assert certificate == "sign_change" and argmax == p0
+        lattice = probability_grid(1024, hi=p0)
+        assert terms_value(n, terms, lattice).max() <= value + 1e-12
+
+    @given(n=st.integers(4, 60), p0=st.floats(0.05, 0.95),
+           c=st.floats(0.0, 1.0), lam=st.floats(0.1, 0.9), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nonnegative_tail_sums_certify(self, n, p0, c, lam, data):
+        # a - then + list as above, then part of the - mass at j + 1 moved
+        # to j, turning g_j positive: the signs now change three times, but
+        # every tail sum of pmf * g stays >= 0, so Abel summation keeps
+        # the term at most c below p0
+        pmf = binom_pmf_vector(n, p0)
+        cdf = np.cumsum(pmf)[:-1]
+        cuts = np.flatnonzero((cdf >= 0.01) & (cdf <= 0.99)) + 1
+        assume(cuts.max() >= 3)
+        cut = data.draw(st.sampled_from(cuts[cuts >= 3].tolist()))
+        j = data.draw(st.integers(1, cut - 2))
+        den = np.array(data.draw(st.lists(
+            st.floats(0.1, 2.0), min_size=n + 1, max_size=n + 1)))
+        e = pmf * np.array(data.draw(st.lists(
+            st.floats(0.01, 0.99), min_size=n + 1, max_size=n + 1)))
+        e[:cut] *= -1.0
+        e[cut:] *= -e[:cut].sum() / e[cut:].sum()
+        tail = -e[:j + 1].sum()  # the tail sum from j + 1
+        moved = -e[j] + lam * (tail + e[j])
+        e[j] += moved
+        e[j + 1] -= moved
+        g = e / pmf
+        assert g[j - 1] < 0.0 < g[j] and g[j + 1] < 0.0 < g[-1]
+        terms = [(1.0, c * den + g, den)]
+        value, argmax, certificate = sup_below(n, terms, p0)
+        assert certificate == "sign_change" and argmax == p0
+        lattice = probability_grid(1024, hi=p0)
+        assert terms_value(n, terms, lattice).max() <= value + 1e-12
 
 
 def _assert_at_least_the_window_search(n, terms, p0, value):
@@ -571,7 +665,7 @@ class TestGrids:
 
     def test_empty_grid_raises(self):
         with pytest.raises(ValueError):
-            refined_grid_max(lambda p: p, probability_grid(8, lo=0.5, hi=0.6))
+            refined_grid_max(lambda p: p, probability_grid(8, hi=0.1))
 
 
 def _scalar_grid_max(fn, grid):

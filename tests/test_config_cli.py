@@ -400,6 +400,18 @@ class TestCliCommands:
         assert rows[0]["n"] == "2001"
         assert 0.05 < float(rows[0]["alpha_actual"]) < 1.0
 
+    def test_fig1_at_a_threshold_below_the_old_scan(self, tmp_path, capsys):
+        # p_C = 0.001 lies below 1/512, where an uncertified supremum used to
+        # scan an empty grid and exit 1; the bayes list certifies, and the
+        # retired sup_refine_denom is read by nothing
+        cfg = write_config(tmp_path, {
+            "belief": {"untruthful_weight": 0.5,
+                       "conditioning": "bayes_reweighted"},
+            "grids": {"alpha_levels": [0.05], "sup_refine_denom": 512}})
+        assert main(["fig1", "--n", "300", "--p-c", "0.001", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        assert "nominal 0.05 -> actual 0.036954" in capsys.readouterr().out
+
     def test_example1(self, tmp_path, capsys):
         rc = main(["example1", "--out", str(tmp_path)])
         out = capsys.readouterr().out

@@ -364,7 +364,7 @@ class TestMixture:
         belief = MixtureBelief(0.5, "fixed_given_published")
         value, argmax, certificate = sup_below(
             300, mixture_terms(0.5, 300, 0.05, belief), 0.5)
-        assert certificate == "monotone" and argmax == 0.5
+        assert certificate == "sign_change" and argmax == 0.5
         assert value == mixture_actual_fp(0.05, 0.5, 300, belief)
         assert value == pytest.approx(
             _integer_oracle(300, 0.05, belief.conditioning), abs=1e-12)
@@ -382,25 +382,94 @@ class TestMixture:
         assert value >= at_p0
         assert value >= terms_value(n, terms, grid).max() - 1e-12
         assert 0.0 < argmax <= p0
-        if certificate == "monotone":
+        if certificate == "sign_change":
             assert value == at_p0 and argmax == p0
         else:
             assert certificate == "grid"
 
     def test_uncertified_case_falls_back_to_the_grid(self):
-        # the bayes ratio dips where the CP suffix starts before the Wald one
-        terms = mixture_terms(0.1, 300, 0.001,
-                              MixtureBelief(0.5, "bayes_reweighted"))
-        value, _, certificate = sup_below(300, terms, 0.1)
-        assert certificate == "grid"
-        grid = probability_grid(512, hi=0.1)
-        assert value >= max(terms_value(300, terms, 0.1),
-                            terms_value(300, terms, grid).max())
+        # a nominal level above 0.84 at small n: the bayes signs about r0
+        # do not run - then +, and the supremum really lies inside (0, p0)
+        p0 = 0.9948027571191351
+        terms = mixture_terms(p0, 28, 0.8526879712570676, MixtureBelief(
+            0.6918361855380587, "bayes_reweighted"))
+        assert terms_value(28, terms, p0) == 0.35303508579391707
+        assert sup_below(28, terms, p0) == (
+            0.4753908077625439, 0.9720458984375, "grid")
+
+    @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
+    @pytest.mark.parametrize("a", [0.2, 0.05, 0.01, 0.001])
+    def test_census_certifies_at_the_threshold(self, n, a):
+        # the 720-case census, 45 cases per (n, alpha'): every supremum is
+        # f(p0) at p0, bit for bit
+        for p0 in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for pi in (0.25, 0.5, 0.9):
+                for variant in CONDITIONING_VARIANTS:
+                    terms = mixture_terms(p0, n, a, MixtureBelief(pi, variant))
+                    assert sup_below(n, terms, p0) == (
+                        terms_value(n, terms, p0), p0, "sign_change")
+
+    @pytest.mark.parametrize("p0,a", [
+        (0.001, 0.05), (0.01, 0.001), (0.01, 0.01), (0.05, 0.001),
+        (0.05, 0.01), (0.1, 0.001)])
+    def test_small_thresholds_certify(self, p0, a):
+        # bayes_reweighted at n = 300: a monotone-ratio test left these
+        # to the scan, and at p0 = 0.001 a 1/512 scan had no point at all
+        terms = mixture_terms(p0, 300, a, MixtureBelief(0.5, "bayes_reweighted"))
+        assert sup_below(300, terms, p0) == (
+            terms_value(300, terms, p0), p0, "sign_change")
+
+    def test_bayes_near_full_weight_certifies_by_its_tail_sums(self):
+        # at pi = 0.99 and p0 = 0.002 the ratio about r0 runs - - + - + ...:
+        # the CP suffix starts where the gate still rarely rejects; the tail
+        # sums of pmf * (num - r0 * den) stay >= 0, and from x = 120 on,
+        # where the pmf at p0 is not a normal double, every sign is +
+        n, p0 = 131, 0.002
+        terms = mixture_terms(p0, n, 0.044623814711453914,
+                              MixtureBelief(0.99, "bayes_reweighted"))
+        (_, num, den), = terms
+        r0 = binom_pmf_vector(n, p0) @ num / (binom_pmf_vector(n, p0) @ den)
+        assert np.count_nonzero(np.diff(np.sign(num / den - r0))) >= 3
+        assert sup_below(n, terms, p0) == (
+            terms_value(n, terms, p0), p0, "sign_change")
+
+    @given(n=st.integers(2, 400), a=st.floats(1e-6, 0.8),
+           p0=st.floats(0.002, 0.998), pi=st.floats(0.0, 1.0),
+           spread=st.floats(0.01, 1.0),
+           kind=st.sampled_from(CONDITIONING_VARIANTS + (
+               "clopper_pearson", "wald", "fraudulent", "selective")))
+    @settings(max_examples=200, deadline=None)
+    def test_every_program_term_list_certifies(self, n, a, p0, pi, spread,
+                                               kind):
+        # nominal levels up to 0.8: every mixture variant and strategy
+        if kind in CONDITIONING_VARIANTS:
+            terms = mixture_terms(p0, n, a, MixtureBelief(pi, kind))
+        elif kind == "selective":
+            terms = SelectiveStrategy(n, a).exceedance_terms(p0)
+        elif kind == "fraudulent":
+            terms = FraudulentStrategy(
+                LowerBoundProcedure("clopper_pearson", a, n),
+                spread * min(p0, 1.0 - p0)).exceedance_terms(p0)
+        else:
+            terms = TruthfulStrategy(
+                LowerBoundProcedure(kind, a, n)).exceedance_terms(p0)
+        value, argmax, certificate = sup_below(n, terms, p0)
+        assert certificate == "sign_change" and argmax == p0
+        # terms_value reads a ratio of two subnormal sums as noise (1.0
+        # where the true rate is near 0, at n = 396, alpha' = 1e-6, pi = 1
+        # and p = 0.169), so the lattice keeps the rates where every
+        # pmf . den is a normal double
+        lattice = probability_grid(1024, hi=p0)
+        pmf = binom_pmf_vector(n, lattice)
+        lattice = lattice[np.all([pmf @ den >= np.finfo(float).tiny
+                                  for _, _, den in terms], axis=0)]
+        if lattice.size:
+            assert terms_value(n, terms, lattice).max() <= value + 1e-12
 
     def test_benchmark_suprema_are_certified(self, monkeypatch):
         # every supremum the benchmark computes (fig1 --n 1000 at p_C 0.3,
         # 0.5 and 0.7 over the 9 levels, the three calibration candidates,
-        # and anchors 3a, 3b and 7) certifies "monotone": none runs the
+        # and anchors 3a, 3b and 7) certifies "sign_change": none runs the
         # uncertified scan
         certificates = []
 
@@ -417,7 +486,7 @@ class TestMixture:
             actual_fp_curve(p_c, cal.variant, GridSpec.alpha_levels, 1000, 0.5)
         mixture_actual_fp(0.025, 0.5, 300, MixtureBelief(0.5, cal.variant))
         assert reproduce._strategy_suite_bound()[0]
-        assert certificates == ["monotone"] * (3 + 3 * 9 + 1 + 4)
+        assert certificates == ["sign_change"] * (3 + 3 * 9 + 1 + 4)
 
     def test_truthful_component_respects_nominal(self):
         for a, target in ((0.05, SUP_TRUTHFUL_05), (0.025, SUP_TRUTHFUL_025)):
@@ -479,6 +548,6 @@ class TestCurveAndCalibration:
     def test_small_instance_grid_has_no_silent_points(self):
         # a p where rejection is impossible contributes the truthful term
         belief = MixtureBelief(0.5, "fixed_given_published")
-        grid = probability_grid(32, lo=0.0, hi=0.5)
+        grid = probability_grid(32, hi=0.5)
         vals = [mixture_fp_at(p, 0.5, 12, 0.1, belief) for p in grid]
         assert all(0.0 <= v <= 1.0 for v in vals)
