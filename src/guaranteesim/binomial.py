@@ -172,7 +172,8 @@ def binom_draws(n: int, p: float, rng: np.random.Generator,
     """size counts from Binomial(n, p), by inversion of the exact cdf.
 
     One rng.random uniform per count, looked up in the cumulative sum of
-    binom_pmf_vector (Devroye 1986, section III.2); p > 1/2 draws n - X
+    binom_pmf_vector (Devroye 1986, section III.2) by _indexed_search, with
+    the counts searchsorted(side="right") gives; p > 1/2 draws n - X
     at 1 - p. This is the inversion numpy's Generator.binomial runs when
     n * min(p, 1 - p) <= 30, so there the counts equal rng.binomial's on
     the same stream for 0 < p < 1; beyond that numpy switches to BTPE
@@ -185,7 +186,37 @@ def binom_draws(n: int, p: float, rng: np.random.Generator,
         return n - binom_draws(n, 1.0 - p, rng, size)
     cdf = np.cumsum(binom_pmf_vector(n, p))
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    return _indexed_search(cdf, rng.random(size))
+
+
+# Uniforms looked up at once by _indexed_search: its temporaries stay
+# small, and blocks of this size ran faster than one pass over 10**6.
+_SEARCH_BLOCK = 1 << 16
+
+
+def _indexed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right") for u in [0, 1), bit for bit.
+
+    Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4):
+    [0, 1) is cut into k buckets, k a power of two, so floor(u * k) is
+    exact for every double u. A bucket holding no cdf value strictly
+    inside it gives every u in it the same count, read from a table;
+    only uniforms in the other buckets are binary-searched. About 16
+    buckets per cdf entry leave most buckets empty; k stays within
+    [2**10, 2**16], so the table is cheap to build and small to hold.
+    """
+    k = min(max(1 << (16 * len(cdf) - 1).bit_length(), 1 << 10), 1 << 16)
+    edges = np.arange(k + 1) / k
+    below = cdf.searchsorted(edges[:-1], side="right")
+    table = np.where(below == cdf.searchsorted(edges[1:], side="left"), below, -1)
+    out = np.empty(u.shape, np.intp)
+    for i in range(0, u.size, _SEARCH_BLOCK):
+        block = u[i:i + _SEARCH_BLOCK]
+        got = table[(block * k).astype(np.intp)]
+        miss = np.flatnonzero(got < 0)
+        got[miss] = cdf.searchsorted(block[miss], side="right")
+        out[i:i + _SEARCH_BLOCK] = got
+    return out
 
 
 # Largest pmf matrix binom_pmf_reduce builds at once, in cells.

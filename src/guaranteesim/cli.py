@@ -380,6 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="scenario JSON (default: bundled)")
     common.add_argument("--out", help="output directory "
                                       "(default: $GUARANTEESIM_OUT or ./out)")
+    common.add_argument("--debug", action="store_true",
+                        help="let a runtime error raise with its traceback "
+                             "instead of exiting 1")
 
     parser = argparse.ArgumentParser(
         prog="guaranteesim",
@@ -457,6 +460,8 @@ def main(argv=None) -> int:
         print(f"config error{where}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

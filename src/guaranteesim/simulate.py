@@ -6,7 +6,9 @@ produce the same draws no matter which worker or in which order they run,
 which is what makes grid sweeps reproducible under any scheduling.
 The strategies' samplers draw binomial counts from these streams with
 binomial.binom_draws, by inversion of the exact pmf with one uniform per
-count, so a fixed (seed, stream_id) reproduces their draws bit for bit too.
+count (indexed search over the cdf, binary search only inside buckets
+that hold a cdf point), so a fixed (seed, stream_id) reproduces their
+draws bit for bit too.
 """
 
 from __future__ import annotations

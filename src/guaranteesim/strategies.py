@@ -13,7 +13,9 @@ and reads it against one threshold: every strategy states its exceedance
 as exceedance_prob(p, threshold) and exceedance_terms(threshold), draws
 published bounds with sample(p, threshold, rng, size), and the selective
 gate's control rate is that threshold. Samplers draw counts with
-binomial.binom_draws, by inversion of the exact pmf.
+binomial.binom_draws, by inversion of the exact pmf: indexed search over
+its cumulative sum, with binary search only inside buckets that hold a
+cdf point.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight

@@ -149,6 +149,39 @@ def test_criterion_10(anchors, tmp_path, capsys):
     assert rows["10"].passed
 
 
+# anchor 10's five estimates at the default seed, (mean, standard error):
+# the binomial mean, the selective gate's publication and exceedance rates,
+# the fraudulent exceedance and the tail-guarantee payoff
+ANCHOR10_ESTIMATES = [
+    (6.000818, 0.002048859079756226),
+    (0.046434, 0.00021042321146187254),
+    (0.017021, 0.00012934953533083252),
+    (0.519011, 0.0004996387009808502),
+    (-4.9929675, 0.00015538442035181035),
+]
+
+
+def test_anchor_10_estimates_are_pinned_bit_for_bit(monkeypatch):
+    # the samplers' draws are part of the anchor: a faster lookup must
+    # reproduce every estimate exactly, not just within 4 standard errors
+    from guaranteesim import reproduce
+    seen = []
+    real = reproduce.mc_estimate
+
+    def spy(sampler, n_draws, stream):
+        est = real(sampler, n_draws, stream)
+        seen.append(est)
+        return est
+
+    monkeypatch.setattr(reproduce, "mc_estimate", spy)
+    econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
+                              BenefitFunction.linear(2.5))
+    ok, detail = reproduce._infrastructure_properties(20260819, econ_20)
+    assert ok and detail == "max |z| 1.15; rerun identical: True"
+    assert [(e.mean, e.std_error) for e in seen[:5]] == ANCHOR10_ESTIMATES
+    assert all(e.n_draws == 1_000_000 for e in seen[:5])
+
+
 def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):
     # every strategy count drawn at p + 0.01 instead of p: anchor 10's
     # checks against the exact rates must go red

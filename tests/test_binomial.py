@@ -235,6 +235,59 @@ class TestBinomDraws:
         assert n * p < top < n * p + 20.0 * math.sqrt(n * p * (1.0 - p))
         assert int(binom_draws(n, 1.0 - p, TopUniform(), 1)[0]) == n - top
 
+    @pytest.mark.parametrize("build", [
+        lambda rng: np.arange(1, 1025) / 1024,                  # every edge
+        lambda rng: np.arange(1, 1 << 16 | 1) / (1 << 16),      # edges, k = 2**16
+        lambda rng: np.repeat(np.arange(1, 65) / 64, 3),        # repeats
+        lambda rng: np.array([0.0, 0.0, 0.25, 0.5 + 2.0**-40, 1.0, 1.0, 1.0]),
+        lambda rng: np.array([1.0]),
+        lambda rng: np.append(np.sort(rng.random(10**6)), 1.0),  # marked buckets
+        lambda rng: np.minimum(np.cumsum(np.round(rng.random(3000) * 256)
+                                         / (1 << 18)), 1.0),   # plateau at 1
+    ], ids=["edges", "edges_2_16", "repeats", "plateau", "single", "dense",
+            "fine_edges"])
+    def test_indexed_search_equals_searchsorted(self, build):
+        # uniforms at 0, at every multiple of 2**-16 (the edges of any
+        # bucket count the lookup can pick), at the double below each, and
+        # on and beside every cdf value
+        rng = np.random.default_rng(15)
+        cdf = build(rng)
+        fine = np.arange(1 << 16) / (1 << 16)
+        inner = cdf[cdf < 1.0]
+        u = np.concatenate([fine, np.nextafter(fine[1:], 0.0),
+                            [np.nextafter(1.0, 0.0)], inner,
+                            np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                            rng.random(3 * binomial._SEARCH_BLOCK + 17)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = binomial._indexed_search(cdf, u)
+        want = cdf.searchsorted(u, side="right")
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_indexed_search_on_random_adversarial_cdfs(self):
+        # values rounded onto bucket edges, runs of repeats, plateaus at 1
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            steps = rng.random(int(rng.integers(1, 5000)))
+            steps[rng.random(steps.size) < 0.3] = 0.0
+            cdf = np.cumsum(steps)
+            cdf /= cdf[-1] * rng.uniform(0.5, 1.0)
+            cdf = np.minimum(cdf, 1.0)
+            if rng.random() < 0.5:
+                scale = float(1 << int(rng.integers(4, 19)))
+                cdf = np.round(cdf * scale) / scale
+            u = np.concatenate([cdf[cdf < 1.0], rng.random(1000)])
+            assert np.array_equal(binomial._indexed_search(cdf, u),
+                                  cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("size", [0, 1, 3 * binomial._SEARCH_BLOCK + 17])
+    def test_indexed_search_sizes(self, size):
+        cdf = np.cumsum(binom_pmf_vector(40, 0.3))
+        cdf /= cdf[-1]
+        u = SeededStream(6, 0).generator().random(size)
+        got = binomial._indexed_search(cdf, u)
+        assert got.shape == (size,)
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
     def test_law_where_numpy_uses_btpe(self):
         # n * p = 600: numpy draws by BTPE, so only the law can agree
         n, p, size = 2000, 0.3, 1_000_000
@@ -510,7 +563,7 @@ class TestSupBelow:
 
     @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
     @pytest.mark.parametrize("pi", [0.25, 0.5, 0.9])
-    def test_uncertified_census_cases_reach_the_window_search(self, n, pi):
+    def test_census_cases_certify_with_the_value_at_p0(self, n, pi):
         # the 12 census cases a monotone-ratio test left uncertified:
         # bayes_reweighted at alpha' = 0.001 and p0 = 0.1, whose ratio dips
         # where the CP suffix starts before the Wald one; the signs about
@@ -520,13 +573,13 @@ class TestSupBelow:
         value, argmax, certificate = sup_below(n, terms, 0.1)
         assert certificate == "sign_change" and argmax == 0.1
         assert value == terms_value(n, terms, 0.1)
-        _assert_at_least_the_window_search(n, terms, 0.1, value)
+        _assert_at_least_a_two_stage_search(n, terms, 0.1, value)
 
-    def test_spike_reaches_the_window_search(self):
+    def test_spike_falls_back_to_the_lattice_scan(self):
         spike = [(1.0, (np.arange(11) == 2).astype(float), np.ones(11))]
         value, _, certificate = sup_below(10, spike, 0.5)
         assert certificate == "grid"
-        _assert_at_least_the_window_search(10, spike, 0.5, value)
+        _assert_at_least_a_two_stage_search(10, spike, 0.5, value)
 
     def test_empty_scan_returns_the_value_at_p0(self):
         # no multiple of 1/SUP_DENOM lies below 1e-5, and the spike fails
@@ -621,7 +674,7 @@ class TestSupBelow:
         assert terms_value(n, terms, lattice).max() <= value + 1e-12
 
 
-def _assert_at_least_the_window_search(n, terms, p0, value):
+def _assert_at_least_a_two_stage_search(n, terms, p0, value):
     """The scan's supremum is at least f(p0) and the two-stage search's
     maximum, from a 1/512 base grid and a 1/8192 window."""
     fn = lambda p: terms_value(n, terms, p)

@@ -473,6 +473,17 @@ class TestCliCommands:
         assert rc == 1
         assert err.startswith("error:")
 
+    def test_debug_lets_the_runtime_error_raise(self, tmp_path, capsys):
+        # the scenario of test_decide_runtime_error_exits_1: with --debug the
+        # error raised inside decide reaches the caller with its traceback
+        cfg = write_config(tmp_path, {"contract": {"variant": "tail",
+                                                   "k": -15.0}})
+        with pytest.raises(ValueError, match="requires an AlphaSchedule") as info:
+            main(["decide", "--published-bound", "0.6", "--config", cfg,
+                  "--out", str(tmp_path), "--debug"])
+        assert info.traceback[-1].name != "main"
+        assert capsys.readouterr().err == ""
+
     def test_contract_files(self, tmp_path, capsys):
         rc = main(["contract", "--out", str(tmp_path)])
         capsys.readouterr()
