@@ -385,11 +385,6 @@ class LowerBoundProcedure:
             return clopper_pearson_lower_vector(self.n, self.nominal_alpha)
         return wald_lower_vector(self.n, self.nominal_alpha)
 
-    def bound(self, x: int) -> float:
-        if not 0 <= x <= self.n:
-            raise ValueError(f"count x={x} outside 0..{self.n}")
-        return float(self.bounds[x])
-
     def covered(self, t: float, pmf=None) -> int:
         """The number k of counts x with L(x) <= t, which are x = 0..k-1
         because L is nondecreasing in x; pmf is the pmf at t, if at hand.

@@ -16,7 +16,7 @@ import json
 import locale  # noqa: F401
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -69,37 +69,40 @@ def _resolve_variant(scenario: Scenario) -> str:
     return _calibration().variant
 
 
-def _meta_lines(scenario: Scenario, variant: Optional[str] = None) -> list:
-    """CSV provenance lines; variant is the conditioning variant the output
-    was computed with, recorded only by the commands that use one."""
-    meta = _meta_dict(scenario, variant)
+@dataclass(frozen=True)
+class Outputs:
+    """What a subcommand writes: file name -> JSON body (a dict) or CSV
+    (header, rows), the conditioning variant the files were computed with,
+    if any, and the exit code."""
+    files: dict
+    variant: Optional[str] = None
+    code: int = 0
+
+
+def _render(body, meta: dict) -> str:
+    """A JSON body with meta as its first key, or a CSV with provenance
+    comment lines above its header."""
+    if isinstance(body, dict):
+        return json.dumps({"meta": meta, **body}, indent=2) + "\n"
+    header, rows = body
     grids = " ".join(f"{key}={value}" for key, value in meta["grids"].items())
     lines = [f"# {meta['tool']}", f"# seed={meta['seed']}", f"# grids: {grids}"]
-    if variant is not None:
-        lines.append(f"# fig1_variant={variant}")
-    return lines
+    if "fig1_variant" in meta:
+        lines.append(f"# fig1_variant={meta['fig1_variant']}")
+    lines += [header] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _meta_dict(scenario: Scenario, variant: Optional[str] = None) -> dict:
-    """JSON counterpart of _meta_lines."""
-    meta = {
-        "tool": f"guaranteesim {__version__}",
-        "seed": scenario.seed,
-        "grids": {key: value for key, value in asdict(scenario.grids).items()
-                  if key != "alpha_levels"},
-    }
-    if variant is not None:
-        meta["fig1_variant"] = variant
-    return meta
+def _decide(scenario: Scenario, bound: float, policy):
+    if scenario.contract is None:
+        return decide_no_guarantee(bound, policy, scenario.economics)
+    return decide_with_contract(bound, scenario.contract, policy,
+                                scenario.economics)
 
 
-def _write_csv(path: Path, meta: list, header: str, rows) -> None:
-    lines = list(meta) + [header] + [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _probe(policy) -> float:
+    """A published bound halfway between the threshold p0 and 1."""
+    return policy.p0 + 0.5 * (1.0 - policy.p0)
 
 
 def _fmt(x: float) -> str:
@@ -107,17 +110,10 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("GUARANTEESIM_OUT") or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
-def cmd_coverage(scenario: Scenario, args) -> int:
+def cmd_coverage(scenario: Scenario, args) -> Outputs:
     kind = args.proc or scenario.procedure.kind
     n = scenario.procedure.n if args.n is None else args.n
     alpha = (scenario.procedure.nominal_alpha if args.alpha_prime is None
@@ -125,18 +121,15 @@ def cmd_coverage(scenario: Scenario, args) -> int:
     proc = LowerBoundProcedure(kind, alpha, n)
     grid = probability_grid(scenario.grids.coverage_denom)
     report = coverage_report(proc, grid)
-    out = _out_dir(args)
-    path = out / f"coverage_{kind}_n{n}_a{alpha:g}.csv"
     rows = ([_fmt(p), _fmt(c), _fmt(v)] for p, c, v in
             zip(report.p_grid, report.coverage, report.violation))
-    _write_csv(path, _meta_lines(scenario), "p,coverage,violation", rows)
-    print(f"wrote {path}")
     print(f"min coverage {report.min_coverage:.6f} at p={report.worst_p:.6f} "
           f"(nominal {1.0 - alpha:.6f})")
-    return 0
+    return Outputs({f"coverage_{kind}_n{n}_a{alpha:g}.csv":
+                    ("p,coverage,violation", rows)})
 
 
-def cmd_example1(scenario: Scenario, args) -> int:
+def cmd_example1(scenario: Scenario, args) -> Outputs:
     value = fraud_mixture_fp(args.alpha_prime, args.pi)
     print(f"alpha_actual = {value:.5f}")
     econ = PolicyEconomics(CostSchedule.linear(1.0, 1000),
@@ -151,14 +144,11 @@ def cmd_example1(scenario: Scenario, args) -> int:
         m = econ.max_scale_under_bound(alpha, u_bar)
         ratio = econ.cost(m) / econ.cost(1000) if m else 0.0
         rows.append([_fmt(alpha), str(m), _fmt(ratio)])
-    out = _out_dir(args)
-    path = out / "example1_scaleback.csv"
-    _write_csv(path, _meta_lines(scenario), "alpha,max_scale,cost_ratio", rows)
-    print(f"wrote {path}")
-    return 0
+    return Outputs({"example1_scaleback.csv":
+                    ("alpha,max_scale,cost_ratio", rows)})
 
 
-def cmd_example2(scenario: Scenario, args) -> int:
+def cmd_example2(scenario: Scenario, args) -> Outputs:
     variant = _resolve_variant(scenario)
     belief = MixtureBelief(args.pi, variant)
     grids = scenario.grids
@@ -169,15 +159,11 @@ def cmd_example2(scenario: Scenario, args) -> int:
         for p, fp in zip(p_grid, fps):
             rows.append([_fmt(alpha), _fmt(p), _fmt(fp), variant,
                          _fmt(args.p_c), str(args.n), _fmt(args.pi)])
-    out = _out_dir(args)
-    path = out / "example2_surface.csv"
-    _write_csv(path, _meta_lines(scenario, variant),
-               "alpha_nominal,p,fp,variant,p_C,n,pi", rows)
-    print(f"wrote {path}")
-    return 0
+    return Outputs({"example2_surface.csv":
+                    ("alpha_nominal,p,fp,variant,p_C,n,pi", rows)}, variant)
 
 
-def cmd_fig1(scenario: Scenario, args) -> int:
+def cmd_fig1(scenario: Scenario, args) -> Outputs:
     variant = _resolve_variant(scenario)
     rows = []
     for p_c in args.p_c:
@@ -189,46 +175,30 @@ def cmd_fig1(scenario: Scenario, args) -> int:
             if abs(row.alpha_nominal - 0.05) < 1e-12:
                 print(f"p_C={p_c:g}: nominal 0.05 -> actual "
                       f"{row.alpha_actual:.6f}")
-    out = _out_dir(args)
-    path = out / "fig1.csv"
-    _write_csv(path, _meta_lines(scenario, variant),
-               "alpha_nominal,alpha_actual,p_C,variant,n,pi", rows)
-    sidecar = out / "fig1_calibration.json"
-    _write_json(sidecar, {
-        "meta": _meta_dict(scenario, variant),
-        "calibration": asdict(_calibration()),
-    })
-    print(f"wrote {path}")
-    print(f"wrote {sidecar}")
-    return 0
+    return Outputs({
+        "fig1.csv": ("alpha_nominal,alpha_actual,p_C,variant,n,pi", rows),
+        "fig1_calibration.json": {"calibration": asdict(_calibration())},
+    }, variant)
 
 
-def cmd_decide(scenario: Scenario, args) -> int:
-    econ = scenario.economics
+def cmd_decide(scenario: Scenario, args) -> Outputs:
     policy = scenario.policy()
-    crossing = econ.single_crossing_report(np.linspace(0.05, 0.95, 10))
+    crossing = scenario.economics.single_crossing_report(
+        np.linspace(0.05, 0.95, 10))
     if not crossing.holds:
         print(f"warning: net-value shape violated at p={crossing.violating_p:g}, "
               f"m={crossing.violating_m}", file=sys.stderr)
-    if scenario.contract is None:
-        decision = decide_no_guarantee(args.published_bound, policy, econ)
-    else:
-        decision = decide_with_contract(args.published_bound, scenario.contract,
-                                        policy, econ)
+    decision = _decide(scenario, args.published_bound, policy)
     record = decision.to_record()
     record["published_bound"] = args.published_bound
     record["p0"] = policy.p0
-    out = _out_dir(args)
-    path = out / "decision.json"
-    _write_json(path, {"meta": _meta_dict(scenario), "decision": record})
     verb = f"implement at scale {decision.scale}" if decision.implement \
         else "do not implement"
     print(f"{verb} (rule {decision.rule}, bound {decision.bound:g})")
-    print(f"wrote {path}")
-    return 0
+    return Outputs({"decision.json": {"decision": record}})
 
 
-def cmd_contract(scenario: Scenario, args) -> int:
+def cmd_contract(scenario: Scenario, args) -> Outputs:
     if scenario.contract is None:
         raise ConfigError("this subcommand needs a contract block", "contract")
     econ = scenario.economics
@@ -240,40 +210,31 @@ def cmd_contract(scenario: Scenario, args) -> int:
     payments = researcher_payment(ys, contract)
     rows = ([str(int(x)), _fmt(y), _fmt(po), _fmt(pay)]
             for x, y, po, pay in zip(xs, ys, payoffs, payments))
-    out = _out_dir(args)
-    path = out / "contract_payoffs.csv"
-    _write_csv(path, _meta_lines(scenario),
-               "x,y,implementer_payoff,researcher_payment", rows)
-    print(f"wrote {path}")
 
     mi = minimal_insurance(scenario.policy_u_bar, econ.cost(m))
     policy = scenario.policy()
-    probe = policy.p0 + 0.5 * (1.0 - policy.p0)
+    probe = _probe(policy)
     d_tail = decide_with_contract(probe, TailGuarantee(mi.k), policy, econ)
     d_prop = decide_with_contract(probe, ProportionalGuarantee(mi.s), policy, econ)
-    mi_path = out / "minimal_insurance.json"
-    _write_json(mi_path, {
-        "meta": _meta_dict(scenario),
-        "u_bar": scenario.policy_u_bar,
-        "c_M": econ.cost(m),
-        "tail_k": mi.k,
-        "proportional_share": mi.s,
-        "tail_decision": d_tail.to_record(),
-        "proportional_decision": d_prop.to_record(),
-    })
     print(f"minimal insurance: k={mi.k:g}, s={mi.s:g}")
-    print(f"wrote {mi_path}")
-    return 0
+    return Outputs({
+        "contract_payoffs.csv":
+            ("x,y,implementer_payoff,researcher_payment", rows),
+        "minimal_insurance.json": {
+            "u_bar": scenario.policy_u_bar,
+            "c_M": econ.cost(m),
+            "tail_k": mi.k,
+            "proportional_share": mi.s,
+            "tail_decision": d_tail.to_record(),
+            "proportional_decision": d_prop.to_record(),
+        },
+    })
 
 
-def cmd_researcher(scenario: Scenario, args) -> int:
+def cmd_researcher(scenario: Scenario, args) -> Outputs:
     econ = scenario.economics
     policy = scenario.policy()
-    probe = policy.p0 + 0.5 * (1.0 - policy.p0)
-    if scenario.contract is None:
-        decision = decide_no_guarantee(probe, policy, econ)
-    else:
-        decision = decide_with_contract(probe, scenario.contract, policy, econ)
+    decision = _decide(scenario, _probe(policy), policy)
     m = decision.scale if decision.implement else econ.M
     if not decision.implement:
         print(f"note: implementer would decline; reporting at full scale {m}")
@@ -284,34 +245,28 @@ def cmd_researcher(scenario: Scenario, args) -> int:
         scenario.risk_strategy, scenario.researcher_payoff, scenario.utility,
         econ, m, p_grid)
     part = conds.participation()
-    out = _out_dir(args)
-    part_path = out / "researcher_participation.csv"
-    _write_csv(part_path, _meta_lines(scenario), "p,lhs",
-               ([_fmt(p), _fmt(v)] for p, v in zip(part.p_grid, part.lhs)))
-    cond_path = out / "researcher_conditions.csv"
-    _write_csv(cond_path, _meta_lines(scenario),
-               "p,lhs,bound_type,bound,actual",
-               ([_fmt(r.p), _fmt(r.lhs), r.regime, _fmt(r.bound),
-                 _fmt(r.actual)] for r in conds.rows))
-    summary_path = out / "researcher_summary.json"
-    _write_json(summary_path, {
-        "meta": _meta_dict(scenario),
-        "scale": m,
-        "participation_minimum": part.minimum,
-        "v_bar": part.v_bar,
-        "participates": part.passes,
-        "any_condition_violation": conds.any_violation,
-        "base_expected_utility": conds.base_eu,
-    })
     status = "holds" if part.passes else "fails"
     print(f"participation {status}: min {part.minimum:.6f} vs floor "
           f"{part.v_bar:g} at scale {m}")
-    for path in (part_path, cond_path, summary_path):
-        print(f"wrote {path}")
-    return 0
+    return Outputs({
+        "researcher_participation.csv": (
+            "p,lhs", ([_fmt(p), _fmt(v)] for p, v in zip(part.p_grid, part.lhs))),
+        "researcher_conditions.csv": (
+            "p,lhs,bound_type,bound,actual",
+            ([_fmt(r.p), _fmt(r.lhs), r.regime, _fmt(r.bound), _fmt(r.actual)]
+             for r in conds.rows)),
+        "researcher_summary.json": {
+            "scale": m,
+            "participation_minimum": part.minimum,
+            "v_bar": part.v_bar,
+            "participates": part.passes,
+            "any_condition_violation": conds.any_violation,
+            "base_expected_utility": conds.base_eu,
+        },
+    })
 
 
-def cmd_pool(scenario: Scenario, args) -> int:
+def cmd_pool(scenario: Scenario, args) -> Outputs:
     members = scenario.pool.members
     pooled = pool_expected_utility(members, scenario.pool.shares).tolist()
     # identity shares: each member bears only its own loss
@@ -320,16 +275,12 @@ def cmd_pool(scenario: Scenario, args) -> int:
              "standalone_ce": mem.utility.certainty_equivalent(eu_alone),
              "pooled_ce": mem.utility.certainty_equivalent(eu_pooled)}
             for i, (mem, eu_alone, eu_pooled) in enumerate(zip(members, alone, pooled))]
-    out = _out_dir(args)
-    path = out / "pool.json"
-    _write_json(path, {"meta": _meta_dict(scenario), "members": rows})
     gain = min(r["pooled_ce"] - r["standalone_ce"] for r in rows)
     print(f"pool of {len(members)}: min certainty-equivalent gain {gain:.6f}")
-    print(f"wrote {path}")
-    return 0
+    return Outputs({"pool.json": {"members": rows}})
 
 
-def cmd_reproduce(scenario: Scenario, args) -> int:
+def cmd_reproduce(scenario: Scenario, args) -> Outputs:
     rows, cal = evaluate_anchors(scenario.seed, scenario.grids.coverage_denom)
     print(f"calibrated variant: {cal.variant} "
           f"(value {cal.value:.6f}, residual {cal.residual:.4f})")
@@ -340,15 +291,10 @@ def cmd_reproduce(scenario: Scenario, args) -> int:
         print(f"        computed: {row.computed}  (tolerance {row.tolerance})")
     n_pass = sum(r.passed for r in rows)
     print(f"{n_pass}/{len(rows)} anchors pass")
-    out = _out_dir(args)
-    path = out / "reproduce_report.json"
-    _write_json(path, {
-        "meta": _meta_dict(scenario, cal.variant),
-        "rows": [row.__dict__ for row in rows],
-        "all_pass": n_pass == len(rows),
-    })
-    print(f"wrote {path}")
-    return 0 if n_pass == len(rows) else 1
+    all_pass = n_pass == len(rows)
+    return Outputs({"reproduce_report.json": {
+        "rows": [row.__dict__ for row in rows], "all_pass": all_pass,
+    }}, cal.variant, 0 if all_pass else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +400,27 @@ def main(argv=None) -> int:
             # the selective gate compares two arms of at least 2 each
             parser.error(f"argument --n: must be at least 2 when --pi > 0, "
                          f"got {args.n}")
-        return args.handler(scenario, args)
+        out = Path(args.out or os.environ.get("GUARANTEESIM_OUT") or "out")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"output error: {out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        result = args.handler(scenario, args)
+        meta = {
+            "tool": f"guaranteesim {__version__}",
+            "seed": scenario.seed,
+            "grids": {key: value for key, value in asdict(scenario.grids).items()
+                      if key != "alpha_levels"},
+        }
+        if result.variant is not None:
+            meta["fig1_variant"] = result.variant
+        # render every file before writing any, so a failure writes nothing
+        texts = {name: _render(body, meta) for name, body in result.files.items()}
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="utf-8")
+            print(f"wrote {out / name}")
+        return result.code
     except ConfigError as exc:
         where = f" (line {exc.line})" if exc.line else ""
         print(f"config error{where}: {exc}", file=sys.stderr)

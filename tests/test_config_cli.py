@@ -449,6 +449,22 @@ class TestCliCommands:
         assert (env_dir / "example1_scaleback.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("where", ["flag", "environment"])
+    def test_out_naming_a_file_exits_2_before_the_command(
+            self, tmp_path, capsys, monkeypatch, where):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        argv = ["example1"]
+        if where == "flag":
+            argv += ["--out", str(taken)]
+        else:
+            monkeypatch.setenv("GUARANTEESIM_OUT", str(taken))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"output error: {taken}: File exists\n"
+        assert taken.read_text() == "keep\n"
+
     def test_decide_writes_decision_json(self, tmp_path, capsys):
         rc = main(["decide", "--published-bound", "0.5",
                    "--out", str(tmp_path)])
@@ -501,6 +517,19 @@ class TestCliCommands:
         assert payload["proportional_share"] == pytest.approx(0.6)
         assert payload["tail_decision"]["implement"] is True
         assert payload["proportional_decision"]["implement"] is True
+
+    def test_failing_contract_writes_nothing(self, tmp_path, capsys):
+        # minimal_insurance fails after the payoff table is built
+        cfg = write_config(tmp_path, {"policy": {
+            "u_bar": -25.0, "alpha_belief": 0.25, "p0": None}})
+        out = tmp_path / "out"
+        rc = main(["contract", "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: loss limit -25.0")
+        assert "wrote" not in captured.out
+        assert not (out / "contract_payoffs.csv").exists()
+        assert not list(out.iterdir())
 
     def test_contract_requires_contract_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"contract": None})

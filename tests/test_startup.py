@@ -1,9 +1,12 @@
-"""The package runs without scipy, which only the tests install.
+"""Every subcommand runs without scipy, which only the tests install, and
+writes its files with the same provenance.
 
-Each check runs in a fresh interpreter, because this one has imported
-scipy for the oracle tests.
+The scipy checks run in a fresh interpreter, because this one has
+imported scipy for the oracle tests.
 """
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from guaranteesim import cli
 
 REPO = Path(__file__).resolve().parents[1]
 LARGE = REPO / "perfbench" / "large_scenario.json"
@@ -28,6 +33,9 @@ COMMANDS = [
     (["pool"], 0),
     (["reproduce"], 1),
 ]
+
+# The subcommands whose files record the conditioning variant they used.
+VARIANT_COMMANDS = {"example2", "fig1", "reproduce"}
 
 # Blocks every import of scipy and its submodules, runs the commands of
 # argv[1] in turn and prints their exit codes as the last line.
@@ -64,3 +72,44 @@ def test_importing_the_cli_leaves_scipy_unloaded():
                          "print(sorted(m for m in sys.modules if 'scipy' in m))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_name_every_subcommand():
+    parser = cli._build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv, _ in COMMANDS) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv,rc", COMMANDS, ids=[a[0] for a, _ in COMMANDS])
+def test_every_file_records_the_same_provenance(tmp_path, capsys,
+                                                default_scenario, argv, rc):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == rc
+    grids = {key: value for key, value in
+             dataclasses.asdict(default_scenario.grids).items()
+             if key != "alpha_levels"}
+    with_variant = argv[0] in VARIANT_COMMANDS
+    files = sorted(tmp_path.iterdir())
+    assert files
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            lines = text.splitlines()
+            assert lines[:2] == ["# guaranteesim 0.1.0",
+                                 f"# seed={default_scenario.seed}"]
+            assert lines[2] == "# grids: " + " ".join(
+                f"{key}={value}" for key, value in grids.items())
+            assert lines[3].startswith("# fig1_variant=") == with_variant
+            assert not lines[3 + with_variant].startswith("#")
+        else:
+            payload = json.loads(text)
+            meta = payload["meta"]
+            assert next(iter(payload)) == "meta"
+            assert meta["tool"] == "guaranteesim 0.1.0"
+            assert meta["seed"] == default_scenario.seed
+            assert meta["grids"] == grids
+            assert ("fig1_variant" in meta) == with_variant
+    # the writer reports each file once, after the command's own lines
+    out = capsys.readouterr().out.splitlines()
+    assert sorted(out[-len(files):]) == [f"wrote {path}" for path in files]
+    assert sum(line.startswith("wrote ") for line in out) == len(files)
