@@ -8,11 +8,20 @@ only to sample published bounds, are roots of that same tail. No
 sampling, no approximation beyond the Wald formula itself (which is the
 point of including it).
 
+The pmf kernel takes the exp only within _reach of n p. By Bernstein's
+and Hoeffding's inequalities every cell beyond it has a log below -760,
+so its exp is exactly 0.0: np.exp underflows below -745.13, and the 15
+nats between cover the rounding of the log sum. The cells it does
+compute go through the same operations in the same order, so every pmf
+is the same doubles as with no window.
+
 Every exceedance functional is a short list of terms (w, num, den),
 vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
-terms_value evaluates them on the batched pmf kernel binom_pmf_reduce.
-Every "sup over p < p0" is sup_below: f(p0) when an O(n) sign-change test
-certifies it, else a scan of the multiples of 1/SUP_DENOM below p0.
+terms_value evaluates them on the batched pmf kernel binom_pmf_reduce,
+and a ratio whose denominator sum is not a normal double on the pmf
+rescaled in log space. Every "sup over p < p0" is sup_below: f(p0) when
+an O(n) sign-change test certifies it, else a scan of the multiples of
+1/SUP_DENOM below p0.
 """
 
 from __future__ import annotations
@@ -112,58 +121,124 @@ def _pmf_terms(n: int):
 
 
 def _is_rate_array(p) -> bool:
-    # cheaper than np.ndim on the scalar path, which runs per coverage point
+    # cheaper than np.ndim on the scalar path, which runs once per pmf
     return isinstance(p, np.ndarray) and p.ndim > 0
+
+
+def _rate_array(n: int, p) -> np.ndarray:
+    """p as a float array, checked as binom_pmf_vector checks its rates."""
+    rates = p.astype(float, copy=False)
+    if n < 1:
+        raise ValueError(f"need at least one trial, got n={n}")
+    if not ((rates >= 0.0) & (rates <= 1.0)).all():
+        raise ValueError(f"success probabilities must lie in [0,1], got {rates}")
+    return rates
+
+
+# Log-pmf below which a cell is left out of the exp: np.exp(x) is exactly
+# 0.0 for x below -745.13, and 760 leaves 15 nats for the rounding of the
+# three-term log sum, whose terms reach about 1e8 at n = 2e5.
+_CUTOFF = 760.0
+
+
+def _reach(n: int, p):
+    """The distance t from n p beyond which Pr(X = x) <= exp(-_CUTOFF).
+
+    For t = |x - n p|, Pr(X = x) <= Pr(|X - n p| >= t) on x's side, which
+    is at most exp(-t**2 / (2 (n p q + t / 3))) (Bernstein) and at most
+    exp(-2 t**2 / n) (Hoeffding); t solves the tighter of the two at the
+    cutoff. A float or an array of rates.
+    """
+    bernstein = _CUTOFF / 3.0 + (
+        _CUTOFF * _CUTOFF / 9.0 + 2.0 * _CUTOFF * n * p * (1.0 - p)) ** 0.5
+    hoeffding = (0.5 * _CUTOFF * n) ** 0.5
+    if _is_rate_array(p):
+        return np.minimum(bernstein, hoeffding)
+    return min(bernstein, hoeffding)
+
+
+def _window(n: int, p: float) -> tuple:
+    """Columns [lo, hi) of the pmf vector at p within _reach of n p; every
+    cell outside them is exactly 0.0."""
+    reach = _reach(n, p)
+    return max(0, math.floor(n * p - reach)), min(n, math.floor(n * p + reach)) + 1
 
 
 def binom_pmf_vector(n: int, p) -> np.ndarray:
     """All n+1 pmf values at once; same log-space route as binom_pmf.
 
     A 1-d array of rates gives a (rates, n+1) matrix whose rows are
-    bit-for-bit the pmf vectors of the single rates.
+    bit-for-bit the pmf vectors of the single rates. Only the cells in
+    the _window of p are computed; every other cell is exactly 0.0, which
+    is what its exp would give.
     """
-    if not _is_rate_array(p):
-        _check_law(n, p)
-        if p == 0.0:
-            out = np.zeros(n + 1)
-            out[0] = 1.0
-            return out
-        if p == 1.0:
-            out = np.zeros(n + 1)
-            out[n] = 1.0
-            return out
-        logc, xs, rest = _pmf_terms(n)
-        # logc + x log p + (n - x) log(1 - p), summed in place in that order
-        out = xs * math.log(p)
-        out += logc
-        out += rest * math.log1p(-p)
-        return np.exp(out, out=out)
-    rates = p.astype(float, copy=False)
-    if n < 1:
-        raise ValueError(f"need at least one trial, got n={n}")
-    if not ((rates >= 0.0) & (rates <= 1.0)).all():
-        raise ValueError(f"success probabilities must lie in [0,1], got {rates}")
-    return _pmf_columns(n, rates, 0)
+    if _is_rate_array(p):
+        return _pmf_columns(n, _rate_array(n, p), 0)
+    _check_law(n, p)
+    if p == 0.0 or p == 1.0:
+        out = np.zeros(n + 1)
+        out[0 if p == 0.0 else n] = 1.0
+        return out
+    logc, xs, rest = _pmf_terms(n)
+    # Hoeffding's reach, (_CUTOFF n / 2) ** 0.5, covers 0..n up to n = 380
+    lo, hi = _window(n, p) if 2 * n > _CUTOFF else (0, n + 1)
+    if hi - lo < n + 1:
+        logc, xs, rest = logc[lo:hi], xs[lo:hi], rest[lo:hi]
+    # logc + x log p + (n - x) log(1 - p), summed in place in that order
+    cells = xs * math.log(p)
+    cells += logc
+    cells += rest * math.log1p(-p)
+    np.exp(cells, out=cells)
+    if hi - lo == n + 1:
+        return cells
+    out = np.zeros(n + 1)
+    out[lo:hi] = cells
+    return out
 
 
-def _pmf_columns(n: int, rates: np.ndarray, first: int) -> np.ndarray:
-    """Columns x = first..n of binom_pmf_vector(n, rates), bit for bit:
-    each cell is computed on its own, so dropping columns changes none."""
-    logc, xs, rest = (t[first:] for t in _pmf_terms(n))
-    inner = np.where((rates > 0.0) & (rates < 1.0), rates, 0.5)
+def _log_pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
+                   scratch=None) -> np.ndarray:
+    """log pmf on columns lo..lo + out.shape[1] - 1 for a list of rates in
+    (0, 1), one row each, written into out; a rate of 0 or 1 gets the row
+    of 1/2. The (n - x) log(1 - p) term goes through scratch, of out's
+    shape, if given."""
+    logc, xs, rest = (t[lo:lo + out.shape[1]] for t in _pmf_terms(n))
+    inner = [r if 0.0 < r < 1.0 else 0.5 for r in rates]
     # math's logs, as in the scalar route: np.log can differ in the last
     # bit, and x * log(p) carries that into the pmf n-fold
     log_p = np.array([math.log(r) for r in inner])[:, None]
     log_q = np.array([math.log1p(-r) for r in inner])[:, None]
-    out = xs * log_p
+    np.multiply(xs, log_p, out=out)
     out += logc
-    out += rest * log_q
-    np.exp(out, out=out)
-    for edge, x in ((0.0, 0), (1.0, n)):
-        rows = rates == edge
-        out[rows] = 0.0
-        if x >= first:
-            out[rows, x - first] = 1.0
+    out += np.multiply(rest, log_q, out=scratch)
+    return out
+
+
+def _pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
+               scratch=None) -> np.ndarray:
+    """Columns lo..lo + out.shape[1] - 1 of the pmf matrix of a list of
+    rates, written into out, each cell bit for bit that of binom_pmf_vector."""
+    np.exp(_log_pmf_block(n, rates, lo, out, scratch), out=out)
+    for row, r in enumerate(rates):
+        if r == 0.0 or r == 1.0:
+            out[row] = 0.0
+            if 0 <= round(r * n) - lo < out.shape[1]:
+                out[row, round(r * n) - lo] = 1.0
+    return out
+
+
+def _pmf_columns(n: int, rates: np.ndarray, first: int) -> np.ndarray:
+    """Columns x = first..n of binom_pmf_vector(n, rates), bit for bit.
+
+    Each cell is computed on its own, so dropping columns changes none.
+    Only the union of the rows' _window is computed; the cells outside
+    it are left at 0.0, the value their exp would have.
+    """
+    reach, mean = _reach(n, rates), n * rates
+    lo = max(first, math.floor((mean - reach).min(initial=n)))
+    hi = max(lo, min(n, math.floor((mean + reach).max(initial=0.0))) + 1)
+    out = np.zeros((rates.size, n + 1 - first))
+    _pmf_block(n, rates.tolist(), lo, out[:, lo - first:hi - first])
     return out
 
 
@@ -385,27 +460,74 @@ class LowerBoundProcedure:
             return clopper_pearson_lower_vector(self.n, self.nominal_alpha)
         return wald_lower_vector(self.n, self.nominal_alpha)
 
-    def covered(self, t: float, pmf=None) -> int:
+    def covered(self, t, pmf=None, lo: int = 0):
         """The number k of counts x with L(x) <= t, which are x = 0..k-1
-        because L is nondecreasing in x; pmf is the pmf at t, if at hand.
+        because L is nondecreasing in x; an array of rates gives an array.
+        pmf is the pmf at t (a matrix for an array), if at hand; it may
+        hold only the columns lo..lo + w - 1, where every other one is 0.
 
         A Clopper-Pearson bound is the root of the tail Pr(X >= x | p) =
         alpha', which rises in p, so L(x) <= t exactly when Pr(X >= x | t)
         >= alpha' (Clopper & Pearson 1934): k is read from the tails of the
-        pmf at t, and no bound value is computed.
+        pmf at t, and no bound value is computed. The tails are summed from
+        the top, so they are nondecreasing and those >= alpha' are the
+        ones searchsorted would find; the columns below lo all carry the
+        total, the ones above the pmf none.
         """
         if self.kind != "clopper_pearson":
-            return int(self.bounds.searchsorted(t, side="right"))
-        if pmf is None:
-            pmf = binom_pmf_vector(self.n, t)
-        return self.n + 1 - int(
-            _tails_from_top(pmf).searchsorted(self.nominal_alpha))
+            k = self.bounds.searchsorted(t, side="right")
+        else:
+            if pmf is None:
+                pmf = binom_pmf_vector(self.n, t)
+            above = (_tails_from_top(pmf) >= self.nominal_alpha).sum(axis=-1)
+            k = np.where(above > 0, lo + above, 0)
+        return k if _is_rate_array(t) else int(k)
 
 
-def exact_lower_coverage(proc, p: float) -> float:
-    """Pr(L <= p) by enumeration over all outcomes at success rate p."""
-    pmf = binom_pmf_vector(proc.n, p)
-    return float(pmf[:proc.covered(p, pmf)].sum())
+# A block of exact_lower_coverage holds at most this many pmf cells, or one
+# row's window where that is wider: its temporaries stay within about one
+# pmf vector at large n, and at small n its rows share the per-block cost.
+_COVERAGE_CELLS = 1 << 12
+
+
+def exact_lower_coverage(proc, p):
+    """Pr(L <= p) by enumeration over all outcomes at success rate p.
+
+    An array of rates gives an array, in one pass over blocks of
+    consecutive rates: a block's pmf holds only the union of its rows'
+    _window, its counts come from one proc.covered call, and each row is
+    summed on a zero-padded pmf vector, so that numpy's pairwise sum
+    groups its terms as for the full vector.
+    """
+    if not _is_rate_array(p):
+        return float(exact_lower_coverage(proc, np.array([p]))[0])
+    n, rates = proc.n, _rate_array(proc.n, p)
+    # the widest window is the one at 1/2, where the reach is largest
+    cells = max(min(n + 1, int(2.0 * _reach(n, 0.5)) + 2), _COVERAGE_CELLS)
+    buf, row, out = np.empty(cells), np.zeros(max(n + 1, cells)), np.empty(rates.size)
+    ps = rates.tolist()
+    i, window = 0, _window(n, ps[0]) if ps else None
+    while i < len(ps):
+        # take rates while the union of their windows fits in the buffer
+        (lo, hi), j = window, i + 1
+        while j < len(ps):
+            window = _window(n, ps[j])
+            if (max(hi, window[1]) - min(lo, window[0])) * (j + 1 - i) > cells:
+                break
+            lo, hi, j = min(lo, window[0]), max(hi, window[1]), j + 1
+        shape = (j - i, hi - lo)
+        size = shape[0] * shape[1]
+        # row is all 0.0 between blocks: it lends its cells as scratch
+        pmf = _pmf_block(n, ps[i:j], lo, buf[:size].reshape(shape),
+                         row[:size].reshape(shape))
+        row[:size] = 0.0
+        counts = proc.covered(rates[i:j], pmf, lo).tolist()
+        for m, (vec, k) in enumerate(zip(pmf, counts), i):
+            row[lo:hi] = vec
+            out[m] = row[:k].sum()
+        row[lo:hi] = 0.0
+        i = j
+    return out
 
 
 def exceedance_prob(proc, p, threshold: float):
@@ -430,17 +552,50 @@ def terms_value(n: int, terms, p):
 
     num and den are vectors over x = 0..n; a term whose pmf . den is 0
     counts as 0. An array of rates gives an array, a scalar a float.
+
+    Where pmf . den is below the smallest normal double for a den that is
+    positive somewhere, the ratio of the two sums would be rounding noise
+    (1.0 for a ratio of 0.546 at n = 396, p = 173/1024). At a rate in (0, 1) such a term
+    is evaluated on the pmf rescaled in log space, exp(log pmf - m) with m
+    the largest log pmf over the cells where den > 0, whose den sum is
+    then at least that cell's den. Every other value is the plain ratio.
     """
     weights = np.array([w for w, _, _ in terms], dtype=float)
     vecs = np.column_stack([v for _, num, den in terms for v in (num, den)])
+    live = (vecs[:, 1::2] > 0.0).any(axis=0)
+    tiny = np.finfo(float).tiny
 
-    def at(pmf):
+    def ratios(pmf):
         sums = pmf @ vecs
         num, den = sums[:, 0::2], sums[:, 1::2]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0.0, num / den, 0.0) @ weights
+            return (np.where(den > 0.0, num / den, 0.0),
+                    live & (0.0 <= den) & (den < tiny))
 
-    return binom_pmf_reduce(n, p, at)
+    def at(pmf):
+        ratio, faint = ratios(pmf)
+        # NaN marks a row for rescaled(): no ratio of finite sums is NaN
+        return np.where(faint.any(axis=1), np.nan, ratio @ weights)
+
+    def rescaled(rate: float) -> float:
+        ratio, faint = ratios(binom_pmf_vector(n, rate)[None, :])
+        if 0.0 < rate < 1.0:
+            logs = _log_pmf_block(n, [rate], 0, np.empty((1, n + 1)))[0]
+            for t in np.flatnonzero(faint[0]):
+                num, den = vecs[:, 2 * t], vecs[:, 2 * t + 1]
+                # only cells that enter a sum: the others may lie far above m
+                scaled = np.exp(logs - logs[den > 0.0].max(), out=np.zeros(n + 1),
+                                where=(num != 0.0) | (den != 0.0))
+                total = scaled @ den
+                ratio[0, t] = scaled @ num / total if total > 0.0 else 0.0
+        return float(ratio[0] @ weights)
+
+    value = binom_pmf_reduce(n, p, at)
+    if not _is_rate_array(p):
+        return rescaled(p) if math.isnan(value) else value
+    for i in np.flatnonzero(np.isnan(value)):
+        value[i] = rescaled(float(p[i]))
+    return value
 
 
 @dataclass(frozen=True)
@@ -463,7 +618,7 @@ class CoverageReport:
 
 def coverage_report(proc: LowerBoundProcedure, p_grid) -> CoverageReport:
     grid = np.asarray(p_grid, dtype=float)
-    cov = np.array([exact_lower_coverage(proc, p) for p in grid])
+    cov = exact_lower_coverage(proc, grid)
     return CoverageReport(
         kind=proc.kind,
         nominal_alpha=proc.nominal_alpha,

@@ -214,8 +214,11 @@ def cmd_contract(scenario: Scenario, args) -> Outputs:
     mi = minimal_insurance(scenario.policy_u_bar, econ.cost(m))
     policy = scenario.policy()
     probe = _probe(policy)
-    d_tail = decide_with_contract(probe, TailGuarantee(mi.k), policy, econ)
-    d_prop = decide_with_contract(probe, ProportionalGuarantee(mi.s), policy, econ)
+    if mi.s == 0.0:  # no insurance needed: both decide without a guarantee
+        d_tail = d_prop = decide_no_guarantee(probe, policy, econ)
+    else:
+        d_tail = decide_with_contract(probe, TailGuarantee(mi.k), policy, econ)
+        d_prop = decide_with_contract(probe, ProportionalGuarantee(mi.s), policy, econ)
     print(f"minimal insurance: k={mi.k:g}, s={mi.s:g}")
     return Outputs({
         "contract_payoffs.csv":

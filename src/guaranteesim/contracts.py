@@ -97,13 +97,11 @@ def minimal_insurance(u_bar: float, c_m: float) -> MinimalInsurance:
     proportional form leaves the implementer a worst case of -(1-s)*c_m,
     which clears the floor at this scale exactly when |u_bar| >= c_m/2, so
     pair it with instances in that range when acceptance at scale matters.
+    With u_bar at or below -c_m the uninsured worst case -c_m already meets
+    the floor: no insurance is needed, and s = 0 (k = u_bar never binds).
     """
     if c_m <= 0.0:
         raise ValueError(f"cost must be positive, got {c_m}")
     if u_bar >= 0.0:
         raise ValueError(f"loss limit must be negative, got {u_bar}")
-    if u_bar <= -c_m:
-        raise ValueError(
-            f"loss limit {u_bar} at or below -c_m = {-c_m}: the uninsured worst case "
-            "already satisfies the floor, no insurance needed")
-    return MinimalInsurance(k=u_bar, s=-u_bar / c_m)
+    return MinimalInsurance(k=u_bar, s=-u_bar / c_m if u_bar > -c_m else 0.0)

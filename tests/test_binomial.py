@@ -10,6 +10,7 @@ against scipy.special.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,9 @@ WALD_MIN_COVERAGE = 0.2540613302937401
 WALD_WORST_P = 0.9990234375
 # Pr(CP > 1/2) at p = 1/2, n = 10^4, alpha' = 0.05: the supremum below 1/2
 CP_FP_10000 = 0.049469
+
+# rates at the ends of the doubles and of [0, 1]
+EXTREME_RATES = [0.0, 1.0, 5e-324, 1e-300, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5]
 
 
 def _binom_survival(x, n, p):
@@ -165,10 +169,80 @@ class TestPmf:
         with pytest.raises(ValueError):
             binom_pmf(5, 0.5, 9)
 
+    @given(n=st.one_of(st.integers(1, 3000), st.sampled_from([10_000, 200_000])),
+           rates=st.lists(st.one_of(st.sampled_from(EXTREME_RATES),
+                                    st.floats(0.0, 1.0)), min_size=1, max_size=6),
+           data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_window_drops_only_cells_that_underflow(self, n, rates, data):
+        # the scalar path, the rate matrix and its columns from first on
+        # are the full-exp route bit for bit, also at rates whose window
+        # ends on column 0 or n
+        edge = _rate_at_window_edge(n)
+        if edge is not None:
+            rates += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge]
+        rates = np.array(rates)
+        want = _full_exp_pmf(n, rates)
+        assert np.array_equal(binom_pmf_vector(n, rates), want)
+        first = data.draw(st.one_of(st.just(0), st.integers(0, n)))
+        assert np.array_equal(binomial._pmf_columns(n, rates, first), want[:, first:])
+        for p, row in zip(rates, want):
+            assert np.array_equal(binom_pmf_vector(n, float(p)), row)
+
+    def test_cells_beyond_the_reach_underflow(self):
+        # np.exp gives exactly 0.0 below -745.14; a cell beyond the reach
+        # has a log below -_CUTOFF, and 14.8 of the 15 nats between them
+        # cover the rounding of the log sum
+        floor = -(binomial._CUTOFF - 14.8)
+        assert np.exp(floor) == 0.0
+        assert not np.exp(np.full(67, floor)).any()
+        assert np.exp(-745.1) > 0.0
+        # the window does cut: at n = 10**4, p = 1/2 it keeps 3900 columns
+        lo, hi = binomial._window(10_000, 0.5)
+        assert (lo, hi) == (3050, 6950)
+        full = _full_exp_pmf(10_000, 0.5)
+        assert not full[:lo].any() and not full[hi:].any()
+
+
+def _full_exp_pmf(n, p):
+    """The pmf kernel without its window: the three-term log sum and its
+    exp on every column, in the kernel's order of operations. A float
+    gives a vector, an array of rates a matrix."""
+    logc, xs, rest = binomial._pmf_terms(n)
+    rates = np.atleast_1d(np.asarray(p, dtype=float))
+    inner = np.where((rates > 0.0) & (rates < 1.0), rates, 0.5)
+    log_p = np.array([math.log(r) for r in inner])[:, None]
+    log_q = np.array([math.log1p(-r) for r in inner])[:, None]
+    out = xs * log_p
+    out += logc
+    out += rest * log_q
+    np.exp(out, out=out)
+    for edge, x in ((0.0, 0), (1.0, n)):
+        out[rates == edge] = 0.0
+        out[rates == edge, x] = 1.0
+    return out if np.ndim(p) else out[0]
+
+
+def _rate_at_window_edge(n):
+    """A rate in (0, 1/2) where n p - reach changes sign, found by
+    bisection, so that the window's low end falls on column 0; None when
+    the reach covers 0..n at p = 1/2."""
+    lo, hi = 1e-300, 0.5
+    if n * hi - binomial._reach(n, hi) <= 0.0:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if n * mid - binomial._reach(n, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
 
 def _cp_roots_full(n, alpha_prime, xs):
-    """binomial._cp_roots as it was before the column cut: every Newton
-    step builds the full (rows, n+1) pmf matrix."""
+    """binomial._cp_roots as it was before the column cut and the window:
+    every Newton step builds the full (rows, n+1) pmf matrix with an exp
+    on every cell."""
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
     block = max(1, binomial._PMF_CELLS // (n + 1))
@@ -180,7 +254,7 @@ def _cp_roots_full(n, alpha_prime, xs):
                   - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
         p = np.where(wilson > 0.0, wilson, x / n)
         for _ in range(binomial._CP_STEPS):
-            pmf = binom_pmf_vector(n, p)
+            pmf = _full_exp_pmf(n, p)
             gap = binomial._tails_from_top(pmf)[rows, n - x] - alpha_prime
             lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
             with np.errstate(all="ignore"):
@@ -192,6 +266,22 @@ def _cp_roots_full(n, alpha_prime, xs):
             p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
         out[i:i + block] = p
     return out
+
+
+def _coverage_loop(proc, grid):
+    """exact_lower_coverage as it was: per rate the full-exp pmf vector,
+    the count of bounds <= p by searchsorted, and the sum of its first
+    count cells."""
+    out = []
+    for p in grid:
+        pmf = _full_exp_pmf(proc.n, float(p))
+        if proc.kind == "clopper_pearson":
+            k = proc.n + 1 - int(
+                binomial._tails_from_top(pmf).searchsorted(proc.nominal_alpha))
+        else:
+            k = int(proc.bounds.searchsorted(p, side="right"))
+        out.append(float(pmf[:k].sum()))
+    return np.array(out)
 
 
 class TestBinomDraws:
@@ -381,8 +471,9 @@ class TestClopperPearson:
 
     @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
     def test_column_cut_keeps_bounds_bit_for_bit(self, n):
-        # blocks of counts build pmf columns x.min()..n only; the tails
-        # are summed from the top, so no bound moves by a bit
+        # blocks of counts build pmf columns x.min()..n only, and of those
+        # only the window where a cell can be nonzero; the tails are summed
+        # from the top, so no bound moves by a bit
         for a in (0.2, 0.05, 0.001):
             vec = clopper_pearson_lower_vector(n, a)
             assert np.array_equal(vec[1:n], _cp_roots_full(n, a, np.arange(1, n)))
@@ -463,6 +554,32 @@ class TestCoverage:
         looped = np.array([exceedance_prob(proc, p, 0.5) for p in grid])
         assert np.array_equal(batched, looped)
 
+    @pytest.mark.parametrize("kind", ["clopper_pearson", "wald"])
+    @pytest.mark.parametrize("n", [1, 40, 300, 2000, 10_000])
+    def test_batched_coverage_equals_the_per_rate_loop(self, kind, n):
+        # the 1/1024 grid, one holding 0 and 1, and the same rates shuffled,
+        # so that blocks of rates span windows far apart
+        proc = LowerBoundProcedure(kind, 0.05, n)
+        edged = np.concatenate([[0.0], probability_grid(64), [1.0]])
+        shuffled = np.random.default_rng(n).permutation(edged)
+        for grid in (probability_grid(1024), edged, shuffled):
+            assert np.array_equal(coverage_report(proc, grid).coverage,
+                                  _coverage_loop(proc, grid))
+        assert exact_lower_coverage(proc, 0.3) == _coverage_loop(proc, [0.3])[0]
+
+    @pytest.mark.parametrize("kind", ["clopper_pearson", "wald"])
+    @pytest.mark.parametrize("n", [1, 40, 2000])
+    def test_covered_on_rates_equals_scalar_calls(self, kind, n):
+        proc = LowerBoundProcedure(kind, 0.01, n)
+        rates = np.concatenate([[0.0], probability_grid(256), [1.0]])
+        counts = proc.covered(rates)
+        assert counts.tolist() == [proc.covered(float(t)) for t in rates]
+        # a pmf holding only the columns where some row can be nonzero
+        windows = [binomial._window(n, t) for t in rates.tolist()]
+        lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+        pmf = binom_pmf_vector(n, rates)
+        assert np.array_equal(proc.covered(rates, pmf[:, lo:hi], lo), counts)
+
     def test_cp_sup_respects_nominal(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 300)
         assert sup_false_positive(proc, 0.5) <= 0.05 + 1e-12
@@ -528,6 +645,46 @@ class TestScipyOracles:
         for a in (0.001,) if n == 2000 else (0.2, 0.05, 0.01, 0.001):
             want = np.where(xs > 0, special.betaincinv(xs, n - xs + 1, a), 0.0)
             assert np.abs(clopper_pearson_lower_vector(n, a) - want).max() <= 1e-10
+
+
+class TestTermsValue:
+    def test_faint_denominator_is_rescaled_in_log_space(self):
+        # pmf . den is 5e-324 at p = 173/1024, where the plain ratio of the
+        # two sums read 1.0; the value is the ratio in rational arithmetic
+        n, rate = 396, Fraction(173, 1024)
+        terms = mixture_terms(0.99609375, n, 1e-6,
+                              MixtureBelief(1.0, "fixed_given_published"))
+        pmf = [math.comb(n, x) * rate ** x * (1 - rate) ** (n - x)
+               for x in range(n + 1)]
+        exact = Fraction(0)
+        for w, num, den in terms:
+            d = sum(q * Fraction(v) for q, v in zip(pmf, den.tolist()))
+            if d > 0:
+                exact += Fraction(w) * sum(
+                    q * Fraction(v) for q, v in zip(pmf, num.tolist())) / d
+        assert binom_pmf_vector(n, float(rate)) @ terms[0][2] < np.finfo(float).tiny
+        value = terms_value(n, terms, float(rate))
+        assert value == pytest.approx(float(exact), rel=1e-12)
+        grid = np.array([0.0, float(rate), 0.5])
+        assert terms_value(n, terms, grid)[1] == value
+
+    def test_rescaling_skips_cells_outside_both_vectors(self):
+        # den lives only on x = 0, whose pmf underflows at n = 2000, p = 1/2;
+        # the mode, 1382 nats above it, enters neither sum
+        den = (np.arange(2001) == 0).astype(float)
+        terms = [(1.0, 0.5 * den, den)]
+        assert terms_value(2000, terms, 0.5) == 0.5
+        assert terms_value(2000, terms, np.array([0.5, 0.25])).tolist() == [0.5, 0.5]
+
+    def test_zero_den_counts_as_zero(self):
+        # den 0 on every cell, and den 0 on the one cell a rate of 0 or 1
+        # leaves, both read 0 without rescaling
+        n = 12
+        dead = [(1.0, np.ones(n + 1), np.zeros(n + 1))]
+        assert terms_value(n, dead, 0.3) == 0.0
+        inner = np.r_[0.0, np.ones(n - 1), 0.0]
+        rates = np.array([0.0, 0.3, 1.0])
+        assert terms_value(n, [(1.0, inner, inner)], rates).tolist() == [0.0, 1.0, 0.0]
 
 
 class TestSupBelow:

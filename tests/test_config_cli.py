@@ -518,17 +518,34 @@ class TestCliCommands:
         assert payload["tail_decision"]["implement"] is True
         assert payload["proportional_decision"]["implement"] is True
 
-    def test_failing_contract_writes_nothing(self, tmp_path, capsys):
-        # minimal_insurance fails after the payoff table is built
+    def test_contract_with_the_floor_met_uninsured(self, tmp_path, capsys):
+        # u_bar below -c_M = -20: no insurance needed, both forms decide
+        # as without a guarantee
         cfg = write_config(tmp_path, {"policy": {
             "u_bar": -25.0, "alpha_belief": 0.25, "p0": None}})
+        rc = main(["contract", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0
+        assert "k=-25, s=0" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "minimal_insurance.json").read_text())
+        assert payload["tail_k"] == -25.0
+        assert payload["proportional_share"] == 0.0
+        for key in ("tail_decision", "proportional_decision"):
+            assert payload[key]["rule"] == "no_guarantee"
+            assert payload[key]["implement"] and payload[key]["scale"] == 20
+
+    def test_failing_command_writes_nothing(self, tmp_path, capsys):
+        # the scenario of test_decide_runtime_error_exits_1: decide fails
+        # at run time, after the scenario has loaded
+        cfg = write_config(tmp_path, {"contract": {"variant": "tail",
+                                                   "k": -15.0}})
         out = tmp_path / "out"
-        rc = main(["contract", "--config", cfg, "--out", str(out)])
+        rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
+                   "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
-        assert captured.err.startswith("error: loss limit -25.0")
+        assert captured.err.startswith("error:")
         assert "wrote" not in captured.out
-        assert not (out / "contract_payoffs.csv").exists()
+        assert not (out / "decision.json").exists()
         assert not list(out.iterdir())
 
     def test_contract_requires_contract_block(self, tmp_path, capsys):

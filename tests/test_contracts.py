@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from guaranteesim.contracts import (
     FullGuarantee,
+    MinimalInsurance,
     ProportionalGuarantee,
     TailGuarantee,
     implementer_payoff,
@@ -94,6 +95,9 @@ class TestMinimalInsurance:
 
     def test_rejects_vacuous_floor(self):
         with pytest.raises(ValueError):
-            minimal_insurance(-25.0, 20.0)
-        with pytest.raises(ValueError):
             minimal_insurance(0.0, 20.0)
+
+    @pytest.mark.parametrize("u_bar", [-20.0, -25.0])
+    def test_floor_met_uninsured_needs_no_insurance(self, u_bar):
+        # the uninsured worst case -c_m already meets the floor
+        assert minimal_insurance(u_bar, 20.0) == MinimalInsurance(k=u_bar, s=0.0)
