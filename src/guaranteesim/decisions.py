@@ -4,7 +4,8 @@ The implementer sees a published lower bound L and implements only when
 L strictly exceeds the break-even rate. Scale comes from a worst-case
 expected-loss calculation: without a guarantee, the bound is -c_m times
 the believed false positive probability; with one, the contract's payoff
-floor takes over. Ties at the threshold never implement.
+floor takes over. Ties at the threshold never implement. Every rule reads
+its believed rate from ImplementerPolicy.alpha_at.
 """
 
 from __future__ import annotations
@@ -26,15 +27,10 @@ __all__ = [
     "AlphaSchedule",
     "ImplementerPolicy",
     "Decision",
-    "ScheduleRequiredError",
     "worst_case_bound",
     "decide_no_guarantee",
     "decide_with_contract",
 ]
-
-
-class ScheduleRequiredError(ValueError):
-    """A tail guarantee below the loss limit needs an alpha schedule."""
 
 
 @dataclass(frozen=True)
@@ -82,18 +78,25 @@ class ImplementerPolicy:
     def __post_init__(self):
         if self.u_bar >= 0.0:
             raise ValueError(f"loss limit must be negative, got {self.u_bar}")
-        if isinstance(self.alpha_belief, (int, float)):
-            if not 0.0 <= self.alpha_belief <= 1.0:
-                raise ValueError(
-                    f"alpha belief must lie in [0,1], got {self.alpha_belief}")
+        belief = self.alpha_belief
+        if not isinstance(belief, (int, float, AlphaSchedule)):
+            raise TypeError(f"alpha belief must be a number or an AlphaSchedule, "
+                            f"got {belief!r}")
+        if not isinstance(belief, AlphaSchedule) and not 0.0 <= belief <= 1.0:
+            raise ValueError(f"alpha belief must lie in [0,1], got {belief}")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError(f"threshold must lie strictly in (0,1), got {self.p0}")
 
-    @property
-    def scalar_alpha(self) -> Optional[float]:
-        if isinstance(self.alpha_belief, (int, float)):
+    def alpha_at(self, k: Optional[float] = None) -> float:
+        """The believed false positive rate a rule uses.
+
+        A scalar belief is the rate at every tail level. A schedule gives
+        its rate at the tail level k; a rule with no tail level (k None)
+        gets the distribution-free worst case 1.
+        """
+        if not isinstance(self.alpha_belief, AlphaSchedule):
             return float(self.alpha_belief)
-        return None
+        return 1.0 if k is None else self.alpha_belief.alpha_at(k)
 
 
 @dataclass(frozen=True)
@@ -130,16 +133,18 @@ def worst_case_bound(m: int, alpha: float, econ: PolicyEconomics) -> float:
 def decide_no_guarantee(L: float, policy: ImplementerPolicy,
                         econ: PolicyEconomics) -> Decision:
     """Implement at the largest scale whose worst case stays above u_bar."""
-    alpha = policy.scalar_alpha
-    if alpha is None:
-        raise ValueError("no-guarantee decisions need a scalar alpha belief")
     if L <= policy.p0:
         return _no_implementation("no_guarantee")
+    alpha = policy.alpha_at()
     m = econ.max_scale_under_bound(alpha, policy.u_bar)
     if m == 0:
         return _no_implementation("no_guarantee")
     return Decision(implement=True, scale=m, bound=worst_case_bound(m, alpha, econ),
                     rule="no_guarantee", alpha_used=alpha)
+
+
+_RULES = {FullGuarantee: "full", TailGuarantee: "tail",
+          ProportionalGuarantee: "proportional"}
 
 
 def decide_with_contract(L: float, contract: InsuranceContract,
@@ -149,12 +154,15 @@ def decide_with_contract(L: float, contract: InsuranceContract,
 
     Full cover floors the payoff at zero, so full scale is always safe.
     A tail floor k that already meets u_bar also allows full scale. A
-    deeper tail floor needs the alpha schedule to signal how far to scale
-    back. Proportional cover uses the distribution-free worst case
-    -(1-s)c_m unless a scalar belief tightens it to -(1-s)*alpha*c_m.
+    deeper tail floor scales back by the believed rate at k. Proportional
+    cover leaves the worst case -(1-s)*alpha*c_m, with alpha 1 (distribution
+    free) under a schedule.
     """
+    rule = _RULES.get(type(contract))
+    if rule is None:
+        raise TypeError(f"unknown contract {contract!r}")
     if L <= policy.p0:
-        return _no_implementation(_rule_name(contract))
+        return _no_implementation(rule)
 
     if isinstance(contract, FullGuarantee):
         return Decision(implement=True, scale=econ.M, bound=0.0, rule="full")
@@ -164,11 +172,7 @@ def decide_with_contract(L: float, contract: InsuranceContract,
             contract.check_scale_cost(econ.cost(econ.M))
             return Decision(implement=True, scale=econ.M, bound=contract.k,
                             rule="tail")
-        schedule = policy.alpha_belief
-        if not isinstance(schedule, AlphaSchedule):
-            raise ScheduleRequiredError(
-                "tail level below the loss limit requires an AlphaSchedule belief")
-        alpha_k = schedule.alpha_at(contract.k)
+        alpha_k = policy.alpha_at(contract.k)
         m = econ.max_scale_under_bound(alpha_k, policy.u_bar)
         if m == 0:
             return _no_implementation("tail_scaled")
@@ -176,23 +180,11 @@ def decide_with_contract(L: float, contract: InsuranceContract,
         return Decision(implement=True, scale=m, bound=contract.k,
                         rule="tail_scaled", alpha_used=alpha_k)
 
-    if isinstance(contract, ProportionalGuarantee):
-        retained = 1.0 - contract.share
-        alpha = policy.scalar_alpha
-        alpha_eff = 1.0 if alpha is None else alpha  # no belief: sup Pr = 1
-        m = econ.max_scale_under_bound(retained * alpha_eff, policy.u_bar)
-        if m == 0:
-            return _no_implementation("proportional")
-        return Decision(implement=True, scale=m,
-                        bound=-retained * alpha_eff * econ.cost(m),
-                        rule="proportional", alpha_used=alpha)
-
-    raise TypeError(f"unknown contract {contract!r}")
-
-
-def _rule_name(contract: InsuranceContract) -> str:
-    if isinstance(contract, FullGuarantee):
-        return "full"
-    if isinstance(contract, TailGuarantee):
-        return "tail"
-    return "proportional"
+    retained = 1.0 - contract.share
+    alpha = policy.alpha_at()
+    m = econ.max_scale_under_bound(retained * alpha, policy.u_bar)
+    if m == 0:
+        return _no_implementation("proportional")
+    return Decision(implement=True, scale=m,
+                    bound=-retained * alpha * econ.cost(m),
+                    rule="proportional", alpha_used=alpha)

@@ -1,5 +1,7 @@
 """Scenario loading, validation diagnostics, and the command-line surface."""
 
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guaranteesim.cli import main
+from guaranteesim.cli import _build_parser, main
 from guaranteesim.contracts import (
     FullGuarantee,
     ProportionalGuarantee,
@@ -256,6 +258,12 @@ def linear_economics(**cost):
                           "benefit": {"form": "linear", "per_success": 2.5}}}
 
 
+SCHEDULE = {"knots": [[-10.0, 0.1], [0.0, 0.3]]}
+# loads, but no rate covers the full-population cost: fails at run time
+NO_BREAK_EVEN = {"economics": {**linear_economics()["economics"],
+                               "benefit": {"form": "linear", "per_success": 0.5}}}
+
+
 class TestNumbersAndSizesExit2:
     """Non-finite numbers, which used to run to the end, and oversized
     counts, which used to fail allocating, exit 2 at load."""
@@ -481,8 +489,7 @@ class TestCliCommands:
         assert d["p0"] == pytest.approx(0.4, abs=1e-9)
 
     def test_decide_runtime_error_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"contract": {"variant": "tail",
-                                                   "k": -15.0}})
+        cfg = write_config(tmp_path, NO_BREAK_EVEN)
         rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -492,9 +499,8 @@ class TestCliCommands:
     def test_debug_lets_the_runtime_error_raise(self, tmp_path, capsys):
         # the scenario of test_decide_runtime_error_exits_1: with --debug the
         # error raised inside decide reaches the caller with its traceback
-        cfg = write_config(tmp_path, {"contract": {"variant": "tail",
-                                                   "k": -15.0}})
-        with pytest.raises(ValueError, match="requires an AlphaSchedule") as info:
+        cfg = write_config(tmp_path, NO_BREAK_EVEN)
+        with pytest.raises(ValueError, match="cannot cover cost") as info:
             main(["decide", "--published-bound", "0.6", "--config", cfg,
                   "--out", str(tmp_path), "--debug"])
         assert info.traceback[-1].name != "main"
@@ -533,11 +539,38 @@ class TestCliCommands:
             assert payload[key]["rule"] == "no_guarantee"
             assert payload[key]["implement"] and payload[key]["scale"] == 20
 
+    @pytest.mark.parametrize("data, expected", [
+        ({"contract": {"variant": "tail", "k": -15.0}},
+         {"rule": "tail_scaled", "scale": 20, "bound": -15.0, "alpha_used": 0.25}),
+        ({"policy": {"u_bar": -12.0, "alpha_belief": SCHEDULE, "p0": None},
+          "contract": None},
+         {"rule": "no_guarantee", "scale": 12, "bound": -12.0, "alpha_used": 1.0}),
+    ], ids=["scalar_belief_deep_tail", "schedule_no_guarantee"])
+    def test_every_belief_reaches_every_rule(self, tmp_path, capsys, data, expected):
+        # a scalar belief is the rate at any tail level; a schedule read by
+        # a rule with no tail level gives the distribution-free 1
+        cfg = write_config(tmp_path, data)
+        assert main(["decide", "--config", cfg, "--out", str(tmp_path)]) == 0
+        d = json.loads((tmp_path / "decision.json").read_text())["decision"]
+        assert d["implement"] and {key: d[key] for key in expected} == expected
+        assert main(["researcher", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_contract_with_a_schedule_and_the_floor_met_uninsured(self, tmp_path,
+                                                                  capsys):
+        cfg = write_config(tmp_path, {"policy": {
+            "u_bar": -25.0, "alpha_belief": SCHEDULE, "p0": None}})
+        assert main(["contract", "--config", cfg, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "minimal_insurance.json").read_text())
+        for key in ("tail_decision", "proportional_decision"):
+            assert payload[key] == {"implement": True, "scale": 20, "bound": -20.0,
+                                    "rule": "no_guarantee", "alpha_used": 1.0}
+        capsys.readouterr()
+
     def test_failing_command_writes_nothing(self, tmp_path, capsys):
         # the scenario of test_decide_runtime_error_exits_1: decide fails
         # at run time, after the scenario has loaded
-        cfg = write_config(tmp_path, {"contract": {"variant": "tail",
-                                                   "k": -15.0}})
+        cfg = write_config(tmp_path, NO_BREAK_EVEN)
         out = tmp_path / "out"
         rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
                    "--out", str(out)])
@@ -641,6 +674,25 @@ class TestCliCommands:
         assert proc.returncode == 2
         assert "argument --denom: must lie in 2..1000000" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_acceptance_runs(self, tmp_path):
+        path = REPO / "scripts" / "acceptance_runs.py"
+        spec = importlib.util.spec_from_file_location("acceptance_runs", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        runs = script.runs("seeded.json")
+        assert len({ident for ident, _ in runs}) == len(runs) == 17
+        sub = next(action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert {argv[0] for _, argv in runs} == set(sub.choices)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        assert script.run("example1", ["example1"], tmp_path, env) == 0
+        where = tmp_path / "example1"
+        assert "wrote <OUT>/example1_scaleback.csv" in (
+            where / "stdout.txt").read_text()
+        assert (where / "stderr.txt").read_text() == ""
+        assert (where / "exit_code.txt").read_text() == "0\n"
+        assert (where / "example1_scaleback.csv").exists()
 
     @pytest.mark.parametrize("command,csv", [
         ("fig1", "fig1.csv"), ("example2", "example2_surface.csv")])

@@ -11,7 +11,6 @@ from guaranteesim.decisions import (
     AlphaSchedule,
     Decision,
     ImplementerPolicy,
-    ScheduleRequiredError,
     decide_no_guarantee,
     decide_with_contract,
     worst_case_bound,
@@ -55,11 +54,16 @@ class TestPolicyAndDecision:
             ImplementerPolicy(u_bar=-1.0, alpha_belief=1.5, p0=0.4)
         with pytest.raises(ValueError):
             ImplementerPolicy(u_bar=-1.0, alpha_belief=0.1, p0=1.0)
+        with pytest.raises(TypeError):
+            ImplementerPolicy(-1.0, "0.3", 0.4)
 
-    def test_scalar_alpha(self):
-        assert ImplementerPolicy(-1.0, 0.3, 0.4).scalar_alpha == 0.3
-        sched = AlphaSchedule.constant(0.3)
-        assert ImplementerPolicy(-1.0, sched, 0.4).scalar_alpha is None
+    def test_alpha_at(self):
+        # a scalar is the rate for every rule; a schedule gives its rate at
+        # a tail level, and the distribution-free 1 to a rule without one
+        scalar = ImplementerPolicy(-1.0, 0.3, 0.4)
+        assert scalar.alpha_at() == scalar.alpha_at(-50.0) == 0.3
+        sched = ImplementerPolicy(-1.0, AlphaSchedule(((-10.0, 0.1), (0.0, 0.3))), 0.4)
+        assert sched.alpha_at(-10.0) == 0.1 and sched.alpha_at() == 1.0
 
     def test_decision_invariant(self):
         with pytest.raises(ValueError):
@@ -98,10 +102,10 @@ class TestNoGuarantee:
         d = decide_no_guarantee(0.9, policy, linear_econ())
         assert not d.implement and d.scale == 0
 
-    def test_requires_scalar_belief(self):
+    def test_schedule_is_distribution_free(self):
         policy = ImplementerPolicy(-6.0, AlphaSchedule.constant(0.25), 0.4)
-        with pytest.raises(ValueError):
-            decide_no_guarantee(0.9, policy, linear_econ())
+        d = decide_no_guarantee(0.9, policy, linear_econ())
+        assert d == Decision(True, 6, -6.0, "no_guarantee", alpha_used=1.0)
 
 
 class TestWithContract:
@@ -130,9 +134,9 @@ class TestWithContract:
         with pytest.raises(ValueError):
             decide_with_contract(0.6, TailGuarantee(-12.0), self.policy, econ)
 
-    def test_deep_tail_needs_schedule(self):
-        with pytest.raises(ScheduleRequiredError):
-            decide_with_contract(0.6, TailGuarantee(-15.0), self.policy, self.econ)
+    def test_deep_tail_under_scalar_belief(self):
+        d = decide_with_contract(0.6, TailGuarantee(-15.0), self.policy, self.econ)
+        assert d == Decision(True, 20, -15.0, "tail_scaled", alpha_used=0.25)
 
     def test_deep_tail_scales_back_under_schedule(self):
         policy = ImplementerPolicy(-12.0, AlphaSchedule.constant(0.7), 0.4)
@@ -155,12 +159,14 @@ class TestWithContract:
     def test_proportional_without_scalar_is_distribution_free(self):
         policy = ImplementerPolicy(-6.0, AlphaSchedule.constant(0.25), 0.4)
         d = decide_with_contract(0.6, ProportionalGuarantee(0.6), policy, self.econ)
-        assert d.scale == 15 and d.alpha_used is None
+        assert d.scale == 15 and d.alpha_used == 1.0
         assert d.bound == pytest.approx(-6.0, abs=1e-12)
 
     def test_unknown_contract_type(self):
-        with pytest.raises(TypeError):
-            decide_with_contract(0.6, object(), self.policy, self.econ)
+        # at or below p0 too: the contract is checked before the threshold
+        for L in (0.3, 0.4, 0.6):
+            with pytest.raises(TypeError):
+                decide_with_contract(L, object(), self.policy, self.econ)
 
 
 class TestTailMonotonicity:
@@ -183,3 +189,38 @@ class TestTailMonotonicity:
     def test_covers_both_extremes(self):
         assert self.scale_at(-40.0) == 10
         assert self.scale_at(-6.0) == 0
+
+
+def outcome(rule, *args):
+    """The Decision a rule returns, or the error it raises."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestOneBeliefReader:
+    @given(alpha=st.floats(0.0, 1.0), low=st.floats(0.0, 1.0),
+           u_bar=st.floats(-40.0, -0.5), depth=st.floats(1e-6, 40.0),
+           share=st.floats(0.01, 0.99), L=st.floats(0.0, 1.0),
+           M=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_schedule_read_alike(self, alpha, low, u_bar, depth,
+                                            share, L, M):
+        econ = linear_econ(M=M)
+        scalar = ImplementerPolicy(u_bar, alpha, 0.4)
+        # a scalar on a tail level below u_bar is the constant schedule
+        const = ImplementerPolicy(u_bar, AlphaSchedule.constant(alpha), 0.4)
+        tail = TailGuarantee(u_bar - depth)
+        assert (outcome(decide_with_contract, L, tail, scalar, econ)
+                == outcome(decide_with_contract, L, tail, const, econ))
+        # rules with no tail level read a schedule as the scalar 1
+        sched = ImplementerPolicy(
+            u_bar, AlphaSchedule(((-10.0, min(low, alpha)), (0.0, alpha))), 0.4)
+        worst = ImplementerPolicy(u_bar, 1.0, 0.4)
+        for policy in (const, sched):
+            assert (decide_no_guarantee(L, policy, econ)
+                    == decide_no_guarantee(L, worst, econ))
+            prop = ProportionalGuarantee(share)
+            assert (decide_with_contract(L, prop, policy, econ)
+                    == decide_with_contract(L, prop, worst, econ))
