@@ -13,7 +13,10 @@ and Hoeffding's inequalities every cell beyond it has a log below -760,
 so its exp is exactly 0.0: np.exp underflows below -745.13, and the 15
 nats between cover the rounding of the log sum. The cells it does
 compute go through the same operations in the same order, so every pmf
-is the same doubles as with no window.
+is the same doubles as with no window. Callers that read only part of a
+row build only that part: a Wald coverage row stops at its count, whose
+sum reads nothing beyond it, and the Clopper-Pearson tails start at the
+top of the windows, above which every cell is 0.0.
 
 Every exceedance functional is a short list of terms (w, num, den),
 vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
@@ -88,13 +91,18 @@ def _log_factorials(n: int) -> np.ndarray:
     order of operations, so the values are the same doubles: log((k-1)!)
     for Gamma arguments k <= 12, the Stirling series above, up to k = 1e8.
     Logarithms come from math.log, because np.log can differ from the C
-    library's log in the last bit.
+    library's log in the last bit; they stream into the array, with no
+    list of n Python floats in between.
     """
     out = np.empty(n + 1)
     head = min(n + 1, 12)
     out[:head] = [math.log(math.factorial(x)) for x in range(head)]
     k = np.arange(head + 1.0, n + 2.0)
-    q = (k - 0.5) * np.array([math.log(v) for v in k.tolist()]) - k + _LS2PI
+    # (k - 0.5) log k - k + log sqrt(2 pi), in place in that order
+    q = np.fromiter(map(math.log, range(head + 1, n + 2)), float, k.size)
+    q *= k - 0.5
+    q -= k
+    q += _LS2PI
     p = 1.0 / (k * k)
     series = _STIRLING[0]
     for c in _STIRLING[1:]:
@@ -159,7 +167,11 @@ def _reach(n: int, p):
 
 def _window(n: int, p: float) -> tuple:
     """Columns [lo, hi) of the pmf vector at p within _reach of n p; every
-    cell outside them is exactly 0.0."""
+    cell outside them is exactly 0.0. At desk scale, 2 n <= _CUTOFF,
+    Hoeffding's reach (_CUTOFF n / 2) ** 0.5 covers 0..n, so that is the
+    window of every rate, without computing it."""
+    if 2 * n <= _CUTOFF:
+        return 0, n + 1
     reach = _reach(n, p)
     return max(0, math.floor(n * p - reach)), min(n, math.floor(n * p + reach)) + 1
 
@@ -173,15 +185,18 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
     is what its exp would give.
     """
     if _is_rate_array(p):
-        return _pmf_columns(n, _rate_array(n, p), 0)
+        rates = _rate_array(n, p)
+        lo, hi = _union_window(n, rates, 0)
+        out = np.zeros((rates.size, n + 1))
+        _pmf_block(n, rates.tolist(), lo, out[:, lo:hi])
+        return out
     _check_law(n, p)
     if p == 0.0 or p == 1.0:
         out = np.zeros(n + 1)
         out[0 if p == 0.0 else n] = 1.0
         return out
     logc, xs, rest = _pmf_terms(n)
-    # Hoeffding's reach, (_CUTOFF n / 2) ** 0.5, covers 0..n up to n = 380
-    lo, hi = _window(n, p) if 2 * n > _CUTOFF else (0, n + 1)
+    lo, hi = _window(n, p)
     if hi - lo < n + 1:
         logc, xs, rest = logc[lo:hi], xs[lo:hi], rest[lo:hi]
     # logc + x log p + (n - x) log(1 - p), summed in place in that order
@@ -227,19 +242,11 @@ def _pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
     return out
 
 
-def _pmf_columns(n: int, rates: np.ndarray, first: int) -> np.ndarray:
-    """Columns x = first..n of binom_pmf_vector(n, rates), bit for bit.
-
-    Each cell is computed on its own, so dropping columns changes none.
-    Only the union of the rows' _window is computed; the cells outside
-    it are left at 0.0, the value their exp would have.
-    """
+def _union_window(n: int, rates: np.ndarray, first: int) -> tuple:
+    """Columns [lo, hi) of the union of the rows' _window, cut below first."""
     reach, mean = _reach(n, rates), n * rates
     lo = max(first, math.floor((mean - reach).min(initial=n)))
-    hi = max(lo, min(n, math.floor((mean + reach).max(initial=0.0))) + 1)
-    out = np.zeros((rates.size, n + 1 - first))
-    _pmf_block(n, rates.tolist(), lo, out[:, lo - first:hi - first])
-    return out
+    return lo, max(lo, min(n, math.floor((mean + reach).max(initial=0.0))) + 1)
 
 
 def binom_draws(n: int, p: float, rng: np.random.Generator,
@@ -378,35 +385,60 @@ def _tails_from_top(pmf: np.ndarray) -> np.ndarray:
 _CP_STEPS = 100
 
 
+def _tail_and_pmf(n: int, rates: np.ndarray, xs: np.ndarray, chunk: int) -> tuple:
+    """Pr(X >= x) and Pr(X = x) at each pair of a rate and a count x.
+
+    Pairs are taken chunk at a time. A chunk's pmf holds the columns
+    [lo, hi) from its least x up to the top of its rows' union _window;
+    every other cell is 0.0. Its tails are summed from hi down after a
+    0.0, as from x = n down over cells that are all 0.0 above hi, so they
+    are bit for bit those of the whole row.
+    """
+    tail, at = np.empty(xs.size), np.zeros(xs.size)
+    for i in range(0, xs.size, chunk):
+        p, x = rates[i:i + chunk], xs[i:i + chunk]
+        lo, hi = _union_window(n, p, int(x.min()))
+        pmf = _pmf_block(n, p.tolist(), lo, np.empty((p.size, hi - lo)))
+        # tails[:, j] = Pr(X >= hi - j)
+        tails = np.zeros((p.size, hi - lo + 1))
+        np.cumsum(pmf[:, ::-1], axis=1, out=tails[:, 1:])
+        rows = np.arange(p.size)
+        tail[i:i + chunk] = tails[rows, hi - np.clip(x, lo, hi)]
+        inside = np.flatnonzero((lo <= x) & (x < hi))
+        at[i + inside] = pmf[inside, x[inside] - lo]
+    return tail, at
+
+
 def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
     """The rates p solving Pr(X >= x | n, p) = alpha_prime, for 0 < x < n.
 
-    Safeguarded Newton on _tails_from_top, the tail the covered rule reads:
-    its derivative in p is x * pmf(x) / p, and a step that leaves the
-    bracket [lo, hi] of the root bisects it instead. It starts from the
-    Wilson score bound and stops after a round of Newton steps below 1e-10
-    relative, whose quadratic convergence leaves only the rounding of the
-    tail. Counts are taken in blocks of at most _PMF_CELLS pmf cells, and
-    a block's pmf holds only the columns x.min()..n its tails read: they
-    are summed from x = n down, so the cut leaves them bit for bit.
+    Safeguarded Newton on the tail summed from the top, as the covered rule
+    reads it: its derivative in p is x * pmf(x) / p, and a step that
+    leaves the bracket [lo, hi] of the root bisects it instead. It starts
+    from the Wilson score bound and stops after a round of Newton steps
+    below 1e-10 relative, whose quadratic convergence leaves only the
+    rounding of the tail. Counts are taken in blocks of at most _PMF_CELLS
+    // (n + 1), whose rows step together; each step reads the tails and
+    pmf values of _tail_and_pmf, in chunks of consecutive counts an eighth
+    of the reach at 1/2 (at least 128), so that a chunk's columns run
+    little wider than one row's.
     """
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
     block = max(1, _PMF_CELLS // (n + 1))
+    chunk = max(128, int(_reach(n, 0.5)) // 8)
     for i in range(0, xs.size, block):
         x = xs[i:i + block]
-        first = int(x.min())
-        rows = np.arange(x.size)
         lo, hi = np.zeros(x.size), np.ones(x.size)
         wilson = (x + 0.5 * z * z
                   - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
         p = np.where(wilson > 0.0, wilson, x / n)
         for _ in range(_CP_STEPS):
-            pmf = _pmf_columns(n, p, first)
-            gap = _tails_from_top(pmf)[rows, n - x] - alpha_prime
+            tail, at = _tail_and_pmf(n, p, x, chunk)
+            gap = tail - alpha_prime
             lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
             with np.errstate(all="ignore"):
-                step = gap * p / (x * pmf[rows, x - first])
+                step = gap * p / (x * at)
             newton = p - step
             if (np.abs(step) <= 1e-10 * p).all():
                 p = np.clip(newton, lo, hi)
@@ -494,37 +526,56 @@ def exact_lower_coverage(proc, p):
     """Pr(L <= p) by enumeration over all outcomes at success rate p.
 
     An array of rates gives an array, in one pass over blocks of
-    consecutive rates: a block's pmf holds only the union of its rows'
-    _window, its counts come from one proc.covered call, and each row is
-    summed on a zero-padded pmf vector, so that numpy's pairwise sum
-    groups its terms as for the full vector.
+    consecutive rates. A row's columns are its _window, every column at
+    desk scale, and a block's pmf holds only the union of its rows' columns.
+    Clopper-Pearson counts come from the tails of the block's pmf, by one
+    proc.covered call. A Wald count k comes from the bound table, so all
+    counts are taken first and each row's columns stop at k, the last one
+    its sum reads; a row whose window starts at or above k has coverage 0.0.
+    Each row is summed on a zero-padded pmf vector, or on its own cells
+    where they start at column 0, so that numpy's pairwise sum groups its
+    terms as for the full vector.
     """
     if not _is_rate_array(p):
         return float(exact_lower_coverage(proc, np.array([p]))[0])
     n, rates = proc.n, _rate_array(proc.n, p)
     # the widest window is the one at 1/2, where the reach is largest
     cells = max(min(n + 1, int(2.0 * _reach(n, 0.5)) + 2), _COVERAGE_CELLS)
-    buf, row, out = np.empty(cells), np.zeros(max(n + 1, cells)), np.empty(rates.size)
+    buf, row, out = np.empty(cells), np.zeros(max(n + 1, cells)), np.zeros(rates.size)
     ps = rates.tolist()
-    i, window = 0, _window(n, ps[0]) if ps else None
+    counts = None if proc.kind == "clopper_pearson" else proc.covered(rates)
+
+    def columns(m):
+        lo, hi = _window(n, ps[m])
+        return lo, hi if counts is None else min(hi, int(counts[m]))
+
+    i, span = 0, columns(0) if ps else None
     while i < len(ps):
-        # take rates while the union of their windows fits in the buffer
-        (lo, hi), j = window, i + 1
+        (lo, hi), j = span, i + 1
+        if lo >= hi:  # no column below the count: coverage 0.0
+            i, span = j, columns(j) if j < len(ps) else None
+            continue
+        # take rates while the union of their columns fits in the buffer
         while j < len(ps):
-            window = _window(n, ps[j])
-            if (max(hi, window[1]) - min(lo, window[0])) * (j + 1 - i) > cells:
+            span = columns(j)
+            if span[0] >= span[1] or (
+                    max(hi, span[1]) - min(lo, span[0])) * (j + 1 - i) > cells:
                 break
-            lo, hi, j = min(lo, window[0]), max(hi, window[1]), j + 1
+            lo, hi, j = min(lo, span[0]), max(hi, span[1]), j + 1
         shape = (j - i, hi - lo)
         size = shape[0] * shape[1]
         # row is all 0.0 between blocks: it lends its cells as scratch
         pmf = _pmf_block(n, ps[i:j], lo, buf[:size].reshape(shape),
                          row[:size].reshape(shape))
         row[:size] = 0.0
-        counts = proc.covered(rates[i:j], pmf, lo).tolist()
-        for m, (vec, k) in enumerate(zip(pmf, counts), i):
-            row[lo:hi] = vec
-            out[m] = row[:k].sum()
+        ks = (proc.covered(rates[i:j], pmf, lo) if counts is None
+              else counts[i:j]).tolist()
+        for m, (vec, k) in enumerate(zip(pmf, ks), i):
+            if lo == 0 and k <= hi:
+                out[m] = vec[:k].sum()
+            else:
+                row[lo:hi] = vec
+                out[m] = row[:k].sum()
         row[lo:hi] = 0.0
         i = j
     return out

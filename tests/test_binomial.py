@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from guaranteesim import binomial
@@ -171,21 +171,17 @@ class TestPmf:
 
     @given(n=st.one_of(st.integers(1, 3000), st.sampled_from([10_000, 200_000])),
            rates=st.lists(st.one_of(st.sampled_from(EXTREME_RATES),
-                                    st.floats(0.0, 1.0)), min_size=1, max_size=6),
-           data=st.data())
+                                    st.floats(0.0, 1.0)), min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
-    def test_window_drops_only_cells_that_underflow(self, n, rates, data):
-        # the scalar path, the rate matrix and its columns from first on
-        # are the full-exp route bit for bit, also at rates whose window
-        # ends on column 0 or n
+    def test_window_drops_only_cells_that_underflow(self, n, rates):
+        # the scalar path and the rate matrix are the full-exp route bit
+        # for bit, also at rates whose window ends on column 0 or n
         edge = _rate_at_window_edge(n)
         if edge is not None:
             rates += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge]
         rates = np.array(rates)
         want = _full_exp_pmf(n, rates)
         assert np.array_equal(binom_pmf_vector(n, rates), want)
-        first = data.draw(st.one_of(st.just(0), st.integers(0, n)))
-        assert np.array_equal(binomial._pmf_columns(n, rates, first), want[:, first:])
         for p, row in zip(rates, want):
             assert np.array_equal(binom_pmf_vector(n, float(p)), row)
 
@@ -202,6 +198,15 @@ class TestPmf:
         assert (lo, hi) == (3050, 6950)
         full = _full_exp_pmf(10_000, 0.5)
         assert not full[:lo].any() and not full[hi:].any()
+
+    def test_desk_scale_window_is_every_column(self):
+        # _window answers (0, n + 1) up to n = 380 without the reach: there
+        # the reach is at least n at every rate; at 381 it is not, and the
+        # window at p = 0 leaves out the column x = n
+        for n in (1, 2, 40, 300, 379, 380):
+            for p in (0.0, 1e-9, 0.3, 0.5, 1.0):
+                assert binomial._reach(n, p) >= n
+        assert binomial._window(381, 0.0) == (0, 381)
 
 
 def _full_exp_pmf(n, p):
@@ -469,6 +474,31 @@ class TestClopperPearson:
             for x in xs:
                 assert abs(vec[x] - _cp_lower_bisect(x, n, a)) <= 1e-10
 
+    @given(n=st.sampled_from([3, 40, 381, 2000, 10_000, 200_000]),
+           chunk=st.sampled_from([1, 3, 128, 10_000]),
+           pairs=st.lists(st.tuples(st.integers(1, 10**6), st.one_of(
+               st.sampled_from(EXTREME_RATES), st.floats(0.0, 1.0))),
+               min_size=1, max_size=12))
+    @example(n=10_000, chunk=1,
+             pairs=[(1050, 0.5), (9000, 0.5), (20, 1e-6), (5000, 1e-6)])
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_tails_are_the_whole_rows(self, n, chunk, pairs):
+        # tails summed from x = n down and pmf values at x, from the chunks'
+        # columns alone, which start at their least x; rates far from their
+        # counts put x below a chunk's columns and above them, and rates at
+        # the window's edge put its low end on column 0
+        edge = _rate_at_window_edge(n)
+        if edge is not None:
+            edges = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge]
+            pairs = pairs + [(x, r) for (x, _), r in zip(pairs * 4, edges)]
+        xs = np.array([1 + x % (n - 1) for x, _ in pairs])
+        rates = np.array([r for _, r in pairs])
+        tail, at = binomial._tail_and_pmf(n, rates, xs, chunk)
+        full = _full_exp_pmf(n, rates)
+        rows = np.arange(xs.size)
+        assert np.array_equal(tail, binomial._tails_from_top(full)[rows, n - xs])
+        assert np.array_equal(at, full[rows, xs])
+
     @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
     def test_column_cut_keeps_bounds_bit_for_bit(self, n):
         # blocks of counts build pmf columns x.min()..n only, and of those
@@ -555,10 +585,11 @@ class TestCoverage:
         assert np.array_equal(batched, looped)
 
     @pytest.mark.parametrize("kind", ["clopper_pearson", "wald"])
-    @pytest.mark.parametrize("n", [1, 40, 300, 2000, 10_000])
+    @pytest.mark.parametrize("n", [1, 40, 300, 380, 381, 2000, 10_000])
     def test_batched_coverage_equals_the_per_rate_loop(self, kind, n):
         # the 1/1024 grid, one holding 0 and 1, and the same rates shuffled,
-        # so that blocks of rates span windows far apart
+        # so that blocks of rates span windows far apart; rows are whole
+        # up to n = 380 and windowed from 381 on
         proc = LowerBoundProcedure(kind, 0.05, n)
         edged = np.concatenate([[0.0], probability_grid(64), [1.0]])
         shuffled = np.random.default_rng(n).permutation(edged)
@@ -566,6 +597,64 @@ class TestCoverage:
             assert np.array_equal(coverage_report(proc, grid).coverage,
                                   _coverage_loop(proc, grid))
         assert exact_lower_coverage(proc, 0.3) == _coverage_loop(proc, [0.3])[0]
+
+    @given(n=st.sampled_from([1, 2, 381, 2000, 10_000]),
+           a=st.one_of(st.sampled_from([0.001, 0.5]), st.floats(0.001, 0.5)),
+           shift=st.sampled_from([-0.3, 0.0, 0.3]),
+           rates=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2.0 ** -53]),
+                                    st.floats(0.0, 1.0)), min_size=1, max_size=12))
+    @example(n=10_000, a=0.05, shift=0.3, rates=[0.5, 0.0, 1.0, 0.2])
+    @example(n=10_000, a=0.05, shift=-0.3,
+             rates=[*(np.arange(1, 49) / 1024).tolist(), 0.5, 0.9])
+    @settings(max_examples=60, deadline=None)
+    def test_wald_rows_cut_at_their_counts_keep_every_bit(self, n, a, shift, rates):
+        # a bound table shifted up puts some counts at or below the low end
+        # of their window (coverage 0.0, no pmf); shifted down, at or past
+        # its top. The rates come unsorted, 0 and 1 among them.
+        proc = LowerBoundProcedure("wald", a, n)
+        if shift:
+            # the bounds are a cached_property: set its cache directly
+            proc.__dict__["bounds"] = np.clip(proc.bounds + shift, 0.0, 1.0)
+        grid = np.array(rates)
+        assert np.array_equal(exact_lower_coverage(proc, grid),
+                              _coverage_loop(proc, grid))
+
+    @pytest.mark.parametrize("n", [40, 300, 381, 2000, 10_000])
+    def test_blocks_hold_only_the_columns_a_row_reads(self, monkeypatch, n):
+        # a spy on the pmf kernel records each block's rates and columns:
+        # a Wald row reads columns below its count only, a Clopper-Pearson
+        # row its whole window, the tails the counts come from
+        blocks = []
+        kernel = binomial._pmf_block
+
+        def spy(n_, rates, lo, out, scratch=None):
+            blocks.append((list(rates), lo, lo + out.shape[1]))
+            return kernel(n_, rates, lo, out, scratch)
+
+        monkeypatch.setattr(binomial, "_pmf_block", spy)
+        edged = np.concatenate([[0.0], probability_grid(64), [1.0]])
+        grid = np.concatenate([probability_grid(1024),
+                               np.random.default_rng(n).permutation(edged)])
+        rates = grid.tolist()
+        window = {r: binomial._window(n, r) for r in rates}
+        for kind in ("clopper_pearson", "wald"):
+            proc = LowerBoundProcedure(kind, 0.05, n)
+            reach = {r: window[r] for r in rates}
+            if kind == "wald":
+                counts = dict(zip(rates, proc.covered(grid).tolist()))
+                reach = {r: (lo, min(hi, counts[r])) for r, (lo, hi) in window.items()}
+            blocks.clear()
+            exact_lower_coverage(proc, grid)
+            assert [r for b, _, _ in blocks for r in b] == [
+                r for r in rates if reach[r][0] < reach[r][1]]
+            for block, lo, hi in blocks:
+                assert lo == min(reach[r][0] for r in block)
+                assert hi == max(reach[r][1] for r in block)
+                if kind == "wald":
+                    # a block's columns stop at the largest count among
+                    # its rows, and a lone row's at its own count
+                    assert hi <= max(counts[r] for r in block)
+                    assert len(block) > 1 or hi <= counts[block[0]]
 
     @pytest.mark.parametrize("kind", ["clopper_pearson", "wald"])
     @pytest.mark.parametrize("n", [1, 40, 2000])

@@ -681,7 +681,7 @@ class TestCliCommands:
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         runs = script.runs("seeded.json")
-        assert len({ident for ident, _ in runs}) == len(runs) == 17
+        assert len({ident for ident, _ in runs}) == len(runs) == 18
         sub = next(action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert {argv[0] for _, argv in runs} == set(sub.choices)
