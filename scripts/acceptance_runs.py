@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the fixed set of 18 CLI runs whose outputs a refactor must keep.
+"""Run the fixed set of 21 CLI runs whose outputs a refactor must keep.
 
     python3 scripts/acceptance_runs.py OUT
 
@@ -36,6 +36,10 @@ def runs(seeded: str) -> list:
         ("coverage_wald_n10000", ["coverage", "--proc", "wald", "--n", "10000"]),
         ("fig1_n1000", ["fig1", "--n", "1000", "--p-c", "0.3", "0.5", "0.7"]),
         ("reproduce_seed31337", ["reproduce", "--config", seeded]),
+        # the parser's help and error bytes
+        ("coverage_help", ["coverage", "--help"]),
+        ("decide_bad_bound", ["decide", "--published-bound", "7"]),
+        ("decide_unknown_flag", ["decide", "--bogus"]),
     ]
 
 

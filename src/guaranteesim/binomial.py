@@ -415,13 +415,16 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
     Safeguarded Newton on the tail summed from the top, as the covered rule
     reads it: its derivative in p is x * pmf(x) / p, and a step that
     leaves the bracket [lo, hi] of the root bisects it instead. It starts
-    from the Wilson score bound and stops after a round of Newton steps
+    from the Wilson score bound. A row stops at its first Newton step
     below 1e-10 relative, whose quadratic convergence leaves only the
-    rounding of the tail. Counts are taken in blocks of at most _PMF_CELLS
-    // (n + 1), whose rows step together; each step reads the tails and
-    pmf values of _tail_and_pmf, in chunks of consecutive counts an eighth
-    of the reach at 1/2 (at least 128), so that a chunk's columns run
-    little wider than one row's.
+    rounding of the tail, with that step clipped to its bracket; the
+    other rows step on without it. So each count's bound is the same
+    double whatever counts it is solved with, and the scalar bound is
+    entry x of the vector. Counts are taken in blocks of at most
+    _PMF_CELLS // (n + 1); each step reads the tails and pmf values of
+    _tail_and_pmf, in chunks of consecutive counts an eighth of the reach
+    at 1/2 (at least 128), so that a chunk's columns run little wider
+    than one row's.
     """
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
@@ -429,6 +432,7 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
     chunk = max(128, int(_reach(n, 0.5)) // 8)
     for i in range(0, xs.size, block):
         x = xs[i:i + block]
+        rows = np.arange(i, i + x.size)  # where the rows still stepping go
         lo, hi = np.zeros(x.size), np.ones(x.size)
         wilson = (x + 0.5 * z * z
                   - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
@@ -440,11 +444,16 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
             with np.errstate(all="ignore"):
                 step = gap * p / (x * at)
             newton = p - step
-            if (np.abs(step) <= 1e-10 * p).all():
-                p = np.clip(newton, lo, hi)
+            done = np.abs(step) <= 1e-10 * p
+            out[rows[done]] = np.clip(newton[done], lo[done], hi[done])
+            if done.all():
                 break
+            keep = ~done
+            rows, x, lo, hi, p, newton = (
+                v[keep] for v in (rows, x, lo, hi, p, newton))
             p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-        out[i:i + block] = p
+        else:
+            out[rows] = p
     return out
 
 

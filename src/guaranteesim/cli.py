@@ -121,8 +121,10 @@ def cmd_coverage(scenario: Scenario, args) -> Outputs:
     proc = LowerBoundProcedure(kind, alpha, n)
     grid = probability_grid(scenario.grids.coverage_denom)
     report = coverage_report(proc, grid)
+    # Python floats, not numpy scalars, reach _fmt: the same doubles, faster
     rows = ([_fmt(p), _fmt(c), _fmt(v)] for p, c, v in
-            zip(report.p_grid, report.coverage, report.violation))
+            zip(report.p_grid.tolist(), report.coverage.tolist(),
+                report.violation.tolist()))
     print(f"min coverage {report.min_coverage:.6f} at p={report.worst_p:.6f} "
           f"(nominal {1.0 - alpha:.6f})")
     return Outputs({f"coverage_{kind}_n{n}_a{alpha:g}.csv":
@@ -156,7 +158,7 @@ def cmd_example2(scenario: Scenario, args) -> Outputs:
     rows = []
     for alpha in grids.alpha_levels:
         fps = mixture_fp_at(p_grid, args.p_c, args.n, alpha, belief)
-        for p, fp in zip(p_grid, fps):
+        for p, fp in zip(p_grid.tolist(), fps.tolist()):
             rows.append([_fmt(alpha), _fmt(p), _fmt(fp), variant,
                          _fmt(args.p_c), str(args.n), _fmt(args.pi)])
     return Outputs({"example2_surface.csv":
@@ -208,8 +210,8 @@ def cmd_contract(scenario: Scenario, args) -> Outputs:
     ys = econ.net_outcome(m, xs)
     payoffs = implementer_payoff(ys, contract)
     payments = researcher_payment(ys, contract)
-    rows = ([str(int(x)), _fmt(y), _fmt(po), _fmt(pay)]
-            for x, y, po, pay in zip(xs, ys, payoffs, payments))
+    rows = ([str(x), _fmt(y), _fmt(po), _fmt(pay)] for x, y, po, pay in
+            zip(xs.tolist(), ys.tolist(), payoffs.tolist(), payments.tolist()))
 
     mi = minimal_insurance(scenario.policy_u_bar, econ.cost(m))
     policy = scenario.policy()
@@ -253,7 +255,8 @@ def cmd_researcher(scenario: Scenario, args) -> Outputs:
           f"{part.v_bar:g} at scale {m}")
     return Outputs({
         "researcher_participation.csv": (
-            "p,lhs", ([_fmt(p), _fmt(v)] for p, v in zip(part.p_grid, part.lhs))),
+            "p,lhs", ([_fmt(p), _fmt(v)] for p, v in
+                      zip(part.p_grid.tolist(), part.lhs.tolist()))),
         "researcher_conditions.csv": (
             "p,lhs,bound_type,bound,actual",
             ([_fmt(r.p), _fmt(r.lhs), r.regime, _fmt(r.bound), _fmt(r.actual)]
@@ -324,76 +327,72 @@ _open_unit = checked(float, OPEN_UNIT)
 _weight = checked(float, UNIT)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="scenario JSON (default: bundled)")
-    common.add_argument("--out", help="output directory "
-                                      "(default: $GUARANTEESIM_OUT or ./out)")
-    common.add_argument("--debug", action="store_true",
-                        help="let a runtime error raise with its traceback "
-                             "instead of exiting 1")
+# Every subcommand in help order: name -> (help, handler, its own flags as
+# (flag, add_argument keywords) pairs). Each also takes the _COMMON flags,
+# ahead of its own.
+_SUBCOMMANDS = {
+    "coverage": ("coverage/violation curve for a bound procedure", cmd_coverage, (
+        ("--proc", {"choices": ["clopper_pearson", "wald"]}),
+        ("--n", {"type": _trials}),
+        ("--alpha-prime", {"type": _open_unit}))),
+    "example1": ("closed-form mixture rate and scale-back table", cmd_example1, (
+        ("--alpha-prime", {"type": _open_unit, "default": 0.01}),
+        ("--pi", {"type": _weight, "default": 0.25}))),
+    "example2": ("exact false-positive surface over (alpha, p)", cmd_example2, (
+        ("--p-c", {"type": _open_unit, "default": 0.5}),
+        ("--n", {"type": _trials, "default": 300}),
+        ("--pi", {"type": _weight}))),  # default: the scenario's weight
+    "fig1": ("nominal-vs-actual curve CSV per control rate", cmd_fig1, (
+        ("--p-c", {"type": _open_unit, "nargs": "+", "default": [0.5]}),
+        ("--n", {"type": _trials, "default": 300}),
+        ("--pi", {"type": _weight}))),  # default: the scenario's weight
+    "decide": ("implementer decision for a published bound", cmd_decide, (
+        ("--published-bound", {"type": _weight, "default": 0.5}),)),
+    "contract": ("payoff table and minimal insurance levels", cmd_contract, ()),
+    "researcher": ("participation and publication-rate reports", cmd_researcher, ()),
+    "pool": ("risk-pool expected utilities", cmd_pool, ()),
+    "reproduce": ("run the full anchor table", cmd_reproduce, ()),
+}
 
+_COMMON = (
+    ("--config", {"help": "scenario JSON (default: bundled)"}),
+    ("--out", {"help": "output directory (default: $GUARANTEESIM_OUT or ./out)"}),
+    ("--debug", {"action": "store_true",
+                 "help": "let a runtime error raise with its traceback "
+                         "instead of exiting 1"}),
+)
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, or with command's alone.
+
+    Building a subcommand's parser dominates a call's parsing, so a call
+    naming one builds only that one. Its usage line still lists every
+    name, through the metavar, so its errors print the full parser's
+    bytes. The full build keeps argparse's own name for the action,
+    "command", in the two errors only it meets: no subcommand and an
+    unknown one.
+    """
     parser = argparse.ArgumentParser(
         prog="guaranteesim",
         description="Adverse-selection guarantee simulations for binomial "
                     "policy outcomes")
     parser.add_argument("--version", action="version",
                         version=f"guaranteesim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coverage", parents=[common],
-                       help="coverage/violation curve for a bound procedure")
-    p.add_argument("--proc", choices=["clopper_pearson", "wald"])
-    p.add_argument("--n", type=_trials)
-    p.add_argument("--alpha-prime", type=_open_unit)
-    p.set_defaults(handler=cmd_coverage)
-
-    p = sub.add_parser("example1", parents=[common],
-                       help="closed-form mixture rate and scale-back table")
-    p.add_argument("--alpha-prime", type=_open_unit, default=0.01)
-    p.add_argument("--pi", type=_weight, default=0.25)
-    p.set_defaults(handler=cmd_example1)
-
-    p = sub.add_parser("example2", parents=[common],
-                       help="exact false-positive surface over (alpha, p)")
-    p.add_argument("--p-c", type=_open_unit, default=0.5)
-    p.add_argument("--n", type=_trials, default=300)
-    p.add_argument("--pi", type=_weight)  # default: the scenario's weight
-    p.set_defaults(handler=cmd_example2)
-
-    p = sub.add_parser("fig1", parents=[common],
-                       help="nominal-vs-actual curve CSV per control rate")
-    p.add_argument("--p-c", type=_open_unit, nargs="+", default=[0.5])
-    p.add_argument("--n", type=_trials, default=300)
-    p.add_argument("--pi", type=_weight)  # default: the scenario's weight
-    p.set_defaults(handler=cmd_fig1)
-
-    p = sub.add_parser("decide", parents=[common],
-                       help="implementer decision for a published bound")
-    p.add_argument("--published-bound", type=_weight, default=0.5)
-    p.set_defaults(handler=cmd_decide)
-
-    p = sub.add_parser("contract", parents=[common],
-                       help="payoff table and minimal insurance levels")
-    p.set_defaults(handler=cmd_contract)
-
-    p = sub.add_parser("researcher", parents=[common],
-                       help="participation and publication-rate reports")
-    p.set_defaults(handler=cmd_researcher)
-
-    p = sub.add_parser("pool", parents=[common],
-                       help="risk-pool expected utilities")
-    p.set_defaults(handler=cmd_pool)
-
-    p = sub.add_parser("reproduce", parents=[common],
-                       help="run the full anchor table")
-    p.set_defaults(handler=cmd_reproduce)
-
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, handler, flags) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            for flag, keywords in _COMMON + flags:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.config)

@@ -247,29 +247,27 @@ def _rate_at_window_edge(n):
 def _cp_roots_full(n, alpha_prime, xs):
     """binomial._cp_roots as it was before the column cut and the window:
     every Newton step builds the full (rows, n+1) pmf matrix with an exp
-    on every cell."""
+    on every cell. Each count is solved alone, stopping at its first step
+    below 1e-10 relative, as _cp_roots stops each row."""
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
-    block = max(1, binomial._PMF_CELLS // (n + 1))
-    for i in range(0, xs.size, block):
-        x = xs[i:i + block]
-        rows = np.arange(x.size)
-        lo, hi = np.zeros(x.size), np.ones(x.size)
+    for i, x in enumerate(xs):
+        lo, hi = 0.0, 1.0
         wilson = (x + 0.5 * z * z
                   - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
-        p = np.where(wilson > 0.0, wilson, x / n)
+        p = wilson if wilson > 0.0 else x / n
         for _ in range(binomial._CP_STEPS):
-            pmf = _full_exp_pmf(n, p)
-            gap = binomial._tails_from_top(pmf)[rows, n - x] - alpha_prime
-            lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
+            pmf = _full_exp_pmf(n, np.array([p]))[0]
+            gap = binomial._tails_from_top(pmf)[n - x] - alpha_prime
+            lo, hi = (p, hi) if gap < 0.0 else (lo, p)
             with np.errstate(all="ignore"):
-                step = gap * p / (x * pmf[rows, x])
+                step = gap * p / (x * pmf[x])
             newton = p - step
-            if (np.abs(step) <= 1e-10 * p).all():
-                p = np.clip(newton, lo, hi)
+            if abs(step) <= 1e-10 * p:
+                p = min(max(newton, lo), hi)
                 break
-            p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-        out[i:i + block] = p
+            p = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        out[i] = p
     return out
 
 
@@ -458,10 +456,16 @@ class TestClopperPearson:
                     a ** (1.0 / n), rel=1e-12)
 
     def test_vector_matches_scalar(self):
-        vec = clopper_pearson_lower_vector(40, 0.1)
-        for x in range(41):
-            assert vec[x] == pytest.approx(clopper_pearson_lower(x, 40, 0.1),
-                                           abs=1e-12)
+        # each count stops at its own convergence, so the table's entry is
+        # the scalar bound to the bit; every count up to n = 300, at
+        # n = 2000 every 10th count plus both ends
+        for n in (40, 300, 2000):
+            xs = range(n + 1) if n <= 300 else sorted(
+                {0, 1, 2, n - 2, n - 1, n} | set(range(0, n + 1, 10)))
+            for a in (0.1, 0.05, 0.001):
+                vec = clopper_pearson_lower_vector(n, a)
+                assert ([clopper_pearson_lower(x, n, a) for x in xs]
+                        == vec[xs].tolist())
 
     @pytest.mark.parametrize("n", [40, 300, 2000])
     def test_closed_form_matches_bisection(self, n):

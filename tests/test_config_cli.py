@@ -681,7 +681,7 @@ class TestCliCommands:
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         runs = script.runs("seeded.json")
-        assert len({ident for ident, _ in runs}) == len(runs) == 18
+        assert len({ident for ident, _ in runs}) == len(runs) == 21
         sub = next(action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert {argv[0] for _, argv in runs} == set(sub.choices)
@@ -735,3 +735,91 @@ class TestCliCommands:
         actual = [float(r["alpha_actual"]) for r in rows]
         assert nominal == [0.025, 0.05]
         assert actual[0] < actual[1]
+
+def _subparsers(parser):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+# Every subcommand with an argv that sets each of its own flags.
+EVERY_FLAG = {
+    "coverage": ["--proc", "wald", "--n", "40", "--alpha-prime", "0.1"],
+    "example1": ["--alpha-prime", "0.02", "--pi", "0.5"],
+    "example2": ["--p-c", "0.3", "--n", "40", "--pi", "0.5"],
+    "fig1": ["--p-c", "0.3", "0.7", "--n", "40", "--pi", "0.5"],
+    "decide": ["--published-bound", "0.7"],
+    "contract": [],
+    "researcher": [],
+    "pool": [],
+    "reproduce": [],
+}
+
+
+class TestOneSubcommandParser:
+    """A call naming a subcommand builds that subcommand's parser alone;
+    it parses, prints its help and fails with the full parser's bytes."""
+
+    def test_every_subcommand_is_listed(self):
+        assert list(_subparsers(_build_parser()).choices) == list(EVERY_FLAG)
+
+    @pytest.mark.parametrize("name", EVERY_FLAG)
+    def test_namespace_is_the_full_parsers(self, name):
+        common = ["--config", "scenario.json", "--out", "where", "--debug"]
+        for argv in ([name], [name, *common, *EVERY_FLAG[name]]):
+            one = vars(_build_parser(name).parse_args(argv))
+            assert one == vars(_build_parser().parse_args(argv))
+            assert one["handler"].__name__ == f"cmd_{name}"
+
+    @pytest.mark.parametrize("name", EVERY_FLAG)
+    def test_usage_and_help_are_the_full_parsers(self, name):
+        one, full = _build_parser(name), _build_parser()
+        assert list(_subparsers(one).choices) == [name]
+        assert one.format_usage() == full.format_usage()
+        assert (_subparsers(one).choices[name].format_help()
+                == _subparsers(full).choices[name].format_help())
+
+    @pytest.mark.parametrize("name", EVERY_FLAG)
+    def test_an_unknown_flag_fails_with_the_full_parsers_bytes(self, name,
+                                                               capsys):
+        argv = [name, "--bogus"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(argv)
+        assert err == capsys.readouterr().err
+        assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "error: the following arguments are required: command\n"),
+        (["nosuch"], "error: argument command: invalid choice: 'nosuch' "
+                     "(choose from 'coverage', 'example1', 'example2', "
+                     "'fig1', 'decide', 'contract', 'researcher', 'pool', "
+                     "'reproduce')\n"),
+    ])
+    def test_errors_without_a_subcommand_name_the_action_command(
+            self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(message)
+
+    @pytest.mark.parametrize("argv,built", [
+        (["decide", "--bogus"], 1), (["coverage", "--help"], 1),
+        ([], 9), (["--help"], 9), (["--version"], 9), (["nosuch"], 9),
+    ])
+    def test_only_a_named_subcommand_is_built_alone(self, monkeypatch, capsys,
+                                                    argv, built):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert len(calls) == built
