@@ -736,6 +736,7 @@ class TestCliCommands:
         assert nominal == [0.025, 0.05]
         assert actual[0] < actual[1]
 
+
 def _subparsers(parser):
     return next(action for action in parser._actions
                 if isinstance(action, argparse._SubParsersAction))
