@@ -2,17 +2,25 @@
 """Run the fixed set of 21 CLI runs whose outputs a refactor must keep.
 
     python3 scripts/acceptance_runs.py OUT
+    python3 scripts/acceptance_runs.py --compare A B
 
 Each run writes into OUT/<id>/: the files the command wrote, its stdout
 (with OUT/<id> replaced by the token <OUT>), its stderr and its exit
 code. The package is imported from this checkout's `src/`, so running
 the script from two checkouts into two directories and comparing them
-with `diff -r` shows whether a change kept every byte.
+shows whether a change kept every byte.
+
+--compare lists the files that differ byte for byte between two such
+trees, each with the largest difference between its numbers (relative
+for magnitudes above 1, as perfbench compares), and exits 1 when any
+difference exceeds 1e-9 or a difference is not numeric at all.
 """
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LARGE = str(ROOT / "perfbench" / "large_scenario.json")
 TOKEN = "<OUT>"
+TOL = 1e-9
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def runs(seeded: str) -> list:
@@ -55,11 +65,54 @@ def run(ident: str, argv: list, out: Path, env: dict) -> int:
     return proc.returncode
 
 
+def numeric_gap(a: str, b: str) -> float:
+    """Largest |x - y| / max(1, |x|) over the paired numbers of two texts;
+    inf when the texts differ anywhere outside their numbers."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return math.inf
+    pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
+    return max((abs(float(x) - float(y)) / max(1.0, abs(float(x)))
+                for x, y in pairs), default=0.0)
+
+
+def compare(a: Path, b: Path) -> float:
+    """Print each file that differs between trees a and b, with its largest
+    numeric difference; return the largest over all files."""
+    names = sorted({path.relative_to(root).as_posix() for root in (a, b)
+                    for path in root.rglob("*") if path.is_file()})
+    worst = 0.0
+    for name in names:
+        fa, fb = a / name, b / name
+        if not (fa.is_file() and fb.is_file()):
+            gap = math.inf
+            print(f"{name}: only in {fa.parent if fa.is_file() else fb.parent}")
+        elif fa.read_bytes() == fb.read_bytes():
+            continue
+        else:
+            try:
+                gap = numeric_gap(fa.read_text(encoding="utf-8"),
+                                  fb.read_text(encoding="utf-8"))
+            except UnicodeDecodeError:
+                gap = math.inf
+            print(f"{name}: differs, largest numeric difference {gap:.3g}")
+        worst = max(worst, gap)
+    return worst
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("out", type=Path, help="directory for the runs' outputs")
+    ap.add_argument("out", type=Path, nargs="?",
+                    help="directory for the runs' outputs")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                    help="compare two output trees instead of running")
     args = ap.parse_args()
+    if (args.out is None) == (args.compare is None):
+        ap.error("give either OUT or --compare A B")
+    if args.compare:
+        worst = compare(*args.compare)
+        print(f"largest difference {worst:.3g}, tolerance {TOL:g}")
+        sys.exit(1 if worst > TOL else 0)
     out = args.out.resolve()
     path = os.environ.get("PYTHONPATH")
     src = str(ROOT / "src")

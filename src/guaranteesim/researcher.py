@@ -9,6 +9,11 @@ contracts.researcher_payment for the offered contract, the same payment
 that funds the implementer's payoff; an optional hedge then transfers or
 exchanges part of it. Everything is evaluated through a concave utility
 with a participation floor.
+
+A position is kept as its independent parts, a base plus weighted laws
+(own outcome, exchange partner's loss, noise), and never as their joint
+law: UtilitySpec.expected_of_sum evaluates it from per-law moments, the
+same route the risk pool takes.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "RiskTransfer",
     "RiskExchange",
     "ResearcherRisk",
+    "Position",
     "researcher_world",
     "no_implementation_world",
     "expected_utility",
@@ -190,25 +196,46 @@ class ResearcherRisk:
             raise TypeError(f"unknown hedge {self.hedge!r}")
 
 
-def _with_noise(dist: DiscreteDist, payoff: ResearcherPayoffModel) -> DiscreteDist:
+@dataclass(frozen=True)
+class Position:
+    """base + sum_j weights[j] * laws[j], the laws independent, weights >= 0.
+
+    len() is the summed size of the laws, 0 for a sure position.
+    """
+
+    base: float
+    weights: tuple
+    laws: tuple
+
+    def mean(self) -> float:
+        return self.base + sum(w * law.mean()
+                               for w, law in zip(self.weights, self.laws))
+
+    def __len__(self) -> int:
+        return sum(len(law) for law in self.laws)
+
+
+def _noise_parts(payoff: ResearcherPayoffModel) -> tuple:
     if payoff.noise is None:
-        return dist
-    return dist.combine(payoff.noise.law(), lambda w, e: w + e).compress()
+        return (), ()
+    return (1.0,), (payoff.noise.law(),)
 
 
-def no_implementation_world(payoff: ResearcherPayoffModel) -> DiscreteDist:
+def no_implementation_world(payoff: ResearcherPayoffModel) -> Position:
     """The researcher's position when nothing gets implemented."""
-    return _with_noise(DiscreteDist.point(payoff.base_pub), payoff)
+    return Position(payoff.base_pub, *_noise_parts(payoff))
 
 
 def researcher_world(risk: ResearcherRisk, payoff: ResearcherPayoffModel,
-                     m: int, econ: PolicyEconomics, p: float) -> DiscreteDist:
-    """Exact law of the researcher's position W at implementation scale m.
+                     m: int, econ: PolicyEconomics, p: float) -> Position:
+    """The researcher's position at implementation scale m, in independent
+    parts: W + assumed * Z + noise.
 
-    W = v0 - retained * researcher_payment(Y, contract) - premium, where v0
-    collects the payoff model's deterministic values and uninsured loss
-    share; an exchange hedge then adds its assumed share of the partner's
-    independent loss.
+    W = v0 - retained * researcher_payment(Y, contract) - premium on the
+    m + 1 outcomes of the binomial success count, where v0 collects the
+    payoff model's deterministic values and uninsured loss share. An
+    exchange hedge adds its assumed share of the partner's independent
+    loss Z; the payoff model's noise is the last part.
     """
     if m < 1:
         raise ValueError("implementation scale must be at least 1")
@@ -221,15 +248,16 @@ def researcher_world(risk: ResearcherRisk, payoff: ResearcherPayoffModel,
     premium = hedge.premium if isinstance(hedge, RiskTransfer) else 0.0
     w = v0 - retained * researcher_payment(y, risk.contract) - premium
 
-    dist = DiscreteDist(w, x_law.probs).compress()
+    weights, laws = (1.0,), (DiscreteDist(w, x_law.probs),)
     if isinstance(hedge, RiskExchange):
-        dist = dist.combine(
-            hedge.partner_loss, lambda a, z: a + hedge.assumed * z).compress()
-    return _with_noise(dist, payoff)
+        weights, laws = weights + (hedge.assumed,), laws + (hedge.partner_loss,)
+    noise_weights, noise_laws = _noise_parts(payoff)
+    return Position(0.0, weights + noise_weights, laws + noise_laws)
 
 
-def expected_utility(dist: DiscreteDist, utility: UtilitySpec) -> float:
-    return dist.expectation(utility.value)
+def expected_utility(position: Position, utility: UtilitySpec) -> float:
+    return utility.expected_of_sum(position.base, position.weights,
+                                   position.laws)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,8 @@ class DiscreteDist:
         self.probs = np.asarray(probs, dtype=float)
         if self.values.shape != self.probs.shape or self.values.ndim != 1:
             raise ValueError("values and probs must be matching 1-d arrays")
+        if not (np.isfinite(self.values).all() and np.isfinite(self.probs).all()):
+            raise ValueError("non-finite value or probability in distribution")
         if (self.probs < -atol).any():
             raise ValueError("negative probability in distribution")
         total = float(self.probs.sum())
@@ -123,7 +125,10 @@ class DiscreteDist:
 
     def compress(self, *, decimals: int = 12) -> "DiscreteDist":
         """Merge support points that agree after rounding. Keeps laws small
-        when repeated combine() calls blow up the support."""
+        when repeated combine() calls blow up the support. Nothing in the
+        package calls combine() or compress(), since researcher positions
+        are kept as independent parts; both remain as benchmark trace
+        targets and as the tests' enumeration oracle."""
         rounded = np.round(self.values, decimals)
         uniq, inverse = np.unique(rounded, return_inverse=True)
         probs = np.zeros_like(uniq)

@@ -694,6 +694,34 @@ class TestCliCommands:
         assert (where / "exit_code.txt").read_text() == "0\n"
         assert (where / "example1_scaleback.csv").exists()
 
+    def test_acceptance_compare(self, tmp_path):
+        def tree(name, files):
+            root = tmp_path / name
+            for rel, text in files.items():
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(text)
+            return str(root)
+
+        same = {"run/exit_code.txt": "0\n", "run/out.json": '{"x": [1, 2]}'}
+        base = tree("a", {**same, "run/t.csv": "p,lhs\n0.1,-3522935815.486934\n",
+                          "run/stdout.txt": "min 0.25 at scale 2000\n"})
+        close = tree("b", {**same, "run/t.csv": "p,lhs\n0.1,-3522935815.486921\n",
+                           "run/stdout.txt": "min 0.25000000000001 at scale 2000\n"})
+        proc = run_script("acceptance_runs.py", "--compare", base, close)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        # relative above magnitude 1, absolute below it
+        assert proc.stdout.splitlines() == [
+            "run/stdout.txt: differs, largest numeric difference 9.99e-15",
+            "run/t.csv: differs, largest numeric difference 3.79e-15",
+            "largest difference 9.99e-15, tolerance 1e-09"]
+        for i, files in enumerate([
+                {**same, "run/t.csv": "p,lhs\n0.1,-3522935815.5\n"},
+                {**same, "run/t.csv": "p,rhs\n0.1,-3522935815.486934\n"},
+                same]):
+            far = tree(f"far{i}", files)
+            proc = run_script("acceptance_runs.py", "--compare", base, far)
+            assert proc.returncode == 1, proc.stdout
+
     @pytest.mark.parametrize("command,csv", [
         ("fig1", "fig1.csv"), ("example2", "example2_surface.csv")])
     def test_pi_defaults_to_the_scenario_weight(self, tmp_path, capsys,

@@ -5,12 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from guaranteesim.contracts import ProportionalGuarantee, TailGuarantee
+from guaranteesim.contracts import (
+    FullGuarantee,
+    ProportionalGuarantee,
+    TailGuarantee,
+)
 from guaranteesim.economics import BenefitFunction, CostSchedule, PolicyEconomics
 from guaranteesim.researcher import (
     ImplValue,
     NoiseSpec,
     PoolMember,
+    Position,
     ResearcherPayoffModel,
     ResearcherRisk,
     RiskExchange,
@@ -57,8 +62,9 @@ def payoff(base=2.0, impl=2.0, exposure=0.0, noise=None):
 class TestUtilitySpec:
     def test_frozen_cara_expectation(self):
         u = UtilitySpec("cara", 0.001)
-        dist = DiscreteDist([-100.0, 0.0], [0.3, 0.7])
-        assert expected_utility(dist, u) == pytest.approx(CARA_MILD_EU, abs=1e-9)
+        position = Position(0.0, (1.0,), (DiscreteDist([-100.0, 0.0], [0.3, 0.7]),))
+        assert expected_utility(position, u) == pytest.approx(CARA_MILD_EU,
+                                                              abs=1e-9)
 
     def test_linear_passthrough(self):
         assert LINEAR.value(3.7) == 3.7
@@ -101,8 +107,10 @@ class TestResearcherWorld:
         keep = researcher_world(hedged(RiskTransfer(retained=1.0)), payoff(), 8,
                                 econ20(), 0.35)
         bare = researcher_world(BARE, payoff(), 8, econ20(), 0.35)
-        assert np.array_equal(keep.values, bare.values)
-        assert np.array_equal(keep.probs, bare.probs)
+        assert (keep.base, keep.weights) == (bare.base, bare.weights)
+        for got, want in zip(keep.laws, bare.laws, strict=True):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.probs, want.probs)
 
     def test_premium_shifts_mean(self):
         free = researcher_world(hedged(RiskTransfer(0.4, premium=0.0)), payoff(),
@@ -172,59 +180,158 @@ class TestResearcherWorld:
 
 
 PARTNER = DiscreteDist([0.0, -3.0, -9.0], [0.5, 0.3, 0.2])
+CONTRACTS = {"full": FullGuarantee, "tail": TailGuarantee,
+             "proportional": ProportionalGuarantee}
 
 
-def old_branch_world(variant, params, pay, m, econ, p):
-    """The per-variant position formulas that contract + hedge replaced."""
+def enumerated_world(contract, hedge, pay, m, econ, p, partner=PARTNER):
+    """The joint law of the position, listed outcome by outcome.
+
+    contract is ("full",), ("tail", k) or ("proportional", s); hedge holds
+    the retained share, premium and assumed share of the partner's loss.
+    """
     x_law = DiscreteDist.binomial(m, econ.success_rate(p))
     y = econ.net_outcome(m, x_law.values.astype(int))
     y_minus = np.minimum(y, 0.0)
     v0 = pay.base_pub + pay.impl_value.value(m) + pay.failure_exposure * y_minus
-    if variant == "none":
-        w = v0 + y_minus
-    elif variant == "transfer":
-        w = v0 + params["retained"] * y_minus - params["premium"]
-    elif variant == "exchange":
-        w = v0 + params["retained"] * y_minus
-    elif variant == "tail_only":
-        w = v0 + np.minimum(y - params["k"], 0.0)
+    kind, *level = contract
+    if kind == "tail":
+        loss = np.minimum(y - level[0], 0.0)
     else:
-        w = v0 + params["share"] * y_minus
+        loss = (level[0] if level else 1.0) * y_minus
+    w = v0 + hedge.get("retained", 1.0) * loss - hedge.get("premium", 0.0)
     dist = DiscreteDist(w, x_law.probs).compress()
-    if variant == "exchange":
+    if "assumed" in hedge:
         dist = dist.combine(
-            PARTNER, lambda a, z: a + params["assumed"] * z).compress()
+            partner, lambda a, z: a + hedge["assumed"] * z).compress()
     if pay.noise is not None:
         dist = dist.combine(pay.noise.law(), lambda a, e: a + e).compress()
     return dist
 
 
+def assert_matches_enumeration(position, dist, utilities, rel=1e-10):
+    assert position.mean() == pytest.approx(dist.mean(), rel=rel, abs=1e-12)
+    for u in utilities:
+        assert expected_utility(position, u) == pytest.approx(
+            dist.expectation(u.value), rel=rel, abs=1e-12)
+
+
 class TestContractPlusHedge:
-    @pytest.mark.parametrize("variant,params,risk", [
-        ("none", {}, BARE),
-        ("transfer", {"retained": 0.4, "premium": 0.7},
+    @pytest.mark.parametrize("contract,hedge,risk", [
+        (("full",), {}, BARE),
+        (("full",), {"retained": 0.4, "premium": 0.7},
          hedged(RiskTransfer(0.4, premium=0.7))),
-        ("exchange", {"retained": 0.3, "assumed": 0.6},
+        (("full",), {"retained": 0.3, "assumed": 0.6},
          hedged(RiskExchange(0.3, 0.6, PARTNER))),
-        ("tail_only", {"k": -5.0}, tail_only(-5.0)),
-        ("proportional_only", {"share": 0.35}, proportional_only(0.35)),
-    ])
+        (("tail", -5.0), {}, tail_only(-5.0)),
+        (("proportional", 0.35), {}, proportional_only(0.35)),
+    ], ids=["none", "transfer", "exchange", "tail_only", "proportional_only"])
     @pytest.mark.parametrize("pay", [
         payoff(),
         ResearcherPayoffModel(base_pub=1.5, impl_value=ImplValue("linear", 0.3),
                               failure_exposure=0.2, noise=NoiseSpec(0.5)),
     ], ids=["plain", "exposure_noise"])
-    def test_matches_old_branch_formulas(self, variant, params, risk, pay):
+    def test_matches_enumerated_law(self, contract, hedge, risk, pay):
         econs = [econ20(), PolicyEconomics(CostSchedule.affine(3.0, 1.3, 20),
                                            BenefitFunction.linear(3.1),
                                            dilution=0.8)]
+        utilities = [LINEAR, UtilitySpec("cara", 0.05), UtilitySpec("cara", 0.4)]
         for econ in econs:
             for m in (1, 8, 20):
                 for p in (0.1, 0.35, 0.8):
-                    got = researcher_world(risk, pay, m, econ, p)
-                    want = old_branch_world(variant, params, pay, m, econ, p)
-                    assert np.array_equal(got.values, want.values)
-                    assert np.array_equal(got.probs, want.probs)
+                    assert_matches_enumeration(
+                        researcher_world(risk, pay, m, econ, p),
+                        enumerated_world(contract, hedge, pay, m, econ, p),
+                        utilities)
+
+    def test_random_small_worlds_match_enumeration(self):
+        rng = np.random.default_rng(20231)
+        for _ in range(200):
+            m = int(rng.integers(1, 13))
+            econ = PolicyEconomics(
+                CostSchedule.linear(float(rng.uniform(0.5, 2.0)), 12),
+                BenefitFunction.linear(float(rng.uniform(1.0, 4.0))))
+            kind = str(rng.choice(list(CONTRACTS)))
+            level = {"full": (), "tail": (float(rng.uniform(-6.0, -0.5)),),
+                     "proportional": (float(rng.uniform(0.05, 0.95)),)}[kind]
+            hedge_kind = str(rng.choice(["none", "transfer", "exchange"]))
+            retained = float(rng.uniform(0.0, 1.0))
+            hedge, risk_hedge, partner = {}, None, PARTNER
+            if hedge_kind == "transfer":
+                hedge = {"retained": retained,
+                         "premium": float(rng.uniform(0.0, 2.0))}
+                risk_hedge = RiskTransfer(retained, hedge["premium"])
+            elif hedge_kind == "exchange":
+                k = int(rng.integers(1, 5))
+                partner = DiscreteDist(-rng.uniform(0.0, 10.0, k),
+                                       rng.dirichlet(np.ones(k)))
+                hedge = {"retained": retained,
+                         "assumed": float(rng.uniform(0.0, 1.0))}
+                risk_hedge = RiskExchange(retained, hedge["assumed"], partner)
+            noise = NoiseSpec(float(rng.uniform(0.1, 2.0))) \
+                if rng.random() < 0.5 else None
+            pay = ResearcherPayoffModel(
+                base_pub=float(rng.uniform(-2.0, 3.0)),
+                impl_value=ImplValue("constant", float(rng.uniform(0.0, 3.0))),
+                failure_exposure=float(rng.uniform(0.0, 0.5)), noise=noise)
+            risk = ResearcherRisk(CONTRACTS[kind](*level), risk_hedge)
+            p = float(rng.uniform(0.02, 0.98))
+            utilities = [LINEAR, UtilitySpec("cara", float(rng.uniform(0.01, 0.5)))]
+            assert_matches_enumeration(
+                researcher_world(risk, pay, m, econ, p),
+                enumerated_world((kind, *level), hedge, pay, m, econ, p,
+                                 partner=partner),
+                utilities)
+
+    def test_no_implementation_world_matches_enumeration(self):
+        utilities = [LINEAR, UtilitySpec("cara", 0.3)]
+        for noise in (None, NoiseSpec(0.7)):
+            pay = payoff(base=1.5, noise=noise)
+            dist = DiscreteDist.point(pay.base_pub)
+            if noise is not None:
+                dist = dist.combine(noise.law(), lambda a, e: a + e).compress()
+            world = no_implementation_world(pay)
+            assert len(world) == (0 if noise is None else 2)
+            assert_matches_enumeration(world, dist, utilities, rel=1e-15)
+
+
+class TestSaturation:
+    """CARA saturates on the worst joint outcome, as the enumeration does."""
+
+    RISK = hedged(RiskExchange(0.6, 0.5, PARTNER))
+    PAY = payoff(noise=NoiseSpec(0.5))
+
+    def worlds(self):
+        position = researcher_world(self.RISK, self.PAY, 8, econ20(), 0.3)
+        dist = enumerated_world(("full",), {"retained": 0.6, "assumed": 0.5},
+                                self.PAY, 8, econ20(), 0.3)
+        return position, dist
+
+    @pytest.mark.parametrize("factor,saturates", [(1.0 + 1e-9, True),
+                                                  (1.0 - 1e-9, False)])
+    def test_warns_exactly_when_the_enumeration_does(self, factor, saturates):
+        position, dist = self.worlds()
+        worst = dist.values.min()
+        assert worst < 0.0
+        u = UtilitySpec("cara", factor * 700.0 / -worst)
+        for evaluate in (lambda: expected_utility(position, u),
+                         lambda: dist.expectation(u.value)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                evaluate()
+            assert any("CARA utility saturated" in str(w.message)
+                       for w in caught) == saturates
+
+    def test_caps_the_summed_log_moment(self):
+        # the worst outcome, -4 with probability 0.058, puts -a*w at 760
+        position = researcher_world(BARE, payoff(), 8, econ20(), 0.3)
+        u = UtilitySpec("cara", 190.0)
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            got = expected_utility(position, u)
+        assert got == -np.expm1(700.0) / u.risk_aversion
+        with pytest.warns(RuntimeWarning, match="saturated"):
+            per_atom = position.laws[0].expectation(u.value)
+        assert np.isfinite(per_atom) and got < per_atom
 
 
 class TestParticipation:
@@ -316,9 +423,8 @@ class TestPooling:
         members = [self.member(), self.member(0.2)]
         pooled = pool_expected_utility(members, np.eye(2))
         for mem, eu in zip(members, pooled):
-            standalone = expected_utility(
-                DiscreteDist(mem.base + self.LOSS.values, self.LOSS.probs),
-                mem.utility)
+            standalone = self.LOSS.expectation(
+                lambda x: mem.utility.value(mem.base + x))
             assert eu == pytest.approx(standalone, abs=1e-12)
 
     def test_equal_shares_help_and_grow_with_pool_size(self):
@@ -369,7 +475,7 @@ class TestPooling:
         for _ in members:
             total = total.combine(share, lambda a, b: a + b).compress()
         assert len(total) == 89
-        want = expected_utility(total, utility)
+        want = total.expectation(utility.value)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_linear_matches_outcome_matrix_enumeration(self):

@@ -74,6 +74,16 @@ class TestDiscreteDist:
         with pytest.raises(ValueError):
             DiscreteDist([1.0, 2.0], [1.2, -0.2])
 
+    @pytest.mark.parametrize("values,probs", [
+        ([0.0, 1.0], [np.nan, np.nan]),
+        ([np.nan, 1.0], [0.5, 0.5]),
+        ([-np.inf, 1.0], [0.5, 0.5]),
+        ([0.0, 1.0], [np.inf, -np.inf]),
+    ])
+    def test_rejects_non_finite(self, values, probs):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteDist(values, probs)
+
     def test_point_and_shift(self):
         d = DiscreteDist.point(2.0)
         assert d.mean() == 2.0 and d.variance() == 0.0
