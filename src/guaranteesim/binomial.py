@@ -40,6 +40,7 @@ __all__ = [
     "binom_pmf_vector",
     "binom_pmf_reduce",
     "binom_draws",
+    "draw_blocks",
     "normal_cdf",
     "normal_quantile",
     "smallest_double",
@@ -263,21 +264,40 @@ def binom_draws(n: int, p: float, rng: np.random.Generator,
     is divided by its last entry, so it ends at exactly 1 and every count
     lies in 0..n: the rounding of the sum, 2.4e-10 short of 1 at n = 10**6,
     would otherwise all land on the count n.
+
+    The uniforms are drawn and looked up one draw_blocks block at a time,
+    the same stream as one rng.random(size) call. The counts come back in
+    the smallest unsigned dtype that holds 2 n (uint8 up to n = 127), so
+    the sum of two arms' counts cannot wrap around.
     """
     if p > 0.5:
-        return n - binom_draws(n, 1.0 - p, rng, size)
+        flipped = binom_draws(n, 1.0 - p, rng, size)
+        return np.subtract(n, flipped, out=flipped)
     cdf = np.cumsum(binom_pmf_vector(n, p))
     cdf /= cdf[-1]
-    return _indexed_search(cdf, rng.random(size))
+    search = _indexed_search(cdf)
+    out = np.empty(size, np.min_scalar_type(2 * n))
+    for block in draw_blocks(size):
+        out[block] = search(rng.random(block.stop - block.start))
+    return out
 
 
-# Uniforms looked up at once by _indexed_search: its temporaries stay
-# small, and blocks of this size ran faster than one pass over 10**6.
+# Draws made at once by the samplers: their temporaries stay small, and
+# blocks of this size ran faster than one pass over 10**6.
 _SEARCH_BLOCK = 1 << 16
 
 
-def _indexed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """cdf.searchsorted(u, side="right") for u in [0, 1), bit for bit.
+def draw_blocks(size: int):
+    """Consecutive slices of at most _SEARCH_BLOCK indices covering
+    range(size), in order: a sampler that draws block by block reads its
+    stream in the same order as one call for all size draws."""
+    for start in range(0, size, _SEARCH_BLOCK):
+        yield slice(start, min(start + _SEARCH_BLOCK, size))
+
+
+def _indexed_search(cdf: np.ndarray):
+    """The lookup u -> cdf.searchsorted(u, side="right") for u in [0, 1),
+    bit for bit, with its table built once for many calls.
 
     Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4):
     [0, 1) is cut into k buckets, k a power of two, so floor(u * k) is
@@ -291,14 +311,14 @@ def _indexed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     edges = np.arange(k + 1) / k
     below = cdf.searchsorted(edges[:-1], side="right")
     table = np.where(below == cdf.searchsorted(edges[1:], side="left"), below, -1)
-    out = np.empty(u.shape, np.intp)
-    for i in range(0, u.size, _SEARCH_BLOCK):
-        block = u[i:i + _SEARCH_BLOCK]
-        got = table[(block * k).astype(np.intp)]
+
+    def search(u: np.ndarray) -> np.ndarray:
+        got = table[(u * k).astype(np.intp)]
         miss = np.flatnonzero(got < 0)
-        got[miss] = cdf.searchsorted(block[miss], side="right")
-        out[i:i + _SEARCH_BLOCK] = got
-    return out
+        got[miss] = cdf.searchsorted(u[miss], side="right")
+        return got
+
+    return search
 
 
 # Largest pmf matrix binom_pmf_reduce builds at once, in cells.

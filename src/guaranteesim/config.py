@@ -154,9 +154,18 @@ class Scenario:
     grids: GridSpec
 
     def policy(self) -> ImplementerPolicy:
+        """The implementer's policy. A null p0 is the break-even rate, and
+        economics without one strictly inside (0,1) are a ConfigError at
+        "economics": only the commands that read p0 fail on them."""
         p0 = self.policy_p0
         if p0 is None:
-            p0 = self.economics.break_even_success_rate()
+            try:
+                p0 = self.economics.break_even_success_rate()
+            except NoBreakEvenError as exc:
+                raise ConfigError(str(exc), "economics") from exc
+            if not 0.0 < p0 < 1.0:
+                raise ConfigError(f"break-even rate {p0!r} leaves no threshold "
+                                  f"strictly inside (0,1)", "economics")
         return ImplementerPolicy(u_bar=self.policy_u_bar,
                                  alpha_belief=self.policy_alpha, p0=p0)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .binomial import (
     LowerBoundProcedure,
     coverage_report,
+    draw_blocks,
     probability_grid,
     sup_below,
     terms_value,
@@ -263,14 +264,28 @@ def _pooling_properties():
     return ok, detail
 
 
+def _numpy_binomial_sampler(n: int, p: float, fn=None):
+    """An mc_estimate sampler: fn of counts drawn by numpy's own
+    rng.binomial(n, p) (the counts themselves when fn is None), filled
+    into one float array block by block. The stream is read as by one
+    rng.binomial call for all the draws, and fn must act elementwise."""
+    def sample(rng, size):
+        out = np.empty(size)
+        for block in draw_blocks(size):
+            xs = rng.binomial(n, p, size=block.stop - block.start)
+            out[block] = xs if fn is None else fn(xs)
+        return out
+    return sample
+
+
 def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     checks = []
 
     # estimates 1 and 5 and the reruns draw with numpy's rng.binomial, so
     # one path of the gate shares no code with binom_pmf_vector
     exact1 = 20 * 0.3
-    est1 = mc_estimate(lambda rng, k: rng.binomial(20, 0.3, size=k).astype(float),
-                       1_000_000, SeededStream(seed, 101))
+    counts = _numpy_binomial_sampler(20, 0.3)
+    est1 = mc_estimate(counts, 1_000_000, SeededStream(seed, 101))
     checks.append((exact1, est1))
 
     # estimates 2-4 draw from the strategies' own samplers: (strategy,
@@ -297,10 +312,8 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     exact5 = enumerate_outcomes(
         20, 0.1, lambda xs: implementer_payoff(econ_20.net_outcome(20, xs), tail))
 
-    def sample_tail(rng, k):
-        xs = rng.binomial(20, 0.1, size=k)
-        return implementer_payoff(econ_20.net_outcome(20, xs), tail)
-
+    sample_tail = _numpy_binomial_sampler(
+        20, 0.1, lambda xs: implementer_payoff(econ_20.net_outcome(20, xs), tail))
     est5 = mc_estimate(sample_tail, 1_000_000, SeededStream(seed, 105))
     checks.append((exact5, est5))
 
@@ -311,9 +324,7 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
         max_z = max(max_z, z)
         ok = ok and z <= 4.0
 
-    est1_again = mc_estimate(
-        lambda rng, k: rng.binomial(20, 0.3, size=k).astype(float),
-        1_000_000, SeededStream(seed, 101))
+    est1_again = mc_estimate(counts, 1_000_000, SeededStream(seed, 101))
     byte_ok = est1_again == est1
     buf_a, buf_b = io.StringIO(), io.StringIO()
     for buf in (buf_a, buf_b):

@@ -54,17 +54,32 @@ class McEstimate:
 def mc_estimate(sampler, n_draws: int, stream: SeededStream) -> McEstimate:
     """Monte-Carlo mean of sampler(rng, size) with its standard error.
 
-    sampler must return a length-size float array. Determinism contract:
-    fixed (seed, stream_id, n_draws) reproduces the estimate bit for bit.
+    sampler must return a length-size array of floats, integers or bools.
+    Determinism contract: fixed (seed, stream_id, n_draws) reproduces the
+    estimate bit for bit.
+
+    The mean and the standard error are float(d.mean()) and
+    float(d.std(ddof=1) / sqrt(n_draws)) of the float draws d, bit for
+    bit, by the steps of numpy's _var (pairwise sum, divide by n, subtract,
+    square, pairwise sum, divide by n - 1, sqrt) done in place on d, so
+    no array of n_draws floats is held beside it. A writeable float array
+    that owns its data is handed over: mc_estimate may overwrite it. A
+    view, a read-only array or any other dtype is converted or copied
+    first and left as it was.
     """
     if n_draws < 2:
         raise ValueError(f"need at least 2 draws for a standard error, got {n_draws}")
     draws = np.asarray(sampler(stream.generator(), n_draws), dtype=float)
     if draws.shape != (n_draws,):
         raise ValueError(f"sampler returned shape {draws.shape}, expected ({n_draws},)")
-    mean = float(draws.mean())
-    std_error = float(draws.std(ddof=1) / np.sqrt(n_draws))
-    return McEstimate(mean=mean, std_error=std_error, n_draws=n_draws)
+    if not (draws.flags.owndata and draws.flags.writeable):
+        draws = draws.copy()
+    mean = np.add.reduce(draws) / n_draws
+    np.subtract(draws, mean, out=draws)
+    np.square(draws, out=draws)
+    std = np.sqrt(np.add.reduce(draws) / (n_draws - 1))
+    return McEstimate(mean=float(mean), std_error=float(std / np.sqrt(n_draws)),
+                      n_draws=n_draws)
 
 
 def enumerate_outcomes(m: int, p: float, f) -> float:

@@ -37,6 +37,7 @@ from .binomial import (
     binom_draws,
     binom_pmf_reduce,
     binom_pmf_vector,
+    draw_blocks,
     exceedance_prob,
     exceedance_terms,
     normal_quantile,
@@ -136,12 +137,23 @@ class FraudulentStrategy:
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
                size: int) -> np.ndarray:
-        """size published bounds; all guesses are drawn before the outcomes."""
+        """size published bounds; all guesses are drawn before the outcomes.
+
+        The guesses are kept as one bool per draw and the bounds filled
+        block by block, so the float output is the only array of size
+        floats.
+        """
         self.check_threshold(threshold)
-        guesses = threshold + self.guess_spread * np.where(
-            rng.random(size) < 0.5, 1.0, -1.0)
+        high = np.empty(size, bool)
+        for block in draw_blocks(size):
+            high[block] = rng.random(block.stop - block.start) < 0.5
         xs = binom_draws(self.procedure.n, p, rng, size)
-        return np.maximum(self.procedure.bounds[xs], guesses)
+        out = np.empty(size)
+        for block in draw_blocks(size):
+            guesses = threshold + self.guess_spread * np.where(
+                high[block], 1.0, -1.0)
+            np.maximum(self.procedure.bounds[xs[block]], guesses, out=out[block])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +211,8 @@ def _rct_rejects(thr: np.ndarray, x_c, x_t):
 
     The all-success pair (n, n) never rejects: its pooled proportion is 1.
     It ends row n, whose other cells have z < 0 and so reject only at
-    nominal levels above 1/2.
+    nominal levels above 1/2. The sum x_c + x_t must not wrap around:
+    binom_draws' counts come in a dtype that holds 2 n.
     """
     n = thr.size - 1
     return (x_t >= thr[x_c]) & (x_c + x_t < 2 * n)
@@ -270,12 +283,17 @@ class SelectiveStrategy:
         """size published Wald bounds, NaN where the gate stays silent; the
         control arm runs at the threshold, as in exceedance_prob.
 
-        All control arms are drawn before the treatment arms.
+        All control arms are drawn before the treatment arms; the bounds
+        are filled block by block from the two arms' compact counts.
         """
         thr, wald = _rct_tables(self.n, self.alpha_prime)
         x_c = binom_draws(self.n, threshold, rng, size)
         x_t = binom_draws(self.n, p, rng, size)
-        return np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan)
+        out = np.empty(size)
+        for block in draw_blocks(size):
+            t = x_t[block]
+            out[block] = np.where(_rct_rejects(thr, x_c[block], t), wald[t], np.nan)
+        return out
 
 
 # ---------------------------------------------------------------------------

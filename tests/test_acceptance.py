@@ -182,6 +182,37 @@ def test_anchor_10_estimates_are_pinned_bit_for_bit(monkeypatch):
     assert all(e.n_draws == 1_000_000 for e in seen[:5])
 
 
+def test_monte_carlo_estimates_hold_one_float_per_draw(monkeypatch):
+    # numpy reports its buffers to tracemalloc, so each estimate's traced
+    # peak is deterministic: the 10**6 float draws (7.6 MiB) plus compact
+    # counts and block-sized scratch, not several arrays of 10**6 floats
+    import tracemalloc
+    from guaranteesim import reproduce
+    peaks = []
+    real = reproduce.mc_estimate
+
+    def spy(sampler, n_draws, stream):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        est = real(sampler, n_draws, stream)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return est
+
+    monkeypatch.setattr(reproduce, "mc_estimate", spy)
+    econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
+                              BenefitFunction.linear(2.5))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        reproduce._infrastructure_properties(20260819, econ_20)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(peaks) == 8
+    assert max(peaks) <= 12 * 2**20, [round(peak / 2**20, 2) for peak in peaks]
+
+
 def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):
     # every strategy count drawn at p + 0.01 instead of p: anchor 10's
     # checks against the exact rates must go red

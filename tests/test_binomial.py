@@ -352,7 +352,7 @@ class TestBinomDraws:
                             np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
                             rng.random(3 * binomial._SEARCH_BLOCK + 17)])
         u = u[(u >= 0.0) & (u < 1.0)]
-        got = binomial._indexed_search(cdf, u)
+        got = binomial._indexed_search(cdf)(u)
         want = cdf.searchsorted(u, side="right")
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -369,7 +369,7 @@ class TestBinomDraws:
                 scale = float(1 << int(rng.integers(4, 19)))
                 cdf = np.round(cdf * scale) / scale
             u = np.concatenate([cdf[cdf < 1.0], rng.random(1000)])
-            assert np.array_equal(binomial._indexed_search(cdf, u),
+            assert np.array_equal(binomial._indexed_search(cdf)(u),
                                   cdf.searchsorted(u, side="right"))
 
     @pytest.mark.parametrize("size", [0, 1, 3 * binomial._SEARCH_BLOCK + 17])
@@ -377,9 +377,33 @@ class TestBinomDraws:
         cdf = np.cumsum(binom_pmf_vector(40, 0.3))
         cdf /= cdf[-1]
         u = SeededStream(6, 0).generator().random(size)
-        got = binomial._indexed_search(cdf, u)
+        got = binomial._indexed_search(cdf)(u)
         assert got.shape == (size,)
         assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    # each n with the smallest unsigned dtype that holds 2 n, the largest
+    # sum of two arms' counts
+    COUNT_DTYPES = {1: np.uint8, 40: np.uint8, 127: np.uint8, 128: np.uint16,
+                    255: np.uint16, 256: np.uint16, 10**4: np.uint16}
+
+    @pytest.mark.parametrize("p", [0.3, 0.7, 0.0, 1.0])
+    @pytest.mark.parametrize("n", sorted(COUNT_DTYPES))
+    def test_blocks_read_the_stream_as_one_search(self, n, p):
+        # sizes on each side of the block boundary: block-wise draws equal
+        # one searchsorted over one rng.random(size) call on the same stream
+        cdf = np.cumsum(binom_pmf_vector(n, min(p, 1.0 - p)))
+        cdf /= cdf[-1]
+        block = binomial._SEARCH_BLOCK
+        for size in (1, block - 1, block, block + 1, 3 * block + 5):
+            ours = SeededStream(8, size).generator()
+            theirs = SeededStream(8, size).generator()
+            got = binom_draws(n, p, ours, size)
+            want = cdf.searchsorted(theirs.random(size), side="right")
+            if p > 0.5:
+                want = n - want
+            assert got.dtype == self.COUNT_DTYPES[n]
+            assert np.array_equal(got, want)
+            assert ours.random() == theirs.random()  # the streams stay in step
 
     def test_law_where_numpy_uses_btpe(self):
         # n * p = 600: numpy draws by BTPE, so only the law can agree

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from guaranteesim import cli
 from guaranteesim.cli import _build_parser, main
 from guaranteesim.contracts import (
     FullGuarantee,
@@ -34,6 +35,11 @@ from guaranteesim.researcher import (
 from guaranteesim.strategies import TruthfulStrategy
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def fail_to_decide(*args):
+    """A runtime failure inside a command, for the CLI's error paths."""
+    raise ZeroDivisionError("no decision")
 
 
 def read_csv(path):
@@ -259,9 +265,17 @@ def linear_economics(**cost):
 
 
 SCHEDULE = {"knots": [[-10.0, 0.1], [0.0, 0.3]]}
-# loads, but no rate covers the full-population cost: fails at run time
-NO_BREAK_EVEN = {"economics": {**linear_economics()["economics"],
-                               "benefit": {"form": "linear", "per_success": 0.5}}}
+
+
+def benefit_per_success(beta):
+    return {"economics": {**linear_economics()["economics"],
+                          "benefit": {"form": "linear", "per_success": beta}}}
+
+
+# loads, but no rate covers the full-population cost; at 1.0 only p = 1
+# does, which leaves no threshold inside (0,1)
+NO_BREAK_EVEN = benefit_per_success(0.5)
+BREAK_EVEN_AT_ONE = benefit_per_success(1.0)
 
 
 class TestNumbersAndSizesExit2:
@@ -488,22 +502,45 @@ class TestCliCommands:
         assert d["published_bound"] == 0.5
         assert d["p0"] == pytest.approx(0.4, abs=1e-9)
 
-    def test_decide_runtime_error_exits_1(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, NO_BREAK_EVEN)
-        rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
-                   "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:")
+    @pytest.mark.parametrize("edit,problem", [
+        (NO_BREAK_EVEN, "full-population benefit cannot cover cost even at p = 1"),
+        (BREAK_EVEN_AT_ONE, "break-even rate 1.0 leaves no threshold strictly "
+                            "inside (0,1)"),
+    ], ids=["none", "at_one"])
+    @pytest.mark.parametrize("command", [
+        ["decide", "--published-bound", "0.6"], ["contract"], ["researcher"]],
+        ids=["decide", "contract", "researcher"])
+    def test_no_break_even_exits_2(self, tmp_path, capsys, command, edit,
+                                   problem):
+        # p0 null derives the break-even rate; economics without one inside
+        # (0,1) are a config mistake for the commands that read p0, also
+        # under --debug
+        cfg = write_config(tmp_path, edit)
+        out = tmp_path / "out"
+        for debug in ([], ["--debug"]):
+            rc = main(command + ["--config", cfg, "--out", str(out)] + debug)
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err == f"config error: economics: {problem}\n"
+            assert not list(out.iterdir())
 
-    def test_debug_lets_the_runtime_error_raise(self, tmp_path, capsys):
-        # the scenario of test_decide_runtime_error_exits_1: with --debug the
-        # error raised inside decide reaches the caller with its traceback
+    @pytest.mark.parametrize("command", [
+        "coverage", "example1", "example2", "fig1", "pool"])
+    def test_commands_without_p0_run_without_break_even(self, tmp_path, capsys,
+                                                        command):
         cfg = write_config(tmp_path, NO_BREAK_EVEN)
-        with pytest.raises(ValueError, match="cannot cover cost") as info:
-            main(["decide", "--published-bound", "0.6", "--config", cfg,
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_debug_lets_the_runtime_error_raise(self, tmp_path, capsys,
+                                                monkeypatch):
+        # an error raised inside decide's computation, not a config mistake:
+        # with --debug it reaches the caller with its traceback
+        monkeypatch.setattr(cli, "decide_with_contract", fail_to_decide)
+        with pytest.raises(ZeroDivisionError, match="no decision") as info:
+            main(["decide", "--published-bound", "0.6",
                   "--out", str(tmp_path), "--debug"])
-        assert info.traceback[-1].name != "main"
+        assert info.traceback[-1].name == "fail_to_decide"
         assert capsys.readouterr().err == ""
 
     def test_contract_files(self, tmp_path, capsys):
@@ -567,13 +604,11 @@ class TestCliCommands:
                                     "rule": "no_guarantee", "alpha_used": 1.0}
         capsys.readouterr()
 
-    def test_failing_command_writes_nothing(self, tmp_path, capsys):
-        # the scenario of test_decide_runtime_error_exits_1: decide fails
-        # at run time, after the scenario has loaded
-        cfg = write_config(tmp_path, NO_BREAK_EVEN)
+    def test_failing_command_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # decide fails at run time, after the scenario has loaded
+        monkeypatch.setattr(cli, "decide_with_contract", fail_to_decide)
         out = tmp_path / "out"
-        rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
-                   "--out", str(out)])
+        rc = main(["decide", "--published-bound", "0.6", "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")

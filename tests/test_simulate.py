@@ -51,6 +51,48 @@ class TestMcEstimate:
             mc_estimate(lambda rng, k: np.zeros(k), 1, SeededStream(0, 0))
 
 
+# sampler outputs of each dtype mc_estimate converts: float, int and bool
+DRAW_KINDS = {
+    "float": lambda rng, k: rng.normal(3.0, 2.0, size=k),
+    "int": lambda rng, k: rng.integers(-5, 50, size=k),
+    "bool": lambda rng, k: rng.random(k) < 0.3,
+}
+SE_SIZES = [2, 7, 8, 127, 128, 129, 65_537, 1_000_003]
+
+
+def numpy_estimate(draws):
+    """The oracle: numpy's own mean and std of the float draws."""
+    d = np.asarray(draws, dtype=float)
+    return float(d.mean()), float(d.std(ddof=1) / np.sqrt(d.size))
+
+
+class TestInPlaceStandardError:
+    """mc_estimate squares the deviations in the array it is handed; numpy's
+    mean and std stay the reference, so a change to numpy's _var shows."""
+
+    @pytest.mark.parametrize("size", SE_SIZES)
+    @pytest.mark.parametrize("kind", sorted(DRAW_KINDS))
+    def test_equals_numpy_bit_for_bit(self, kind, size):
+        sampler = DRAW_KINDS[kind]
+        est = mc_estimate(sampler, size, SeededStream(41, size))
+        want = numpy_estimate(sampler(SeededStream(41, size).generator(), size))
+        assert (est.mean, est.std_error) == want
+
+    @pytest.mark.parametrize("size", [7, 129, 65_537])
+    @pytest.mark.parametrize("view", ["head", "strided", "read_only"])
+    def test_leaves_a_borrowed_array_unchanged(self, view, size):
+        kept = SeededStream(42, 0).generator().normal(3.0, 2.0, size=3 * size)
+        if view == "read_only":
+            kept = kept[:size].copy()
+            kept.setflags(write=False)
+        before = kept.copy()
+        handed = {"head": lambda k: kept[:k], "strided": lambda k: kept[::3],
+                  "read_only": lambda k: kept}[view]
+        est = mc_estimate(lambda rng, k: handed(k), size, SeededStream(0, 0))
+        assert np.array_equal(kept, before)
+        assert (est.mean, est.std_error) == numpy_estimate(handed(size))
+
+
 class TestEnumeration:
     def test_binomial_mean_identity(self):
         assert enumerate_outcomes(30, 0.37, lambda xs: xs.astype(float)) == \

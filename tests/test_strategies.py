@@ -315,9 +315,14 @@ class TestRctEnumeration:
 
     @pytest.mark.parametrize("n,a,p_c,p", [
         (40, 0.1, 0.5, 0.45), (300, 0.01, 0.3, 0.4), (3, 0.9, 0.9, 0.9),
+        (127, 0.9, 0.99, 0.99), (128, 0.9, 0.99, 0.99), (255, 0.9, 0.99, 0.99),
+        (256, 0.9, 0.99, 0.99),
     ])
     def test_sample_matches_dense_mask(self, n, a, p_c, p):
-        # (3, 0.9) at rates 0.9 draws the never-rejecting pair (n, n) often
+        # (3, 0.9) at rates 0.9 draws the never-rejecting pair (n, n) often;
+        # at n = 127, 128, 255 and 256 its count sum 2 n sits at the edge of
+        # a uint8 or uint16, where a fixed-width sum could wrap around to a
+        # rejecting pair; the dense mask is computed on int64 counts
         got = SelectiveStrategy(n, a).sample(
             p, p_c, SeededStream(31, 0).generator(), 5000)
         rng = SeededStream(31, 0).generator()
