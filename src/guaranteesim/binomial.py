@@ -540,9 +540,15 @@ class LowerBoundProcedure:
         else:
             if pmf is None:
                 pmf = binom_pmf_vector(self.n, t)
-            above = (_tails_from_top(pmf) >= self.nominal_alpha).sum(axis=-1)
-            k = np.where(above > 0, lo + above, 0)
+            k = _cp_count(_tails_from_top(pmf), self.nominal_alpha, lo)
         return k if _is_rate_array(t) else int(k)
+
+
+def _cp_count(tails: np.ndarray, alpha_prime: float, lo: int):
+    """LowerBoundProcedure.covered's Clopper-Pearson count, from the tails
+    of a pmf that holds the columns from lo up."""
+    above = (tails >= alpha_prime).sum(axis=-1)
+    return np.where(above > 0, lo + above, 0)
 
 
 # A block of exact_lower_coverage holds at most this many pmf cells, or one
@@ -554,34 +560,52 @@ _COVERAGE_CELLS = 1 << 12
 def exact_lower_coverage(proc, p):
     """Pr(L <= p) by enumeration over all outcomes at success rate p.
 
-    An array of rates gives an array, in one pass over blocks of
-    consecutive rates. A row's columns are its _window, every column at
-    desk scale, and a block's pmf holds only the union of its rows' columns.
-    Clopper-Pearson counts come from the tails of the block's pmf, by one
-    proc.covered call. A Wald count k comes from the bound table, so all
-    counts are taken first and each row's columns stop at k, the last one
-    its sum reads; a row whose window starts at or above k has coverage 0.0.
-    Each row is summed on a zero-padded pmf vector, or on its own cells
-    where they start at column 0, so that numpy's pairwise sum groups its
-    terms as for the full vector.
+    proc is one procedure or a sequence of procedures sharing n, which
+    gives one row of coverages per procedure, each bit for bit the
+    coverage of that procedure alone. An array of rates gives an array,
+    in one pass over blocks of consecutive rates. A row's columns are its
+    _window, every column at desk scale, and a block's pmf holds only the
+    union of its rows' columns; the block's pmf and Clopper-Pearson tails
+    are computed once for every procedure. A Wald count k comes from the
+    bound table, so all counts are taken first and, when every procedure
+    is Wald, each rate's columns stop at its largest k, the last one its
+    sums read; a rate whose window starts at or above every k has
+    coverage 0.0. Each coverage is np.add.reduce of the first k cells of
+    a zero-padded pmf vector, or of the rate's own cells where they start
+    at column 0, so that numpy's pairwise sum groups its terms as for the
+    full vector.
     """
+    single = isinstance(proc, LowerBoundProcedure)
+    procs = [proc] if single else list(proc)
+    if not procs or any(q.n != procs[0].n for q in procs):
+        raise ValueError("coverage needs one or more procedures sharing n, "
+                         f"got n = {[q.n for q in procs]}")
     if not _is_rate_array(p):
-        return float(exact_lower_coverage(proc, np.array([p]))[0])
-    n, rates = proc.n, _rate_array(proc.n, p)
+        got = exact_lower_coverage(procs, np.array([p]))[:, 0]
+        return float(got[0]) if single else got
+    n, rates = procs[0].n, _rate_array(procs[0].n, p)
     # the widest window is the one at 1/2, where the reach is largest
     cells = max(min(n + 1, int(2.0 * _reach(n, 0.5)) + 2), _COVERAGE_CELLS)
-    buf, row, out = np.empty(cells), np.zeros(max(n + 1, cells)), np.zeros(rates.size)
+    buf, row = np.empty(cells), np.zeros(max(n + 1, cells))
+    out = np.zeros((len(procs), rates.size))
     ps = rates.tolist()
-    counts = None if proc.kind == "clopper_pearson" else proc.covered(rates)
+    # the Wald counts now, from their bound tables; None marks a
+    # Clopper-Pearson procedure, whose counts come block by block
+    wald = [None if q.kind == "clopper_pearson" else q.covered(rates)
+            for q in procs]
+    # with Wald procedures only, a rate's columns stop at its largest count
+    top = None if any(k is None for k in wald) else np.max(wald, axis=0).tolist()
+    wald = [k if k is None else k.tolist() for k in wald]
+    dests = list(out)  # one view per procedure, made once
 
     def columns(m):
         lo, hi = _window(n, ps[m])
-        return lo, hi if counts is None else min(hi, int(counts[m]))
+        return lo, hi if top is None else min(hi, top[m])
 
     i, span = 0, columns(0) if ps else None
     while i < len(ps):
         (lo, hi), j = span, i + 1
-        if lo >= hi:  # no column below the count: coverage 0.0
+        if lo >= hi:  # no column below any count: coverage 0.0
             i, span = j, columns(j) if j < len(ps) else None
             continue
         # take rates while the union of their columns fits in the buffer
@@ -597,17 +621,20 @@ def exact_lower_coverage(proc, p):
         pmf = _pmf_block(n, ps[i:j], lo, buf[:size].reshape(shape),
                          row[:size].reshape(shape))
         row[:size] = 0.0
-        ks = (proc.covered(rates[i:j], pmf, lo) if counts is None
-              else counts[i:j]).tolist()
-        for m, (vec, k) in enumerate(zip(pmf, ks), i):
-            if lo == 0 and k <= hi:
-                out[m] = vec[:k].sum()
-            else:
+        tails = None if top is not None else _tails_from_top(pmf)
+        ks = [_cp_count(tails, q.nominal_alpha, lo).tolist() if k is None
+              else k[i:j] for q, k in zip(procs, wald)]
+        if lo == 0 and max(map(max, ks)) <= hi:  # sum the rows in place
+            for dest, rate_ks in zip(dests, ks):
+                dest[i:j] = [np.add.reduce(vec[:k]) for vec, k in zip(pmf, rate_ks)]
+        else:  # sum each row on the zero-padded vector
+            for r, vec in enumerate(pmf):
                 row[lo:hi] = vec
-                out[m] = row[:k].sum()
-        row[lo:hi] = 0.0
+                for dest, rate_ks in zip(dests, ks):
+                    dest[i + r] = np.add.reduce(row[:rate_ks[r]])
+            row[lo:hi] = 0.0
         i = j
-    return out
+    return out[0] if single else out
 
 
 def exceedance_prob(proc, p, threshold: float):

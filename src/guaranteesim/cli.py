@@ -390,6 +390,17 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _check_target(path: Path) -> None:
+    """Raise the OSError that opening path for writing raises, if any,
+    and leave path as it was: opened to append nothing, and removed again
+    if the open created it."""
+    existed = path.exists()
+    with open(path, "ab"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
@@ -417,11 +428,24 @@ def main(argv=None) -> int:
         }
         if result.variant is not None:
             meta["fig1_variant"] = result.variant
-        # render every file before writing any, so a failure writes nothing
-        texts = {name: _render(body, meta) for name, body in result.files.items()}
-        for name, text in texts.items():
-            (out / name).write_text(text, encoding="utf-8")
-            print(f"wrote {out / name}")
+        # render every file and open every target before writing any, so
+        # a failure writes nothing
+        texts = {out / name: _render(body, meta)
+                 for name, body in result.files.items()}
+        written = []
+        try:
+            for path in texts:
+                _check_target(path)
+            for path, text in texts.items():
+                written.append(path)
+                path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            for path in written:
+                path.unlink(missing_ok=True)
+            print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+        for path in texts:
+            print(f"wrote {path}")
         return result.code
     except ConfigError as exc:
         where = f" (line {exc.line})" if exc.line else ""

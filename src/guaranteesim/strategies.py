@@ -11,11 +11,14 @@ Three reporting behaviors feed the implementer's decision rule:
 The implementer sees a bound without knowing which behavior produced it,
 and reads it against one threshold: every strategy states its exceedance
 as exceedance_prob(p, threshold) and exceedance_terms(threshold), draws
-published bounds with sample(p, threshold, rng, size), and the selective
-gate's control rate is that threshold. Samplers draw counts with
+published bounds with sample(p, threshold, rng, size, fn=None), and the
+selective gate's control rate is that threshold. Samplers draw counts with
 binomial.binom_draws, by inversion of the exact pmf: indexed search over
 its cumulative sum, with binary search only inside buckets that hold a
-cdf point.
+cdf point. A published bound depends only on the sampler's state (the
+count, the guess and count, or the two arms' counts), so each sampler
+builds its table of published values once per call, applies the
+elementwise fn to that table, and gathers it per draw.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
@@ -99,10 +102,12 @@ class TruthfulStrategy:
         return exceedance_terms(self.procedure, threshold)
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-        """size published bounds drawn at true success rate p; the honest
-        bound does not depend on the threshold."""
-        return self.procedure.bounds[binom_draws(self.procedure.n, p, rng, size)]
+               size: int, fn=None) -> np.ndarray:
+        """size published bounds drawn at true success rate p, or fn of
+        them as floats; the honest bound does not depend on the threshold.
+        fn is applied once to the bound table, so it must act elementwise."""
+        values = _table_values(self.procedure.bounds, fn)
+        return values[binom_draws(self.procedure.n, p, rng, size)]
 
 
 @dataclass(frozen=True)
@@ -136,24 +141,50 @@ class FraudulentStrategy:
         return [(0.5, ones, ones), (0.5, exceed, ones)]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-        """size published bounds; all guesses are drawn before the outcomes.
+               size: int, fn=None) -> np.ndarray:
+        """size published bounds, or fn of them as floats; all guesses are
+        drawn before the outcomes.
 
-        The guesses are kept as one bool per draw and the bounds filled
-        block by block, so the float output is the only array of size
+        The published value depends only on (guess, x): it is read from a
+        2 (n+1) table of max(bound, threshold -+ spread), to which fn is
+        applied once, so fn must act elementwise. The guesses are kept as
+        one bool per draw, so the float output is the only array of size
         floats.
         """
         self.check_threshold(threshold)
+        guesses = threshold + self.guess_spread * np.array([[-1.0], [1.0]])
+        values = _table_values(
+            np.maximum(self.procedure.bounds, guesses).ravel(), fn)
         high = np.empty(size, bool)
         for block in draw_blocks(size):
             high[block] = rng.random(block.stop - block.start) < 0.5
         xs = binom_draws(self.procedure.n, p, rng, size)
-        out = np.empty(size)
-        for block in draw_blocks(size):
-            guesses = threshold + self.guess_spread * np.where(
-                high[block], 1.0, -1.0)
-            np.maximum(self.procedure.bounds[xs[block]], guesses, out=out[block])
-        return out
+        return _gather_pairs(values, high, xs, self.procedure.n + 1)
+
+
+def _table_values(table: np.ndarray, fn) -> np.ndarray:
+    """A sampler's per-state table of published values, or fn of it as
+    floats; fn must map the table elementwise."""
+    if fn is None:
+        return table
+    values = np.asarray(fn(table), dtype=float)
+    if values.shape != table.shape:
+        raise ValueError(f"fn must act elementwise: it mapped a table of "
+                         f"shape {table.shape} to shape {values.shape}")
+    return values
+
+
+def _gather_pairs(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  width: int) -> np.ndarray:
+    """values[rows * width + cols] as floats, for compact per-draw rows and
+    columns, with each block's flat index built in one block-sized array."""
+    out = np.empty(rows.size)
+    for block in draw_blocks(rows.size):
+        cell = rows[block].astype(np.intp)
+        cell *= width
+        cell += cols[block]
+        np.take(values, cell, out=out[block])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +287,21 @@ def rct_publish_and_clear_prob(p, p_control: float, n: int, alpha_prime: float):
     return binom_pmf_reduce(n, p, lambda pmf: pmf @ clear_given_t)
 
 
+@lru_cache(maxsize=4)
+def _selective_table(n: int, alpha_prime: float) -> np.ndarray:
+    """The selective strategy's published value per outcome pair, flat in
+    row-major order: entry x_c (n+1) + x_t is the Wald bound wald[x_t]
+    where the gate rejects (x_c, x_t), NaN where it stays silent. It holds
+    (n+1)**2 floats, 13 KiB at n = 40 and 7.6 MiB at n = 1000; only the
+    sampler reads it, and the exact paths keep O(n) memory.
+    """
+    thr, wald = _rct_tables(n, alpha_prime)
+    x_c, x_t = np.ogrid[:n + 1, :n + 1]
+    table = np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan).ravel()
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class SelectiveStrategy:
     """Publish a treatment-arm Wald bound only when the gating test rejects."""
@@ -279,21 +325,19 @@ class SelectiveStrategy:
         return [(1.0, clear, np.ones(self.n + 1))]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-        """size published Wald bounds, NaN where the gate stays silent; the
-        control arm runs at the threshold, as in exceedance_prob.
+               size: int, fn=None) -> np.ndarray:
+        """size published Wald bounds, NaN where the gate stays silent, or
+        fn of them as floats; the control arm runs at the threshold, as in
+        exceedance_prob.
 
-        All control arms are drawn before the treatment arms; the bounds
-        are filled block by block from the two arms' compact counts.
+        All control arms are drawn before the treatment arms. The published
+        value of each outcome pair is read from _selective_table, to which
+        fn is applied once, so fn must act elementwise.
         """
-        thr, wald = _rct_tables(self.n, self.alpha_prime)
+        values = _table_values(_selective_table(self.n, self.alpha_prime), fn)
         x_c = binom_draws(self.n, threshold, rng, size)
         x_t = binom_draws(self.n, p, rng, size)
-        out = np.empty(size)
-        for block in draw_blocks(size):
-            t = x_t[block]
-            out[block] = np.where(_rct_rejects(thr, x_c[block], t), wald[t], np.nan)
-        return out
+        return _gather_pairs(values, x_c, x_t, self.n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -233,13 +233,43 @@ def test_monte_carlo_gate_sees_the_honest_half_of_the_fraudulent_sampler(
     # half adds 0.0196 to the exceedance, about 40 standard errors
     from guaranteesim import reproduce, strategies
 
-    def guess_only(self, p, threshold, rng, size):
+    def guess_only(self, p, threshold, rng, size, fn=None):
         guesses = threshold + self.guess_spread * np.where(
             rng.random(size) < 0.5, 1.0, -1.0)
         strategies.binom_draws(self.procedure.n, p, rng, size)
-        return guesses
+        return guesses if fn is None else np.asarray(fn(guesses), dtype=float)
 
     monkeypatch.setattr(strategies.FraudulentStrategy, "sample", guess_only)
+    econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
+                              BenefitFunction.linear(2.5))
+    ok, detail = reproduce._infrastructure_properties(20260819, econ_20)
+    assert not ok, detail
+
+
+def _mutant_table(silence, shift):
+    # the selective strategy's table with silence published as `silence`
+    # and every gate threshold moved by `shift` counts
+    from guaranteesim import strategies
+
+    def table(n, alpha_prime):
+        thr, wald = strategies._rct_tables(n, alpha_prime)
+        x_c, x_t = np.ogrid[:n + 1, :n + 1]
+        rejects = strategies._rct_rejects(thr + shift, x_c, x_t)
+        return np.where(rejects, wald[x_t], silence).ravel()
+
+    return table
+
+
+@pytest.mark.parametrize("silence,shift", [(0.0, 0), (np.nan, -1)],
+                         ids=["silence_as_zero", "threshold_one_low"])
+def test_monte_carlo_gate_sees_a_wrong_selective_table(monkeypatch, silence,
+                                                       shift):
+    # the samplers read their published values from per-state tables, so
+    # the gate must still see a table that publishes silence as a bound of
+    # 0.0, or whose gate rejects one count early
+    from guaranteesim import reproduce, strategies
+    monkeypatch.setattr(strategies, "_selective_table",
+                        _mutant_table(silence, shift))
     econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
                               BenefitFunction.linear(2.5))
     ok, detail = reproduce._infrastructure_properties(20260819, econ_20)

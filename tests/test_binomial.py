@@ -626,6 +626,54 @@ class TestCoverage:
                                   _coverage_loop(proc, grid))
         assert exact_lower_coverage(proc, 0.3) == _coverage_loop(proc, [0.3])[0]
 
+    @pytest.mark.parametrize("n", [1, 2, 40, 300, 380, 381, 2000, 10_000])
+    def test_shared_pass_equals_the_per_procedure_calls(self, n):
+        # both kinds at four levels in one pass, and the Wald ones alone,
+        # whose columns stop at their largest count: each row is that
+        # procedure's own coverage, on the 1/1024 grid, a grid holding 0
+        # and 1 shuffled, and random rates
+        levels = (0.2, 0.05, 0.01, 0.001)
+        procs = [LowerBoundProcedure(kind, a, n)
+                 for kind in ("clopper_pearson", "wald") for a in levels]
+        edged = np.concatenate([[0.0], probability_grid(64), [1.0]])
+        rng = np.random.default_rng(n)
+        for grid in (probability_grid(1024), rng.permutation(edged),
+                     rng.random(100)):
+            alone = [exact_lower_coverage(proc, grid) for proc in procs]
+            for group in (procs, procs[len(levels):]):
+                shared = exact_lower_coverage(group, grid)
+                assert shared.shape == (len(group), grid.size)
+                for got, want in zip(shared, alone[len(procs) - len(group):]):
+                    assert np.array_equal(got, want)
+        assert exact_lower_coverage(procs, 0.3).tolist() == [
+            exact_lower_coverage(proc, 0.3) for proc in procs]
+
+    def test_anchor_five_procedures_in_one_pass_keep_every_bit(self):
+        # five Clopper-Pearson levels and Wald at n = 300, as anchor 5 asks
+        # for them, against the per-rate loop coverage was first written as
+        procs = [LowerBoundProcedure("clopper_pearson", a, 300)
+                 for a in (0.2, 0.1, 0.05, 0.025, 0.01)]
+        procs.append(LowerBoundProcedure("wald", 0.05, 300))
+        grid = probability_grid(1024)
+        for proc, got in zip(procs, exact_lower_coverage(procs, grid)):
+            assert np.array_equal(got, _coverage_loop(proc, grid))
+
+    def test_a_single_procedure_gives_one_row(self):
+        proc = LowerBoundProcedure("clopper_pearson", 0.05, 40)
+        grid = probability_grid(64)
+        alone = exact_lower_coverage(proc, grid)
+        assert alone.shape == grid.shape
+        assert np.array_equal(alone, _coverage_loop(proc, grid))
+        assert np.array_equal(exact_lower_coverage([proc], grid), alone[None, :])
+        assert isinstance(exact_lower_coverage(proc, 0.3), float)
+
+    def test_shared_pass_needs_procedures_sharing_n(self):
+        mixed = [LowerBoundProcedure("clopper_pearson", 0.05, 40),
+                 LowerBoundProcedure("wald", 0.05, 41)]
+        for procs in (mixed, []):
+            with pytest.raises(ValueError, match="sharing n"):
+                exact_lower_coverage(procs, probability_grid(64))
+
     @given(n=st.sampled_from([1, 2, 381, 2000, 10_000]),
            a=st.one_of(st.sampled_from([0.001, 0.5]), st.floats(0.001, 0.5)),
            shift=st.sampled_from([-0.3, 0.0, 0.3]),

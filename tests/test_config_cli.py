@@ -487,6 +487,38 @@ class TestCliCommands:
         assert captured.err == f"output error: {taken}: File exists\n"
         assert taken.read_text() == "keep\n"
 
+    def test_a_target_that_is_a_directory_exits_2_writing_nothing(
+            self, tmp_path, capsys):
+        # contract writes contract_payoffs.csv, then minimal_insurance.json
+        blocked = tmp_path / "minimal_insurance.json"
+        blocked.mkdir()
+        assert main(["contract", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"output error: {blocked}: Is a directory\n"
+        assert "wrote" not in captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [blocked.name]
+
+    def test_a_write_that_fails_removes_the_files_written_before_it(
+            self, tmp_path, capsys, monkeypatch):
+        real = Path.write_text
+        calls = []
+
+        def second_fails(self, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", second_fails)
+        assert main(["contract", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"output error: {tmp_path / 'minimal_insurance.json'}"
+                                f": No space left on device\n")
+        assert "wrote" not in captured.out
+        assert [p.name for p in calls] == ["contract_payoffs.csv",
+                                           "minimal_insurance.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_decide_writes_decision_json(self, tmp_path, capsys):
         rc = main(["decide", "--published-bound", "0.5",
                    "--out", str(tmp_path)])

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from guaranteesim import reproduce, strategies
 from guaranteesim.binomial import (
+    _SEARCH_BLOCK,
     LowerBoundProcedure,
     binom_draws,
+    draw_blocks,
     binom_pmf_vector,
     normal_quantile,
     probability_grid,
@@ -331,6 +333,87 @@ class TestRctEnumeration:
         _, wald = _rct_tables(n, a)
         want = np.where(_dense_reject(n, a)[x_c, x_t], wald[x_t], np.nan)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _per_draw_truthful(strat, p, threshold, rng, size):
+    return strat.procedure.bounds[binom_draws(strat.procedure.n, p, rng, size)]
+
+
+def _per_draw_fraudulent(strat, p, threshold, rng, size):
+    # every guess, then the outcomes; the clamp taken draw by draw
+    high = np.empty(size, bool)
+    for block in draw_blocks(size):
+        high[block] = rng.random(block.stop - block.start) < 0.5
+    xs = binom_draws(strat.procedure.n, p, rng, size)
+    out = np.empty(size)
+    for block in draw_blocks(size):
+        guesses = threshold + strat.guess_spread * np.where(high[block], 1.0, -1.0)
+        np.maximum(strat.procedure.bounds[xs[block]], guesses, out=out[block])
+    return out
+
+
+def _per_draw_selective(strat, p, threshold, rng, size):
+    # every control arm, then the treatment arms; the gate taken draw by draw
+    thr, wald = _rct_tables(strat.n, strat.alpha_prime)
+    x_c = binom_draws(strat.n, threshold, rng, size)
+    x_t = binom_draws(strat.n, p, rng, size)
+    out = np.empty(size)
+    for block in draw_blocks(size):
+        t = x_t[block]
+        out[block] = np.where(_rct_rejects(thr, x_c[block], t), wald[t], np.nan)
+    return out
+
+
+class TestTableSamplers:
+    """The samplers read published values from per-state tables; these
+    compare them with the per-draw rules they replaced, bit for bit."""
+
+    SIZES = (1, _SEARCH_BLOCK - 1, _SEARCH_BLOCK + 1, 3 * _SEARCH_BLOCK + 5)
+    # (rate, threshold): the ends of [0, 1] and rates above 1/2 for both
+    LAWS = ((0.0, 0.5), (1.0, 0.5), (0.3, 0.0), (0.7, 1.0), (0.45, 0.5),
+            (0.9, 0.6))
+    # five events against four sizes: every size meets every event
+    FNS = (None, lambda b: b > 0.5, lambda b: ~np.isnan(b), np.square, np.isnan)
+    CP40 = LowerBoundProcedure("clopper_pearson", 0.05, 40)
+
+    @staticmethod
+    def _strategies(n):
+        cp = LowerBoundProcedure("clopper_pearson", 0.05, n)
+        return [(TruthfulStrategy(cp), _per_draw_truthful),
+                (TruthfulStrategy(LowerBoundProcedure("wald", 0.1, n)),
+                 _per_draw_truthful),
+                (FraudulentStrategy(cp, 0.1), _per_draw_fraudulent),
+                (SelectiveStrategy(n, 0.1), _per_draw_selective),
+                (SelectiveStrategy(n, 0.9), _per_draw_selective)]
+
+    @pytest.mark.parametrize("n", [2, 40, 127, 128, 255, 256])
+    def test_tables_give_the_per_draw_samples(self, n):
+        case = 0
+        for strat, per_draw in self._strategies(n):
+            for p, threshold in self.LAWS:
+                if isinstance(strat, FraudulentStrategy):
+                    # the guesses must stay in [0, 1]: they reach its ends
+                    threshold = min(max(threshold, 0.1), 0.9)
+                for size in self.SIZES:
+                    fn = self.FNS[case % len(self.FNS)]
+                    case += 1
+                    seed = SeededStream(n, case)
+                    rng, ref_rng = seed.generator(), seed.generator()
+                    got = strat.sample(p, threshold, rng, size, fn)
+                    want = per_draw(strat, p, threshold, ref_rng, size)
+                    if fn is not None:
+                        want = np.asarray(fn(want), dtype=float)
+                    assert got.dtype == np.float64 and got.shape == (size,)
+                    assert np.array_equal(got, want, equal_nan=True), (
+                        strat, p, threshold, size)
+                    # the stream was read as far as the per-draw rule read it
+                    assert (str(rng.bit_generator.state)
+                            == str(ref_rng.bit_generator.state))
+
+    def test_fn_must_act_elementwise(self):
+        strat = TruthfulStrategy(self.CP40)
+        with pytest.raises(ValueError, match="elementwise"):
+            strat.sample(0.3, 0.4, SeededStream(1, 0).generator(), 10, np.sum)
 
 
 class TestMixture:
