@@ -390,15 +390,16 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _check_target(path: Path) -> None:
+def _check_target(path: Path) -> bool:
     """Raise the OSError that opening path for writing raises, if any,
     and leave path as it was: opened to append nothing, and removed again
-    if the open created it."""
+    if the open created it. Returns whether path existed."""
     existed = path.exists()
     with open(path, "ab"):
         pass
     if not existed:
         path.unlink()
+    return existed
 
 
 def main(argv=None) -> int:
@@ -432,16 +433,18 @@ def main(argv=None) -> int:
         # a failure writes nothing
         texts = {out / name: _render(body, meta)
                  for name, body in result.files.items()}
-        written = []
+        created = []
         try:
             for path in texts:
-                _check_target(path)
+                if not _check_target(path):
+                    created.append(path)
             for path, text in texts.items():
-                written.append(path)
                 path.write_text(text, encoding="utf-8")
         except OSError as exc:
-            for path in written:
-                path.unlink(missing_ok=True)
+            # remove the files this call created; a file that existed
+            # before keeps its place
+            for made in created:
+                made.unlink(missing_ok=True)
             print(f"output error: {path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
         for path in texts:

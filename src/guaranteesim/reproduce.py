@@ -289,8 +289,7 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     checks.append((exact1, est1))
 
     # estimates 2-4 draw from the strategies' own samplers: (strategy,
-    # rate, threshold, event on the published bounds, its exact rate); the
-    # samplers apply the event to their per-state tables, not per draw
+    # rate, threshold, event on the published bounds, its exact rate)
     sel = SelectiveStrategy(n=40, alpha_prime=0.1)
     fraud = FraudulentStrategy(LowerBoundProcedure("clopper_pearson", 0.05, 40),
                                guess_spread=0.05)
@@ -305,9 +304,8 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
              (sel, 0.45, 0.5, clears, sel.exceedance_prob),
              (fraud, 0.4, 0.4, clears, fraud.exceedance_prob))
     for stream_id, (strat, p, t, event, exact) in enumerate(suite, 102):
-        est = mc_estimate(
-            lambda rng, k: strat.sample(p, t, rng, k, lambda b: event(b, t)),
-            1_000_000, SeededStream(seed, stream_id))
+        est = mc_estimate(lambda rng, k: event(strat.sample(p, t, rng, k), t),
+                          1_000_000, SeededStream(seed, stream_id))
         checks.append((exact(p, t), est))
 
     tail = TailGuarantee(-5.0)

@@ -11,14 +11,14 @@ Three reporting behaviors feed the implementer's decision rule:
 The implementer sees a bound without knowing which behavior produced it,
 and reads it against one threshold: every strategy states its exceedance
 as exceedance_prob(p, threshold) and exceedance_terms(threshold), draws
-published bounds with sample(p, threshold, rng, size, fn=None), and the
-selective gate's control rate is that threshold. Samplers draw counts with
+published bounds with sample(p, threshold, rng, size), and the selective
+gate's control rate is that threshold. Samplers draw counts with
 binomial.binom_draws, by inversion of the exact pmf: indexed search over
 its cumulative sum, with binary search only inside buckets that hold a
 cdf point. A published bound depends only on the sampler's state (the
 count, the guess and count, or the two arms' counts), so each sampler
-builds its table of published values once per call, applies the
-elementwise fn to that table, and gathers it per draw.
+builds its table of published values once per call and gathers it per
+draw.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
@@ -102,12 +102,10 @@ class TruthfulStrategy:
         return exceedance_terms(self.procedure, threshold)
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int, fn=None) -> np.ndarray:
-        """size published bounds drawn at true success rate p, or fn of
-        them as floats; the honest bound does not depend on the threshold.
-        fn is applied once to the bound table, so it must act elementwise."""
-        values = _table_values(self.procedure.bounds, fn)
-        return values[binom_draws(self.procedure.n, p, rng, size)]
+               size: int) -> np.ndarray:
+        """size published bounds drawn at true success rate p; the honest
+        bound does not depend on the threshold."""
+        return self.procedure.bounds[binom_draws(self.procedure.n, p, rng, size)]
 
 
 @dataclass(frozen=True)
@@ -141,37 +139,22 @@ class FraudulentStrategy:
         return [(0.5, ones, ones), (0.5, exceed, ones)]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int, fn=None) -> np.ndarray:
-        """size published bounds, or fn of them as floats; all guesses are
-        drawn before the outcomes.
+               size: int) -> np.ndarray:
+        """size published bounds; all guesses are drawn before the outcomes.
 
         The published value depends only on (guess, x): it is read from a
-        2 (n+1) table of max(bound, threshold -+ spread), to which fn is
-        applied once, so fn must act elementwise. The guesses are kept as
-        one bool per draw, so the float output is the only array of size
-        floats.
+        2 (n+1) table of max(bound, threshold -+ spread). The guesses are
+        kept as one bool per draw, so the float output is the only array of
+        size floats.
         """
         self.check_threshold(threshold)
         guesses = threshold + self.guess_spread * np.array([[-1.0], [1.0]])
-        values = _table_values(
-            np.maximum(self.procedure.bounds, guesses).ravel(), fn)
+        values = np.maximum(self.procedure.bounds, guesses).ravel()
         high = np.empty(size, bool)
         for block in draw_blocks(size):
             high[block] = rng.random(block.stop - block.start) < 0.5
         xs = binom_draws(self.procedure.n, p, rng, size)
         return _gather_pairs(values, high, xs, self.procedure.n + 1)
-
-
-def _table_values(table: np.ndarray, fn) -> np.ndarray:
-    """A sampler's per-state table of published values, or fn of it as
-    floats; fn must map the table elementwise."""
-    if fn is None:
-        return table
-    values = np.asarray(fn(table), dtype=float)
-    if values.shape != table.shape:
-        raise ValueError(f"fn must act elementwise: it mapped a table of "
-                         f"shape {table.shape} to shape {values.shape}")
-    return values
 
 
 def _gather_pairs(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -287,7 +270,6 @@ def rct_publish_and_clear_prob(p, p_control: float, n: int, alpha_prime: float):
     return binom_pmf_reduce(n, p, lambda pmf: pmf @ clear_given_t)
 
 
-@lru_cache(maxsize=4)
 def _selective_table(n: int, alpha_prime: float) -> np.ndarray:
     """The selective strategy's published value per outcome pair, flat in
     row-major order: entry x_c (n+1) + x_t is the Wald bound wald[x_t]
@@ -297,9 +279,7 @@ def _selective_table(n: int, alpha_prime: float) -> np.ndarray:
     """
     thr, wald = _rct_tables(n, alpha_prime)
     x_c, x_t = np.ogrid[:n + 1, :n + 1]
-    table = np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan).ravel()
-    table.setflags(write=False)
-    return table
+    return np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan).ravel()
 
 
 @dataclass(frozen=True)
@@ -325,16 +305,14 @@ class SelectiveStrategy:
         return [(1.0, clear, np.ones(self.n + 1))]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int, fn=None) -> np.ndarray:
-        """size published Wald bounds, NaN where the gate stays silent, or
-        fn of them as floats; the control arm runs at the threshold, as in
-        exceedance_prob.
+               size: int) -> np.ndarray:
+        """size published Wald bounds, NaN where the gate stays silent; the
+        control arm runs at the threshold, as in exceedance_prob.
 
         All control arms are drawn before the treatment arms. The published
-        value of each outcome pair is read from _selective_table, to which
-        fn is applied once, so fn must act elementwise.
+        value of each outcome pair is read from _selective_table.
         """
-        values = _table_values(_selective_table(self.n, self.alpha_prime), fn)
+        values = _selective_table(self.n, self.alpha_prime)
         x_c = binom_draws(self.n, threshold, rng, size)
         x_t = binom_draws(self.n, p, rng, size)
         return _gather_pairs(values, x_c, x_t, self.n + 1)

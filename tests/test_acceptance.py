@@ -233,11 +233,11 @@ def test_monte_carlo_gate_sees_the_honest_half_of_the_fraudulent_sampler(
     # half adds 0.0196 to the exceedance, about 40 standard errors
     from guaranteesim import reproduce, strategies
 
-    def guess_only(self, p, threshold, rng, size, fn=None):
+    def guess_only(self, p, threshold, rng, size):
         guesses = threshold + self.guess_spread * np.where(
             rng.random(size) < 0.5, 1.0, -1.0)
         strategies.binom_draws(self.procedure.n, p, rng, size)
-        return guesses if fn is None else np.asarray(fn(guesses), dtype=float)
+        return guesses
 
     monkeypatch.setattr(strategies.FraudulentStrategy, "sample", guess_only)
     econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),

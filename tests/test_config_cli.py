@@ -519,6 +519,26 @@ class TestCliCommands:
                                            "minimal_insurance.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    def test_a_failing_write_keeps_a_target_that_existed(
+            self, tmp_path, capsys, monkeypatch):
+        # minimal_insurance.json is there from an earlier run; its own
+        # write fails, so only the file this call created is removed
+        kept = tmp_path / "minimal_insurance.json"
+        kept.write_text("keep\n")
+        real = Path.write_text
+
+        def fails_on_kept(self, *args, **kwargs):
+            if self == kept:
+                raise OSError(28, "No space left on device")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fails_on_kept)
+        assert main(["contract", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"output error: {kept}: No space left on device\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [kept.name]
+        assert kept.read_text() == "keep\n"
+
     def test_decide_writes_decision_json(self, tmp_path, capsys):
         rc = main(["decide", "--published-bound", "0.5",
                    "--out", str(tmp_path)])

@@ -372,9 +372,6 @@ class TestTableSamplers:
     # (rate, threshold): the ends of [0, 1] and rates above 1/2 for both
     LAWS = ((0.0, 0.5), (1.0, 0.5), (0.3, 0.0), (0.7, 1.0), (0.45, 0.5),
             (0.9, 0.6))
-    # five events against four sizes: every size meets every event
-    FNS = (None, lambda b: b > 0.5, lambda b: ~np.isnan(b), np.square, np.isnan)
-    CP40 = LowerBoundProcedure("clopper_pearson", 0.05, 40)
 
     @staticmethod
     def _strategies(n):
@@ -395,25 +392,17 @@ class TestTableSamplers:
                     # the guesses must stay in [0, 1]: they reach its ends
                     threshold = min(max(threshold, 0.1), 0.9)
                 for size in self.SIZES:
-                    fn = self.FNS[case % len(self.FNS)]
                     case += 1
                     seed = SeededStream(n, case)
                     rng, ref_rng = seed.generator(), seed.generator()
-                    got = strat.sample(p, threshold, rng, size, fn)
+                    got = strat.sample(p, threshold, rng, size)
                     want = per_draw(strat, p, threshold, ref_rng, size)
-                    if fn is not None:
-                        want = np.asarray(fn(want), dtype=float)
                     assert got.dtype == np.float64 and got.shape == (size,)
                     assert np.array_equal(got, want, equal_nan=True), (
                         strat, p, threshold, size)
                     # the stream was read as far as the per-draw rule read it
                     assert (str(rng.bit_generator.state)
                             == str(ref_rng.bit_generator.state))
-
-    def test_fn_must_act_elementwise(self):
-        strat = TruthfulStrategy(self.CP40)
-        with pytest.raises(ValueError, match="elementwise"):
-            strat.sample(0.3, 0.4, SeededStream(1, 0).generator(), 10, np.sum)
 
 
 class TestMixture:
