@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the fixed set of 21 CLI runs whose outputs a refactor must keep.
+"""Run the fixed set of 22 CLI runs whose outputs a refactor must keep.
 
     python3 scripts/acceptance_runs.py OUT
     python3 scripts/acceptance_runs.py --compare A B
@@ -42,6 +42,8 @@ def runs(seeded: str) -> list:
             for name in ("decide", "contract", "researcher", "pool")]
     return out + [
         ("coverage_cp_n2000", ["coverage", "--proc", "clopper_pearson", "--n", "2000"]),
+        # the one run whose Clopper-Pearson windows span about 40% of a row
+        ("coverage_cp_n10000", ["coverage", "--proc", "clopper_pearson", "--n", "10000"]),
         ("coverage_wald_n300", ["coverage", "--proc", "wald", "--n", "300"]),
         ("coverage_wald_n10000", ["coverage", "--proc", "wald", "--n", "10000"]),
         ("fig1_n1000", ["fig1", "--n", "1000", "--p-c", "0.3", "0.5", "0.7"]),

@@ -16,7 +16,8 @@ compute go through the same operations in the same order, so every pmf
 is the same doubles as with no window. Callers that read only part of a
 row build only that part: a Wald coverage row stops at its count, whose
 sum reads nothing beyond it, and the Clopper-Pearson tails start at the
-top of the windows, above which every cell is 0.0.
+top of the windows, above which every cell is 0.0. Both walk their rates
+in the blocks of one generator, _pmf_blocks.
 
 Every exceedance functional is a short list of terms (w, num, den),
 vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
@@ -46,7 +47,6 @@ __all__ = [
     "smallest_double",
     "clopper_pearson_lower",
     "clopper_pearson_lower_vector",
-    "wald_lower",
     "wald_lower_vector",
     "LowerBoundProcedure",
     "CoverageReport",
@@ -187,7 +187,9 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
     """
     if _is_rate_array(p):
         rates = _rate_array(n, p)
-        lo, hi = _union_window(n, rates, 0)
+        lo, hi = _windows(n, rates)
+        lo = lo.min(initial=n)
+        hi = hi.max(initial=lo)
         out = np.zeros((rates.size, n + 1))
         _pmf_block(n, rates.tolist(), lo, out[:, lo:hi])
         return out
@@ -212,12 +214,10 @@ def binom_pmf_vector(n: int, p) -> np.ndarray:
     return out
 
 
-def _log_pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
-                   scratch=None) -> np.ndarray:
+def _log_pmf_block(n: int, rates: list, lo: int, out: np.ndarray) -> np.ndarray:
     """log pmf on columns lo..lo + out.shape[1] - 1 for a list of rates in
     (0, 1), one row each, written into out; a rate of 0 or 1 gets the row
-    of 1/2. The (n - x) log(1 - p) term goes through scratch, of out's
-    shape, if given."""
+    of 1/2."""
     logc, xs, rest = (t[lo:lo + out.shape[1]] for t in _pmf_terms(n))
     inner = [r if 0.0 < r < 1.0 else 0.5 for r in rates]
     # math's logs, as in the scalar route: np.log can differ in the last
@@ -226,15 +226,14 @@ def _log_pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
     log_q = np.array([math.log1p(-r) for r in inner])[:, None]
     np.multiply(xs, log_p, out=out)
     out += logc
-    out += np.multiply(rest, log_q, out=scratch)
+    out += rest * log_q
     return out
 
 
-def _pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
-               scratch=None) -> np.ndarray:
+def _pmf_block(n: int, rates: list, lo: int, out: np.ndarray) -> np.ndarray:
     """Columns lo..lo + out.shape[1] - 1 of the pmf matrix of a list of
     rates, written into out, each cell bit for bit that of binom_pmf_vector."""
-    np.exp(_log_pmf_block(n, rates, lo, out, scratch), out=out)
+    np.exp(_log_pmf_block(n, rates, lo, out), out=out)
     for row, r in enumerate(rates):
         if r == 0.0 or r == 1.0:
             out[row] = 0.0
@@ -243,11 +242,33 @@ def _pmf_block(n: int, rates: list, lo: int, out: np.ndarray,
     return out
 
 
-def _union_window(n: int, rates: np.ndarray, first: int) -> tuple:
-    """Columns [lo, hi) of the union of the rows' _window, cut below first."""
+def _windows(n: int, rates: np.ndarray) -> tuple:
+    """The _window of each rate in an array, as two integer arrays lo, hi."""
+    if 2 * n <= _CUTOFF:
+        return np.zeros(rates.size, int), np.full(rates.size, n + 1)
     reach, mean = _reach(n, rates), n * rates
-    lo = max(first, math.floor((mean - reach).min(initial=n)))
-    return lo, max(lo, min(n, math.floor((mean + reach).max(initial=0.0))) + 1)
+    return (np.maximum(np.floor(mean - reach), 0.0).astype(int),
+            np.minimum(np.floor(mean + reach), n).astype(int) + 1)
+
+
+def _pmf_blocks(n: int, rates, lo, hi, cells: int):
+    """The pmf rows of the rates in blocks of consecutive rates, as (i, j,
+    first, pmf): pmf holds the rows of rates[i:j] on the columns first..
+    first + pmf.shape[1] - 1, the union of the rows' spans [lo[m], hi[m]),
+    each cell bit for bit that of binom_pmf_vector. A block grows while
+    its cells stay within cells, or is one row where that row is wider.
+    A rate whose span is empty ends a block and has no row."""
+    rates, lo, hi = (np.asarray(v).tolist() for v in (rates, lo, hi))
+    i = 0
+    while i < len(rates):
+        first, top, j = lo[i], hi[i], i + 1
+        while j < len(rates) and first < top and lo[j] < hi[j] and (
+                max(top, hi[j]) - min(first, lo[j])) * (j + 1 - i) <= cells:
+            first, top, j = min(first, lo[j]), max(top, hi[j]), j + 1
+        if first < top:
+            yield i, j, first, _pmf_block(n, rates[i:j], first,
+                                          np.empty((j - i, top - first)))
+        i = j
 
 
 def binom_draws(n: int, p: float, rng: np.random.Generator,
@@ -404,28 +425,33 @@ def _tails_from_top(pmf: np.ndarray) -> np.ndarray:
 # within 2**-100 by then.
 _CP_STEPS = 100
 
+# A _pmf_blocks block of _tail_and_pmf holds at most this many cells, or
+# one row where that row is wider; with 2**12 the table at n = 10**4 took
+# 0.87-0.93 s against 0.70-0.73 s (CPU time, 2-vCPU VM).
+_CP_CELLS = 1 << 14
 
-def _tail_and_pmf(n: int, rates: np.ndarray, xs: np.ndarray, chunk: int) -> tuple:
+
+def _tail_and_pmf(n: int, rates: np.ndarray, xs: np.ndarray) -> tuple:
     """Pr(X >= x) and Pr(X = x) at each pair of a rate and a count x.
 
-    Pairs are taken chunk at a time. A chunk's pmf holds the columns
-    [lo, hi) from its least x up to the top of its rows' union _window;
-    every other cell is 0.0. Its tails are summed from hi down after a
-    0.0, as from x = n down over cells that are all 0.0 above hi, so they
-    are bit for bit those of the whole row.
+    A pair's row spans its rate's _window from x up, and the rows come in
+    _pmf_blocks of at most _CP_CELLS cells; every other cell is 0.0, so a
+    pair whose x lies above its window has both values 0.0. A block's
+    tails are summed from its top down after a 0.0, as from x = n down
+    over cells that are all 0.0 above it, so they are bit for bit those of
+    the whole row.
     """
-    tail, at = np.empty(xs.size), np.zeros(xs.size)
-    for i in range(0, xs.size, chunk):
-        p, x = rates[i:i + chunk], xs[i:i + chunk]
-        lo, hi = _union_window(n, p, int(x.min()))
-        pmf = _pmf_block(n, p.tolist(), lo, np.empty((p.size, hi - lo)))
-        # tails[:, j] = Pr(X >= hi - j)
-        tails = np.zeros((p.size, hi - lo + 1))
+    tail, at = np.zeros(xs.size), np.zeros(xs.size)
+    lo, hi = _windows(n, rates)
+    for i, j, first, pmf in _pmf_blocks(n, rates, np.maximum(lo, xs), hi, _CP_CELLS):
+        # tails[:, k] = Pr(X >= top - k), top = first + width
+        rows, width = np.arange(j - i), pmf.shape[1]
+        tails = np.zeros((j - i, width + 1))
         np.cumsum(pmf[:, ::-1], axis=1, out=tails[:, 1:])
-        rows = np.arange(p.size)
-        tail[i:i + chunk] = tails[rows, hi - np.clip(x, lo, hi)]
-        inside = np.flatnonzero((lo <= x) & (x < hi))
-        at[i + inside] = pmf[inside, x[inside] - lo]
+        x = xs[i:j] - first  # below width: each x lies below its row's hi
+        tail[i:j] = tails[rows, width - np.maximum(x, 0)]
+        inside = np.flatnonzero(x >= 0)
+        at[i + inside] = pmf[inside, x[inside]]
     return tail, at
 
 
@@ -440,40 +466,33 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
     rounding of the tail, with that step clipped to its bracket; the
     other rows step on without it. So each count's bound is the same
     double whatever counts it is solved with, and the scalar bound is
-    entry x of the vector. Counts are taken in blocks of at most
-    _PMF_CELLS // (n + 1); each step reads the tails and pmf values of
-    _tail_and_pmf, in chunks of consecutive counts an eighth of the reach
-    at 1/2 (at least 128), so that a chunk's columns run little wider
-    than one row's.
+    entry x of the vector. Each step reads the tails and pmf values of
+    _tail_and_pmf for every row still stepping.
     """
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
-    block = max(1, _PMF_CELLS // (n + 1))
-    chunk = max(128, int(_reach(n, 0.5)) // 8)
-    for i in range(0, xs.size, block):
-        x = xs[i:i + block]
-        rows = np.arange(i, i + x.size)  # where the rows still stepping go
-        lo, hi = np.zeros(x.size), np.ones(x.size)
-        wilson = (x + 0.5 * z * z
-                  - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
-        p = np.where(wilson > 0.0, wilson, x / n)
-        for _ in range(_CP_STEPS):
-            tail, at = _tail_and_pmf(n, p, x, chunk)
-            gap = tail - alpha_prime
-            lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
-            with np.errstate(all="ignore"):
-                step = gap * p / (x * at)
-            newton = p - step
-            done = np.abs(step) <= 1e-10 * p
-            out[rows[done]] = np.clip(newton[done], lo[done], hi[done])
-            if done.all():
-                break
-            keep = ~done
-            rows, x, lo, hi, p, newton = (
-                v[keep] for v in (rows, x, lo, hi, p, newton))
-            p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-        else:
-            out[rows] = p
+    rows, x = np.arange(xs.size), xs  # where the rows still stepping go
+    lo, hi = np.zeros(x.size), np.ones(x.size)
+    wilson = (x + 0.5 * z * z
+              - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
+    p = np.where(wilson > 0.0, wilson, x / n)
+    for _ in range(_CP_STEPS):
+        tail, at = _tail_and_pmf(n, p, x)
+        gap = tail - alpha_prime
+        lo, hi = np.where(gap < 0.0, p, lo), np.where(gap < 0.0, hi, p)
+        with np.errstate(all="ignore"):
+            step = gap * p / (x * at)
+        newton = p - step
+        done = np.abs(step) <= 1e-10 * p
+        out[rows[done]] = np.clip(newton[done], lo[done], hi[done])
+        if done.all():
+            break
+        keep = ~done
+        rows, x, lo, hi, p, newton = (
+            v[keep] for v in (rows, x, lo, hi, p, newton))
+        p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+    else:
+        out[rows] = p
     return out
 
 
@@ -484,12 +503,6 @@ def _check_cp_args(x: int, n: int, alpha_prime: float) -> None:
         raise ValueError(f"count x={x} outside 0..{n}")
     if not 0.0 < alpha_prime < 1.0:
         raise ValueError(f"nominal level must lie in (0,1), got {alpha_prime}")
-
-
-def wald_lower(x: int, n: int, alpha_prime: float) -> float:
-    """Normal-approximation lower bound: entry x of wald_lower_vector."""
-    _check_cp_args(x, n, alpha_prime)
-    return float(wald_lower_vector(n, alpha_prime)[x])
 
 
 def wald_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
@@ -521,32 +534,29 @@ class LowerBoundProcedure:
             return clopper_pearson_lower_vector(self.n, self.nominal_alpha)
         return wald_lower_vector(self.n, self.nominal_alpha)
 
-    def covered(self, t, pmf=None, lo: int = 0):
+    def covered(self, t):
         """The number k of counts x with L(x) <= t, which are x = 0..k-1
         because L is nondecreasing in x; an array of rates gives an array.
-        pmf is the pmf at t (a matrix for an array), if at hand; it may
-        hold only the columns lo..lo + w - 1, where every other one is 0.
 
         A Clopper-Pearson bound is the root of the tail Pr(X >= x | p) =
         alpha', which rises in p, so L(x) <= t exactly when Pr(X >= x | t)
         >= alpha' (Clopper & Pearson 1934): k is read from the tails of the
         pmf at t, and no bound value is computed. The tails are summed from
         the top, so they are nondecreasing and those >= alpha' are the
-        ones searchsorted would find; the columns below lo all carry the
-        total, the ones above the pmf none.
+        ones searchsorted would find.
         """
         if self.kind != "clopper_pearson":
             k = self.bounds.searchsorted(t, side="right")
         else:
-            if pmf is None:
-                pmf = binom_pmf_vector(self.n, t)
-            k = _cp_count(_tails_from_top(pmf), self.nominal_alpha, lo)
+            tails = _tails_from_top(binom_pmf_vector(self.n, t))
+            k = _cp_count(tails, self.nominal_alpha, 0)
         return k if _is_rate_array(t) else int(k)
 
 
 def _cp_count(tails: np.ndarray, alpha_prime: float, lo: int):
     """LowerBoundProcedure.covered's Clopper-Pearson count, from the tails
-    of a pmf that holds the columns from lo up."""
+    of a pmf that holds the columns from lo up: those below lo all carry
+    the total, the ones above the pmf none."""
     above = (tails >= alpha_prime).sum(axis=-1)
     return np.where(above > 0, lo + above, 0)
 
@@ -563,17 +573,16 @@ def exact_lower_coverage(proc, p):
     proc is one procedure or a sequence of procedures sharing n, which
     gives one row of coverages per procedure, each bit for bit the
     coverage of that procedure alone. An array of rates gives an array,
-    in one pass over blocks of consecutive rates. A row's columns are its
-    _window, every column at desk scale, and a block's pmf holds only the
-    union of its rows' columns; the block's pmf and Clopper-Pearson tails
-    are computed once for every procedure. A Wald count k comes from the
-    bound table, so all counts are taken first and, when every procedure
-    is Wald, each rate's columns stop at its largest k, the last one its
-    sums read; a rate whose window starts at or above every k has
-    coverage 0.0. Each coverage is np.add.reduce of the first k cells of
-    a zero-padded pmf vector, or of the rate's own cells where they start
-    at column 0, so that numpy's pairwise sum groups its terms as for the
-    full vector.
+    in one pass over the _pmf_blocks of consecutive rates. A row's columns
+    are its _window, every column at desk scale; the block's pmf and
+    Clopper-Pearson tails are computed once for every procedure. A Wald
+    count k comes from the bound table, so all counts are taken first and,
+    when every procedure is Wald, each rate's columns stop at its largest
+    k, the last one its sums read; a rate whose window starts at or above
+    every k has no row and coverage 0.0. Each coverage is np.add.reduce of
+    the first k cells of a zero-padded pmf vector, or of the rate's own
+    cells where they start at column 0, so that numpy's pairwise sum
+    groups its terms as for the full vector.
     """
     single = isinstance(proc, LowerBoundProcedure)
     procs = [proc] if single else list(proc)
@@ -584,56 +593,32 @@ def exact_lower_coverage(proc, p):
         got = exact_lower_coverage(procs, np.array([p]))[:, 0]
         return float(got[0]) if single else got
     n, rates = procs[0].n, _rate_array(procs[0].n, p)
-    # the widest window is the one at 1/2, where the reach is largest
-    cells = max(min(n + 1, int(2.0 * _reach(n, 0.5)) + 2), _COVERAGE_CELLS)
-    buf, row = np.empty(cells), np.zeros(max(n + 1, cells))
     out = np.zeros((len(procs), rates.size))
-    ps = rates.tolist()
     # the Wald counts now, from their bound tables; None marks a
     # Clopper-Pearson procedure, whose counts come block by block
     wald = [None if q.kind == "clopper_pearson" else q.covered(rates)
             for q in procs]
-    # with Wald procedures only, a rate's columns stop at its largest count
-    top = None if any(k is None for k in wald) else np.max(wald, axis=0).tolist()
+    wald_only = all(k is not None for k in wald)
+    lo, hi = _windows(n, rates)
+    if wald_only:  # a rate's columns stop at its largest count
+        hi = np.minimum(hi, np.max(wald, axis=0))
     wald = [k if k is None else k.tolist() for k in wald]
     dests = list(out)  # one view per procedure, made once
-
-    def columns(m):
-        lo, hi = _window(n, ps[m])
-        return lo, hi if top is None else min(hi, top[m])
-
-    i, span = 0, columns(0) if ps else None
-    while i < len(ps):
-        (lo, hi), j = span, i + 1
-        if lo >= hi:  # no column below any count: coverage 0.0
-            i, span = j, columns(j) if j < len(ps) else None
-            continue
-        # take rates while the union of their columns fits in the buffer
-        while j < len(ps):
-            span = columns(j)
-            if span[0] >= span[1] or (
-                    max(hi, span[1]) - min(lo, span[0])) * (j + 1 - i) > cells:
-                break
-            lo, hi, j = min(lo, span[0]), max(hi, span[1]), j + 1
-        shape = (j - i, hi - lo)
-        size = shape[0] * shape[1]
-        # row is all 0.0 between blocks: it lends its cells as scratch
-        pmf = _pmf_block(n, ps[i:j], lo, buf[:size].reshape(shape),
-                         row[:size].reshape(shape))
-        row[:size] = 0.0
-        tails = None if top is not None else _tails_from_top(pmf)
-        ks = [_cp_count(tails, q.nominal_alpha, lo).tolist() if k is None
+    row = np.zeros(n + 1)
+    for i, j, first, pmf in _pmf_blocks(n, rates, lo, hi, _COVERAGE_CELLS):
+        top = first + pmf.shape[1]
+        tails = None if wald_only else _tails_from_top(pmf)
+        ks = [_cp_count(tails, q.nominal_alpha, first).tolist() if k is None
               else k[i:j] for q, k in zip(procs, wald)]
-        if lo == 0 and max(map(max, ks)) <= hi:  # sum the rows in place
+        if first == 0 and max(map(max, ks)) <= top:  # sum the rows in place
             for dest, rate_ks in zip(dests, ks):
                 dest[i:j] = [np.add.reduce(vec[:k]) for vec, k in zip(pmf, rate_ks)]
         else:  # sum each row on the zero-padded vector
             for r, vec in enumerate(pmf):
-                row[lo:hi] = vec
+                row[first:top] = vec
                 for dest, rate_ks in zip(dests, ks):
                     dest[i + r] = np.add.reduce(row[:rate_ks[r]])
-            row[lo:hi] = 0.0
-        i = j
+            row[first:top] = 0.0
     return out[0] if single else out
 
 

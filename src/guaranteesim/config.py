@@ -474,15 +474,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 def _check_guesses(scenario: Scenario) -> None:
     """A fraudulent strategy's guesses p0 +- guess_spread lie in [0,1], for
-    the p0 every command reads: policy.p0, else the break-even rate."""
+    the p0 of Scenario.policy; where that has none, its ConfigError is left
+    to the commands that read p0."""
     if not isinstance(scenario.strategy, FraudulentStrategy):
         return
-    p0 = scenario.policy_p0
-    if p0 is None:
-        try:
-            p0 = scenario.economics.break_even_success_rate()
-        except NoBreakEvenError:
-            return
+    try:
+        p0 = scenario.policy().p0
+    except ConfigError:
+        return
     with _at("strategy.guess_spread"):
         scenario.strategy.check_threshold(p0)
 

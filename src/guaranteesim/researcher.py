@@ -24,6 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .binomial import binom_pmf_vector
 from .contracts import FullGuarantee, InsuranceContract, researcher_payment
 from .economics import PolicyEconomics
 from .simulate import DiscreteDist
@@ -135,9 +136,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ValueError("noise amplitude must be positive")
+        # built once: every researcher world holds it
+        object.__setattr__(self, "_law", DiscreteDist(
+            [-self.epsilon, self.epsilon], [0.5, 0.5]))
 
     def law(self) -> DiscreteDist:
-        return DiscreteDist([-self.epsilon, self.epsilon], [0.5, 0.5])
+        return self._law
 
 
 @dataclass(frozen=True)
@@ -240,15 +244,15 @@ def researcher_world(risk: ResearcherRisk, payoff: ResearcherPayoffModel,
     if m < 1:
         raise ValueError("implementation scale must be at least 1")
     hedge = risk.hedge
-    x_law = DiscreteDist.binomial(m, econ.success_rate(p))
-    y = econ.net_outcome(m, x_law.values.astype(int))
+    probs = binom_pmf_vector(m, econ.success_rate(p))
+    y = econ.net_outcome(m, np.arange(m + 1))
     v0 = payoff.base_pub + payoff.impl_value.value(m) \
         + payoff.failure_exposure * np.minimum(y, 0.0)
     retained = 1.0 if hedge is None else hedge.retained
     premium = hedge.premium if isinstance(hedge, RiskTransfer) else 0.0
     w = v0 - retained * researcher_payment(y, risk.contract) - premium
 
-    weights, laws = (1.0,), (DiscreteDist(w, x_law.probs),)
+    weights, laws = (1.0,), (DiscreteDist(w, probs),)
     if isinstance(hedge, RiskExchange):
         weights, laws = weights + (hedge.assumed,), laws + (hedge.partner_loss,)
     noise_weights, noise_laws = _noise_parts(payoff)

@@ -41,7 +41,6 @@ from guaranteesim.binomial import (
     sup_below,
     sup_false_positive,
     terms_value,
-    wald_lower,
     wald_lower_vector,
 )
 
@@ -184,6 +183,60 @@ class TestPmf:
         assert np.array_equal(binom_pmf_vector(n, rates), want)
         for p, row in zip(rates, want):
             assert np.array_equal(binom_pmf_vector(n, float(p)), row)
+        # the windows of an array of rates are the scalar ones
+        lo, hi = binomial._windows(n, rates)
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            binomial._window(n, float(p)) for p in rates]
+
+    def test_rate_matrix_builds_the_union_of_windows_only(self, monkeypatch):
+        # one block from the lowest window's start to the highest one's end
+        calls = []
+        kernel = binomial._pmf_block
+
+        def spy(n_, rates, lo, out):
+            calls.append((lo, lo + out.shape[1]))
+            return kernel(n_, rates, lo, out)
+
+        monkeypatch.setattr(binomial, "_pmf_block", spy)
+        rates = np.array([0.02, 0.01])
+        binom_pmf_vector(10_000, rates)
+        (_, top), (first, _) = (binomial._window(10_000, r) for r in rates.tolist())
+        assert calls == [(first, top)]
+        binom_pmf_vector(10_000, np.empty(0))
+        assert calls[1] == (10_000, 10_000)
+
+    @given(n=st.sampled_from([1, 3, 40, 381, 2000, 10_000]),
+           cells=st.one_of(st.sampled_from([1, 41, 4096]), st.integers(1, 50_000)),
+           rows=st.lists(st.tuples(
+               st.one_of(st.sampled_from(EXTREME_RATES), st.floats(0.0, 1.0)),
+               st.integers(0, 10_001), st.integers(-3, 10_001)),
+               min_size=1, max_size=24))
+    @example(n=40, cells=41, rows=[(0.5, 0, 41), (0.5, 0, 41), (0.3, 5, 5),
+                                   (0.3, 3, 9), (0.7, 9, 12), (1.0, 0, 1)])
+    @example(n=40, cells=82, rows=[(0.5, 0, 41), (0.3, 0, 41), (0.2, 5, 3)])
+    @settings(max_examples=80, deadline=None)
+    def test_pmf_blocks(self, n, cells, rows):
+        # spans [lo, lo + width) within 0..n, some empty: the rates with a
+        # column come out once each and in order, a block's columns are
+        # the union of its rows' spans, it exceeds the budget only as one
+        # row and stops only where the next row would take it over, and
+        # each cell is that of binom_pmf_vector
+        rates = [r for r, _, _ in rows]
+        lo = [a % (n + 1) for _, a, _ in rows]
+        hi = [min(a + w, n + 1) for a, (_, _, w) in zip(lo, rows)]
+        got = []
+        for i, j, first, pmf in binomial._pmf_blocks(n, rates, lo, hi, cells):
+            assert all(lo[m] < hi[m] for m in range(i, j))
+            got += range(i, j)
+            top = first + pmf.shape[1]
+            assert (first, top) == (min(lo[i:j]), max(hi[i:j]))
+            assert pmf.size <= cells or j - i == 1
+            if j < len(rates) and lo[j] < hi[j]:
+                wider = max(top, hi[j]) - min(first, lo[j])
+                assert wider * (j + 1 - i) > cells
+            assert np.array_equal(
+                pmf, binom_pmf_vector(n, np.array(rates[i:j]))[:, first:top])
+        assert got == [m for m in range(len(rates)) if lo[m] < hi[m]]
 
     def test_cells_beyond_the_reach_underflow(self):
         # np.exp gives exactly 0.0 below -745.14; a cell beyond the reach
@@ -503,35 +556,38 @@ class TestClopperPearson:
                 assert abs(vec[x] - _cp_lower_bisect(x, n, a)) <= 1e-10
 
     @given(n=st.sampled_from([3, 40, 381, 2000, 10_000, 200_000]),
-           chunk=st.sampled_from([1, 3, 128, 10_000]),
+           rows=st.sampled_from([0, 1, 3, 128]),
            pairs=st.lists(st.tuples(st.integers(1, 10**6), st.one_of(
                st.sampled_from(EXTREME_RATES), st.floats(0.0, 1.0))),
                min_size=1, max_size=12))
-    @example(n=10_000, chunk=1,
+    @example(n=10_000, rows=0,
              pairs=[(1050, 0.5), (9000, 0.5), (20, 1e-6), (5000, 1e-6)])
     @settings(max_examples=40, deadline=None)
-    def test_chunked_tails_are_the_whole_rows(self, n, chunk, pairs):
-        # tails summed from x = n down and pmf values at x, from the chunks'
-        # columns alone, which start at their least x; rates far from their
-        # counts put x below a chunk's columns and above them, and rates at
-        # the window's edge put its low end on column 0
+    def test_chunked_tails_are_the_whole_rows(self, n, rows, pairs):
+        # tails summed from x = n down and pmf values at x, from blocks of
+        # a budget of 1 cell or of rows whole rows, whose columns start at
+        # their least x; rates far from their counts put x below a block's
+        # columns and above them, and rates at the window's edge put its
+        # low end on column 0
         edge = _rate_at_window_edge(n)
         if edge is not None:
             edges = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge]
             pairs = pairs + [(x, r) for (x, _), r in zip(pairs * 4, edges)]
         xs = np.array([1 + x % (n - 1) for x, _ in pairs])
         rates = np.array([r for _, r in pairs])
-        tail, at = binomial._tail_and_pmf(n, rates, xs, chunk)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(binomial, "_CP_CELLS", max(1, rows * (n + 1)))
+            tail, at = binomial._tail_and_pmf(n, rates, xs)
         full = _full_exp_pmf(n, rates)
-        rows = np.arange(xs.size)
-        assert np.array_equal(tail, binomial._tails_from_top(full)[rows, n - xs])
-        assert np.array_equal(at, full[rows, xs])
+        each = np.arange(xs.size)
+        assert np.array_equal(tail, binomial._tails_from_top(full)[each, n - xs])
+        assert np.array_equal(at, full[each, xs])
 
     @pytest.mark.parametrize("n", [40, 300, 1000, 2000])
     def test_column_cut_keeps_bounds_bit_for_bit(self, n):
-        # blocks of counts build pmf columns x.min()..n only, and of those
-        # only the window where a cell can be nonzero; the tails are summed
-        # from the top, so no bound moves by a bit
+        # a count's row builds pmf columns x..n only, and of those only the
+        # window where a cell can be nonzero; the tails are summed from the
+        # top, so no bound moves by a bit
         for a in (0.2, 0.05, 0.001):
             vec = clopper_pearson_lower_vector(n, a)
             assert np.array_equal(vec[1:n], _cp_roots_full(n, a, np.arange(1, n)))
@@ -556,12 +612,13 @@ class TestClopperPearson:
 
 class TestWald:
     def test_frozen_value(self):
-        assert wald_lower(165, 300, 0.05) == pytest.approx(WALD_165_300_05,
-                                                           abs=1e-9)
+        assert wald_lower_vector(300, 0.05)[165] == pytest.approx(
+            WALD_165_300_05, abs=1e-9)
 
     def test_degenerate_counts_have_zero_width(self):
-        assert wald_lower(0, 50, 0.05) == 0.0
-        assert wald_lower(50, 50, 0.05) == 1.0
+        vec = wald_lower_vector(50, 0.05)
+        assert vec[0] == 0.0
+        assert vec[50] == 1.0
 
     @given(n=st.integers(1, 3000), a=st.floats(0.001, 0.999))
     @settings(max_examples=60, deadline=None)
@@ -574,7 +631,7 @@ class TestWald:
     def test_vector_in_unit_interval(self, n, a):
         vec = wald_lower_vector(n, a)
         assert (vec >= 0.0).all() and (vec <= 1.0).all()
-        assert vec[0] == pytest.approx(wald_lower(0, n, a), abs=1e-12)
+        assert vec[0] == 0.0
 
 
 class TestCoverage:
@@ -703,9 +760,9 @@ class TestCoverage:
         blocks = []
         kernel = binomial._pmf_block
 
-        def spy(n_, rates, lo, out, scratch=None):
+        def spy(n_, rates, lo, out):
             blocks.append((list(rates), lo, lo + out.shape[1]))
-            return kernel(n_, rates, lo, out, scratch)
+            return kernel(n_, rates, lo, out)
 
         monkeypatch.setattr(binomial, "_pmf_block", spy)
         edged = np.concatenate([[0.0], probability_grid(64), [1.0]])
@@ -739,11 +796,13 @@ class TestCoverage:
         rates = np.concatenate([[0.0], probability_grid(256), [1.0]])
         counts = proc.covered(rates)
         assert counts.tolist() == [proc.covered(float(t)) for t in rates]
-        # a pmf holding only the columns where some row can be nonzero
-        windows = [binomial._window(n, t) for t in rates.tolist()]
-        lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
-        pmf = binom_pmf_vector(n, rates)
-        assert np.array_equal(proc.covered(rates, pmf[:, lo:hi], lo), counts)
+        if kind == "clopper_pearson":
+            # the count coverage reads off a block holding only the columns
+            # where some row can be nonzero
+            windows = [binomial._window(n, t) for t in rates.tolist()]
+            lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+            tails = binomial._tails_from_top(binom_pmf_vector(n, rates)[:, lo:hi])
+            assert np.array_equal(binomial._cp_count(tails, 0.01, lo), counts)
 
     def test_cp_sup_respects_nominal(self):
         proc = LowerBoundProcedure("clopper_pearson", 0.05, 300)
@@ -785,8 +844,8 @@ class TestScipyOracles:
     @pytest.mark.parametrize("ns", [range(1, 81), [300], [2000]],
                              ids=["1-80", "300", "2000"])
     def test_covered_rule_is_the_beta_quantile_rule(self, special, ns):
-        # the rule on the whole grid at once, through proc.covered on every
-        # 64th rate, and with the pmf at t computed by proc.covered itself
+        # the rule on the whole grid at once and through proc.covered on
+        # every 64th rate
         grid = np.arange(1025) / 1024
         for n in ns:
             pmf = binom_pmf_vector(n, grid)
@@ -800,7 +859,6 @@ class TestScipyOracles:
                 counts = (tails >= a).sum(axis=1)
                 assert np.array_equal(want, np.arange(n + 1) < counts[:, None])
                 for i in range(0, grid.size, 64):
-                    assert proc.covered(grid[i], pmf[i]) == counts[i]
                     assert proc.covered(grid[i]) == counts[i]
 
     @pytest.mark.parametrize("n", [*range(1, 81), 300, 2000])

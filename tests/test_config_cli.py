@@ -576,6 +576,29 @@ class TestCliCommands:
             assert captured.err == f"config error: economics: {problem}\n"
             assert not list(out.iterdir())
 
+    def test_fraud_without_break_even_fails_only_where_p0_is_read(
+            self, tmp_path, capsys):
+        # the guesses are checked around the p0 of Scenario.policy; with no
+        # break-even rate inside (0,1) there is none, and the commands that
+        # read p0 report the economics, not the guesses
+        fraud = {"strategy": {"variant": "fraudulent", "guess_spread": 0.05}}
+        cfg = write_config(tmp_path, {**BREAK_EVEN_AT_ONE, **fraud})
+        out = tmp_path / "out"
+        assert main(["coverage", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: economics: break-even rate 1.0 leaves no threshold "
+            "strictly inside (0,1)\n")
+        # an explicit p0 whose guesses leave [0,1] still fails at load
+        policy = {"policy": {"u_bar": -12.0, "alpha_belief": 0.25, "p0": 0.98}}
+        cfg = write_config(tmp_path, {**BREAK_EVEN_AT_ONE, **fraud, **policy})
+        assert main(["coverage", "--config", cfg, "--out", str(out)]) == 2
+        assert "strategy.guess_spread: guesses 0.98+-0.05 leave [0,1]" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", [
         "coverage", "example1", "example2", "fig1", "pool"])
     def test_commands_without_p0_run_without_break_even(self, tmp_path, capsys,
@@ -768,7 +791,7 @@ class TestCliCommands:
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         runs = script.runs("seeded.json")
-        assert len({ident for ident, _ in runs}) == len(runs) == 21
+        assert len({ident for ident, _ in runs}) == len(runs) == 22
         sub = next(action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert {argv[0] for _, argv in runs} == set(sub.choices)
