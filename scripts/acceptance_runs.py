@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the fixed set of 22 CLI runs whose outputs a refactor must keep.
+"""Run the fixed set of 23 CLI runs whose outputs a refactor must keep.
 
     python3 scripts/acceptance_runs.py OUT
     python3 scripts/acceptance_runs.py --compare A B
@@ -47,6 +47,9 @@ def runs(seeded: str) -> list:
         ("coverage_wald_n300", ["coverage", "--proc", "wald", "--n", "300"]),
         ("coverage_wald_n10000", ["coverage", "--proc", "wald", "--n", "10000"]),
         ("fig1_n1000", ["fig1", "--n", "1000", "--p-c", "0.3", "0.5", "0.7"]),
+        # the one run whose dot products over arrays of rates walk windowed
+        # pmf blocks: its rows, 2001 columns wide, are cut to their windows
+        ("example2_n2000", ["example2", "--n", "2000"]),
         ("reproduce_seed31337", ["reproduce", "--config", seeded]),
         # the parser's help and error bytes
         ("coverage_help", ["coverage", "--help"]),

@@ -13,17 +13,18 @@ and Hoeffding's inequalities every cell beyond it has a log below -760,
 so its exp is exactly 0.0: np.exp underflows below -745.13, and the 15
 nats between cover the rounding of the log sum. The cells it does
 compute go through the same operations in the same order, so every pmf
-is the same doubles as with no window. Callers that read only part of a
-row build only that part: a Wald coverage row stops at its count, whose
-sum reads nothing beyond it, and the Clopper-Pearson tails start at the
-top of the windows, above which every cell is 0.0. Both walk their rates
-in the blocks of one generator, _pmf_blocks.
+is the same doubles as with no window. binom_pmf_vector builds the
+vector of one rate; every functional over an array of rates walks the
+rates in the windowed blocks of one generator, _pmf_blocks, and builds
+only the columns it reads: dot products with vectors over x
+(binom_pmf_dot), prefix sums for coverage and exceedance, the
+Clopper-Pearson counts, and the tails behind the bound values.
 
 Every exceedance functional is a short list of terms (w, num, den),
 vectors over x = 0..n with f(p) = sum of w * (pmf . num) / (pmf . den);
-terms_value evaluates them on the batched pmf kernel binom_pmf_reduce,
-and a ratio whose denominator sum is not a normal double on the pmf
-rescaled in log space. Every "sup over p < p0" is sup_below: f(p0) when
+terms_value evaluates them through binom_pmf_dot, and a ratio whose
+denominator sum is not a normal double on the pmf rescaled in log
+space. Every "sup over p < p0" is sup_below: f(p0) when
 an O(n) sign-change test certifies it, else a scan of the multiples of
 1/SUP_DENOM below p0.
 """
@@ -39,7 +40,7 @@ import numpy as np
 __all__ = [
     "binom_pmf",
     "binom_pmf_vector",
-    "binom_pmf_reduce",
+    "binom_pmf_dot",
     "binom_draws",
     "draw_blocks",
     "normal_cdf",
@@ -72,7 +73,6 @@ def _check_law(n: int, p: float) -> None:
 
 def binom_pmf(n: int, p: float, x: int) -> float:
     """Pr(X = x) for X ~ Binomial(n, p): entry x of binom_pmf_vector."""
-    _check_law(n, p)
     if not 0 <= x <= n:
         raise ValueError(f"count x={x} outside 0..{n}")
     return float(binom_pmf_vector(n, p)[x])
@@ -177,22 +177,10 @@ def _window(n: int, p: float) -> tuple:
     return max(0, math.floor(n * p - reach)), min(n, math.floor(n * p + reach)) + 1
 
 
-def binom_pmf_vector(n: int, p) -> np.ndarray:
-    """All n+1 pmf values at once; same log-space route as binom_pmf.
-
-    A 1-d array of rates gives a (rates, n+1) matrix whose rows are
-    bit-for-bit the pmf vectors of the single rates. Only the cells in
-    the _window of p are computed; every other cell is exactly 0.0, which
-    is what its exp would give.
-    """
-    if _is_rate_array(p):
-        rates = _rate_array(n, p)
-        lo, hi = _windows(n, rates)
-        lo = lo.min(initial=n)
-        hi = hi.max(initial=lo)
-        out = np.zeros((rates.size, n + 1))
-        _pmf_block(n, rates.tolist(), lo, out[:, lo:hi])
-        return out
+def binom_pmf_vector(n: int, p: float) -> np.ndarray:
+    """All n+1 pmf values at one rate, by the log-space route of binom_pmf;
+    only the cells in the _window of p are computed, and every other cell
+    is exactly 0.0, which is what its exp would give."""
     _check_law(n, p)
     if p == 0.0 or p == 1.0:
         out = np.zeros(n + 1)
@@ -249,6 +237,12 @@ def _windows(n: int, rates: np.ndarray) -> tuple:
     reach, mean = _reach(n, rates), n * rates
     return (np.maximum(np.floor(mean - reach), 0.0).astype(int),
             np.minimum(np.floor(mean + reach), n).astype(int) + 1)
+
+
+# A block of the rate-array functionals holds at most this many pmf cells,
+# or one row's window where that is wider: its temporaries stay within about
+# one pmf vector at large n, and at small n its rows share the block's cost.
+_COVERAGE_CELLS = 1 << 12
 
 
 def _pmf_blocks(n: int, rates, lo, hi, cells: int):
@@ -342,25 +336,63 @@ def _indexed_search(cdf: np.ndarray):
     return search
 
 
-# Largest pmf matrix binom_pmf_reduce builds at once, in cells.
-_PMF_CELLS = 1 << 20
+def binom_pmf_dot(n: int, p, vecs: np.ndarray):
+    """pmf(p) @ vecs, for vecs a vector or a matrix of columns over x = 0..n.
 
-
-def binom_pmf_reduce(n: int, p, fn):
-    """fn applied to the pmf matrix of the rates p, one value per rate.
-
-    fn maps a (rates, n+1) pmf matrix to one value per row. The 1-d array
-    of rates is taken in chunks, so a matrix holds at most about 2**20
-    cells (one row, if a row is longer). A scalar p gives a float, from
-    the scalar pmf of binom_pmf_vector.
+    A scalar p takes its whole binom_pmf_vector row: one value per column,
+    a float for a vector. A 1-d array of rates gives one row of those per
+    rate, summed block by block over the _pmf_blocks of the rates' own
+    _windows, each block's columns against the same rows of vecs; every
+    cell outside a window is 0.0 and adds nothing.
     """
     if not _is_rate_array(p):
-        return float(fn(binom_pmf_vector(n, p)[None, :])[0])
-    rates = p.astype(float, copy=False)
-    step = max(1, _PMF_CELLS // (n + 1))
-    out = np.empty(rates.size)
-    for i in range(0, rates.size, step):
-        out[i:i + step] = fn(binom_pmf_vector(n, rates[i:i + step]))
+        got = binom_pmf_vector(n, p)[None, :] @ vecs
+        return got[0] if vecs.ndim > 1 else float(got[0])
+    rates = _rate_array(n, p)
+    out = np.zeros((rates.size, *vecs.shape[1:]))
+    for i, j, first, pmf in _pmf_blocks(n, rates, *_windows(n, rates),
+                                        _COVERAGE_CELLS):
+        out[i:j] = pmf @ vecs[first:first + pmf.shape[1]]
+    return out
+
+
+def _prefix_sums(n: int, p: np.ndarray, counts: list) -> np.ndarray:
+    """np.add.reduce of the first k cells of the pmf vector of each rate in
+    p, one row per entry of counts, in one pass over the _pmf_blocks.
+
+    An entry is an integer array, one count k per rate, or a level alpha'
+    for the Clopper-Pearson counts of LowerBoundProcedure.covered, read
+    from the tails of each block, which are computed once for every level.
+    A row's columns are its _window; when every entry is an array, each
+    rate's columns stop at its largest k, the last one its sums read, and
+    a rate whose window starts at or above every k has no row and sum 0.0.
+    Each sum runs over the first k cells of a zero-padded pmf vector, or
+    of the rate's own cells where they start at column 0, so that numpy's
+    pairwise sum groups its terms as for the full vector.
+    """
+    rates = _rate_array(n, p)
+    out = np.zeros((len(counts), rates.size))
+    fixed = all(isinstance(k, np.ndarray) for k in counts)
+    lo, hi = _windows(n, rates)
+    if fixed:  # a rate's columns stop at its largest count
+        hi = np.minimum(hi, np.max(counts, axis=0))
+    counts = [k.tolist() if isinstance(k, np.ndarray) else k for k in counts]
+    dests = list(out)  # one view per entry, made once
+    row = np.zeros(n + 1)
+    for i, j, first, pmf in _pmf_blocks(n, rates, lo, hi, _COVERAGE_CELLS):
+        top = first + pmf.shape[1]
+        tails = None if fixed else _tails_from_top(pmf)
+        ks = [k[i:j] if isinstance(k, list) else _cp_count(tails, k, first).tolist()
+              for k in counts]
+        if first == 0 and max(map(max, ks)) <= top:  # sum the rows in place
+            for dest, rate_ks in zip(dests, ks):
+                dest[i:j] = [np.add.reduce(vec[:k]) for vec, k in zip(pmf, rate_ks)]
+        else:  # sum each row on the zero-padded vector
+            for r, vec in enumerate(pmf):
+                row[first:top] = vec
+                for dest, rate_ks in zip(dests, ks):
+                    dest[i + r] = np.add.reduce(row[:rate_ks[r]])
+            row[first:top] = 0.0
     return out
 
 
@@ -547,9 +579,14 @@ class LowerBoundProcedure:
         """
         if self.kind != "clopper_pearson":
             k = self.bounds.searchsorted(t, side="right")
-        else:
+        elif not _is_rate_array(t):
             tails = _tails_from_top(binom_pmf_vector(self.n, t))
             k = _cp_count(tails, self.nominal_alpha, 0)
+        else:  # each block's tails give the counts of its rates
+            rates, k = _rate_array(self.n, t), np.zeros(t.size, int)
+            for i, j, first, pmf in _pmf_blocks(
+                    self.n, rates, *_windows(self.n, rates), _COVERAGE_CELLS):
+                k[i:j] = _cp_count(_tails_from_top(pmf), self.nominal_alpha, first)
         return k if _is_rate_array(t) else int(k)
 
 
@@ -561,28 +598,15 @@ def _cp_count(tails: np.ndarray, alpha_prime: float, lo: int):
     return np.where(above > 0, lo + above, 0)
 
 
-# A block of exact_lower_coverage holds at most this many pmf cells, or one
-# row's window where that is wider: its temporaries stay within about one
-# pmf vector at large n, and at small n its rows share the per-block cost.
-_COVERAGE_CELLS = 1 << 12
-
-
 def exact_lower_coverage(proc, p):
     """Pr(L <= p) by enumeration over all outcomes at success rate p.
 
     proc is one procedure or a sequence of procedures sharing n, which
     gives one row of coverages per procedure, each bit for bit the
     coverage of that procedure alone. An array of rates gives an array,
-    in one pass over the _pmf_blocks of consecutive rates. A row's columns
-    are its _window, every column at desk scale; the block's pmf and
-    Clopper-Pearson tails are computed once for every procedure. A Wald
-    count k comes from the bound table, so all counts are taken first and,
-    when every procedure is Wald, each rate's columns stop at its largest
-    k, the last one its sums read; a rate whose window starts at or above
-    every k has no row and coverage 0.0. Each coverage is np.add.reduce of
-    the first k cells of a zero-padded pmf vector, or of the rate's own
-    cells where they start at column 0, so that numpy's pairwise sum
-    groups its terms as for the full vector.
+    the _prefix_sums of every procedure's counts in one pass: a Wald count
+    comes from the bound table, a Clopper-Pearson count from the tails of
+    the block. A scalar rate is an array of one.
     """
     single = isinstance(proc, LowerBoundProcedure)
     procs = [proc] if single else list(proc)
@@ -592,33 +616,9 @@ def exact_lower_coverage(proc, p):
     if not _is_rate_array(p):
         got = exact_lower_coverage(procs, np.array([p]))[:, 0]
         return float(got[0]) if single else got
-    n, rates = procs[0].n, _rate_array(procs[0].n, p)
-    out = np.zeros((len(procs), rates.size))
-    # the Wald counts now, from their bound tables; None marks a
-    # Clopper-Pearson procedure, whose counts come block by block
-    wald = [None if q.kind == "clopper_pearson" else q.covered(rates)
-            for q in procs]
-    wald_only = all(k is not None for k in wald)
-    lo, hi = _windows(n, rates)
-    if wald_only:  # a rate's columns stop at its largest count
-        hi = np.minimum(hi, np.max(wald, axis=0))
-    wald = [k if k is None else k.tolist() for k in wald]
-    dests = list(out)  # one view per procedure, made once
-    row = np.zeros(n + 1)
-    for i, j, first, pmf in _pmf_blocks(n, rates, lo, hi, _COVERAGE_CELLS):
-        top = first + pmf.shape[1]
-        tails = None if wald_only else _tails_from_top(pmf)
-        ks = [_cp_count(tails, q.nominal_alpha, first).tolist() if k is None
-              else k[i:j] for q, k in zip(procs, wald)]
-        if first == 0 and max(map(max, ks)) <= top:  # sum the rows in place
-            for dest, rate_ks in zip(dests, ks):
-                dest[i:j] = [np.add.reduce(vec[:k]) for vec, k in zip(pmf, rate_ks)]
-        else:  # sum each row on the zero-padded vector
-            for r, vec in enumerate(pmf):
-                row[first:top] = vec
-                for dest, rate_ks in zip(dests, ks):
-                    dest[i + r] = np.add.reduce(row[:rate_ks[r]])
-            row[first:top] = 0.0
+    out = _prefix_sums(procs[0].n, p, [
+        q.nominal_alpha if q.kind == "clopper_pearson" else q.covered(p)
+        for q in procs])
     return out[0] if single else out
 
 
@@ -626,10 +626,13 @@ def exceedance_prob(proc, p, threshold: float):
     """Pr(L > threshold) when outcomes are drawn at success rate p.
 
     Defined as 1 - coverage at the threshold so that the pair sums to one
-    exactly, not just within rounding. An array of rates gives an array.
+    exactly, not just within rounding: one minus the sum of the pmf below
+    the count covered(threshold), for an array of rates its _prefix_sums.
     """
     k = proc.covered(threshold)
-    return binom_pmf_reduce(proc.n, p, lambda pmf: 1.0 - pmf[:, :k].sum(axis=1))
+    if not _is_rate_array(p):
+        return float(1.0 - np.add.reduce(binom_pmf_vector(proc.n, p)[:k]))
+    return 1.0 - _prefix_sums(proc.n, p, [np.full(p.size, k)])[0]
 
 
 def exceedance_terms(proc, threshold: float) -> list:
@@ -657,20 +660,14 @@ def terms_value(n: int, terms, p):
     live = (vecs[:, 1::2] > 0.0).any(axis=0)
     tiny = np.finfo(float).tiny
 
-    def ratios(pmf):
-        sums = pmf @ vecs
+    def ratios(sums):
         num, den = sums[:, 0::2], sums[:, 1::2]
         with np.errstate(divide="ignore", invalid="ignore"):
             return (np.where(den > 0.0, num / den, 0.0),
                     live & (0.0 <= den) & (den < tiny))
 
-    def at(pmf):
-        ratio, faint = ratios(pmf)
-        # NaN marks a row for rescaled(): no ratio of finite sums is NaN
-        return np.where(faint.any(axis=1), np.nan, ratio @ weights)
-
     def rescaled(rate: float) -> float:
-        ratio, faint = ratios(binom_pmf_vector(n, rate)[None, :])
+        ratio, faint = ratios(binom_pmf_dot(n, rate, vecs)[None, :])
         if 0.0 < rate < 1.0:
             logs = _log_pmf_block(n, [rate], 0, np.empty((1, n + 1)))[0]
             for t in np.flatnonzero(faint[0]):
@@ -682,12 +679,11 @@ def terms_value(n: int, terms, p):
                 ratio[0, t] = scaled @ num / total if total > 0.0 else 0.0
         return float(ratio[0] @ weights)
 
-    value = binom_pmf_reduce(n, p, at)
-    if not _is_rate_array(p):
-        return rescaled(p) if math.isnan(value) else value
-    for i in np.flatnonzero(np.isnan(value)):
-        value[i] = rescaled(float(p[i]))
-    return value
+    ratio, faint = ratios(np.atleast_2d(binom_pmf_dot(n, p, vecs)))
+    value = ratio @ weights
+    for i in np.flatnonzero(faint.any(axis=1)):
+        value[i] = rescaled(float(np.atleast_1d(p)[i]))
+    return value if _is_rate_array(p) else float(value[0])
 
 
 @dataclass(frozen=True)

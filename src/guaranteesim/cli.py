@@ -96,8 +96,11 @@ def _render(body, meta: dict) -> str:
 def _decide(scenario: Scenario, bound: float, policy):
     if scenario.contract is None:
         return decide_no_guarantee(bound, policy, scenario.economics)
-    return decide_with_contract(bound, scenario.contract, policy,
-                                scenario.economics)
+    try:
+        return decide_with_contract(bound, scenario.contract, policy,
+                                    scenario.economics)
+    except ValueError as exc:  # a default tail contract that never pays
+        raise ConfigError(str(exc), "contract.k") from exc
 
 
 def _probe(policy) -> float:

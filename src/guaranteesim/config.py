@@ -24,7 +24,7 @@ from .contracts import (
     ProportionalGuarantee,
     TailGuarantee,
 )
-from .decisions import AlphaSchedule, ImplementerPolicy
+from .decisions import AlphaSchedule, ImplementerPolicy, decide_with_contract
 from .economics import (
     BenefitFunction,
     CostSchedule,
@@ -468,22 +468,29 @@ def scenario_from_dict(data: dict) -> Scenario:
         pool=_pool(merged),
         grids=_grids(merged),
     )
-    _check_guesses(scenario)
+    _check_against_p0(scenario, "contract" in data)
     return scenario
 
 
-def _check_guesses(scenario: Scenario) -> None:
-    """A fraudulent strategy's guesses p0 +- guess_spread lie in [0,1], for
-    the p0 of Scenario.policy; where that has none, its ConfigError is left
-    to the commands that read p0."""
-    if not isinstance(scenario.strategy, FraudulentStrategy):
-        return
+def _check_against_p0(scenario: Scenario, in_file: bool) -> None:
+    """The checks that read the p0 of Scenario.policy; where that has none,
+    its ConfigError is left to the commands that read p0. A fraudulent
+    strategy's guesses p0 +- guess_spread lie in [0,1], and a tail contract
+    the file sets (in_file) pays at the scale its rule takes for a bound
+    above p0, its level above -c_m there; a default one, which has no line
+    to point at, is checked where a command decides."""
+    fraud = isinstance(scenario.strategy, FraudulentStrategy)
+    tail = in_file and isinstance(scenario.contract, TailGuarantee)
     try:
-        p0 = scenario.policy().p0
+        policy = scenario.policy() if fraud or tail else None
     except ConfigError:
         return
-    with _at("strategy.guess_spread"):
-        scenario.strategy.check_threshold(p0)
+    if fraud:
+        with _at("strategy.guess_spread"):
+            scenario.strategy.check_threshold(policy.p0)
+    if tail:
+        with _at("contract.k"):
+            decide_with_contract(1.0, scenario.contract, policy, scenario.economics)
 
 
 def _line_of_key(raw: str, key_path: str) -> Optional[int]:

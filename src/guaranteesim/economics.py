@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binomial import binom_pmf_reduce, binom_pmf_vector, smallest_double
+from .binomial import binom_pmf_dot, binom_pmf_vector, smallest_double
 from .simulate import ENUMERATION_LIMIT
 
 __all__ = [
@@ -193,7 +193,7 @@ class PolicyEconomics:
         """Check the shape: net(m) negative below some m*(p), strictly
         increasing from m*(p) on. Reports the first violating (p, m). Nets
         match expected_net: bit for bit for linear benefits, to rounding
-        for tables (one batched pmf per scale)."""
+        for tables (one binom_pmf_dot per scale)."""
         if self.M == 1:
             return SingleCrossingReport(holds=True)
         grid = np.asarray(p_grid, dtype=float)
@@ -203,8 +203,8 @@ class PolicyEconomics:
             benefit = (self.benefit.beta * ms) * effs[:, None]
         else:
             table = self.benefit.table
-            benefit = np.column_stack([binom_pmf_reduce(
-                m, effs, lambda pmf: pmf @ table[: m + 1]) for m in ms])
+            benefit = np.column_stack(
+                [binom_pmf_dot(m, effs, table[: m + 1]) for m in ms])
         for p, net in zip(grid, benefit - self.costs.values):
             # nets before the strictly increasing suffix must be negative
             flat = np.flatnonzero(~(np.diff(net) > 0.0))

@@ -40,9 +40,6 @@ class SeededStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, offset: int) -> "SeededStream":
-        return SeededStream(self.seed, self.stream_id + offset)
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -130,10 +127,6 @@ class DiscreteDist:
 
     def mean(self) -> float:
         return float(self.probs @ self.values)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(self.probs @ (self.values - mu) ** 2)
 
     def expectation(self, fn) -> float:
         return float(self.probs @ np.asarray(fn(self.values), dtype=float))

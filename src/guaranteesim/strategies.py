@@ -38,7 +38,7 @@ import numpy as np
 from .binomial import (
     LowerBoundProcedure,
     binom_draws,
-    binom_pmf_reduce,
+    binom_pmf_dot,
     binom_pmf_vector,
     draw_blocks,
     exceedance_prob,
@@ -260,14 +260,14 @@ def rct_reject_prob(p, p_control: float, n: int, alpha_prime: float):
     p may be an array of treatment rates; p_control is one rate.
     """
     reject_given_t, _ = _rct_control_weights(n, alpha_prime, p_control)
-    return binom_pmf_reduce(n, p, lambda pmf: pmf @ reject_given_t)
+    return binom_pmf_dot(n, p, reject_given_t)
 
 
 def rct_publish_and_clear_prob(p, p_control: float, n: int, alpha_prime: float):
     """Exact Pr(reject AND published Wald bound > p_control); p may be an
     array of treatment rates."""
     _, clear_given_t = _rct_control_weights(n, alpha_prime, p_control)
-    return binom_pmf_reduce(n, p, lambda pmf: pmf @ clear_given_t)
+    return binom_pmf_dot(n, p, clear_given_t)
 
 
 def _selective_table(n: int, alpha_prime: float) -> np.ndarray:

@@ -10,6 +10,7 @@ against scipy.special.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from guaranteesim.binomial import (
     LowerBoundProcedure,
     binom_draws,
     binom_pmf,
-    binom_pmf_reduce,
+    binom_pmf_dot,
     binom_pmf_vector,
     clopper_pearson_lower,
     clopper_pearson_lower_vector,
@@ -141,32 +142,84 @@ class TestPmf:
         with pytest.raises(ValueError):
             binom_pmf(5, 1.5, 2)
         with pytest.raises(ValueError):
-            binom_pmf_vector(5, np.array([0.2, 1.5]))
+            binom_pmf(5, 0.5, 9)
         with pytest.raises(ValueError):
-            binom_pmf_vector(5, np.array([0.2, np.nan]))
+            binom_pmf_dot(5, np.array([0.2, 1.5]), np.ones(6))
+        with pytest.raises(ValueError):
+            binom_pmf_dot(5, np.array([0.2, np.nan]), np.ones(6))
 
     @pytest.mark.parametrize("n", [1, 7, 300, 1000])
     def test_rate_matrix_matches_scalar_rows(self, n):
+        # each block of the rate-array functionals holds the scalar rows on
+        # its columns, and the rows hold nothing but 0.0 beside them
         rates = np.concatenate([[0.0, 1e-9, 0.37, 0.999, 1.0],
                                 probability_grid(512)])
-        mat = binom_pmf_vector(n, rates)
-        assert mat.shape == (rates.size, n + 1)
-        for row, p in zip(mat, rates):
-            assert np.array_equal(row, binom_pmf_vector(n, float(p)))
+        rows = _pmf_rows(n, rates)
+        lo, hi = binomial._windows(n, rates)
+        for i, j, first, pmf in binomial._pmf_blocks(
+                n, rates, lo, hi, binomial._COVERAGE_CELLS):
+            top = first + pmf.shape[1]
+            assert np.array_equal(pmf, rows[i:j, first:top])
+            assert not rows[i:j, :first].any() and not rows[i:j, top:].any()
 
-    def test_reduce_chunks_rates(self, monkeypatch):
-        # a 3-row chunk limit at n = 300 gives the same values as one matrix
-        rates = probability_grid(64)
-        covered = np.arange(301) < 140
-        fn = lambda pmf: pmf[:, covered].sum(axis=1)
-        whole = binom_pmf_reduce(300, rates, fn)
-        monkeypatch.setattr(binomial, "_PMF_CELLS", 1000)
-        chunked = binom_pmf_reduce(300, rates, fn)
-        assert np.array_equal(whole, chunked)
-        assert isinstance(binom_pmf_reduce(300, 0.4, fn), float)
-        assert binom_pmf_reduce(300, np.empty(0), fn).shape == (0,)
-        with pytest.raises(ValueError):
-            binom_pmf(5, 0.5, 9)
+    @pytest.mark.parametrize("n", [1, 12, 300, 380, 381, 2000])
+    def test_dot_scalar_route_is_the_whole_row(self, n):
+        # a scalar rate takes its whole row, as a float for a vector; the
+        # rows of an array, for a matrix of columns or a vector, differ
+        # from it by rounding only, since BLAS sums a block's products in
+        # groups of rows
+        vecs = np.random.default_rng(n).random((n + 1, 4))
+        rates = np.concatenate([[0.0, 1e-9, 0.999, 1.0], probability_grid(256)])
+        batched = binom_pmf_dot(n, rates, vecs)
+        column = binom_pmf_dot(n, rates, vecs[:, 1])
+        assert batched.shape == (rates.size, 4) and column.shape == rates.shape
+        for p, got, got_one in zip(rates.tolist(), batched, column):
+            row = binom_pmf_vector(n, p)[None, :]
+            want = binom_pmf_dot(n, p, vecs)
+            assert np.array_equal(want, (row @ vecs)[0])
+            assert np.abs(got - want).max() <= 1e-15
+            one = binom_pmf_dot(n, p, vecs[:, 1])
+            assert type(one) is float and one == (row @ vecs[:, 1])[0]
+            assert abs(got_one - one) <= 1e-15
+        assert binom_pmf_dot(n, np.empty(0), vecs).shape == (0, 4)
+
+    def test_blocks_cut_at_a_tiny_budget_keep_every_value(self, monkeypatch):
+        # a budget of one row, and of three rows at n = 300: the counts and
+        # prefix sums keep every bit, the dot products their value to
+        # within rounding, and a block never exceeds the budget but as a
+        # single row
+        rates = np.concatenate([[0.0, 1.0], probability_grid(64),
+                                np.random.default_rng(5).random(40)])
+        procs = [LowerBoundProcedure(kind, 0.05, n) for kind in
+                 ("clopper_pearson", "wald") for n in (300, 2000)]
+        vecs = {p.n: np.random.default_rng(p.n).random((p.n + 1, 2)) for p in procs}
+
+        def values():
+            return ([q.covered(rates) for q in procs],
+                    [exact_lower_coverage(q, rates) for q in procs],
+                    [exceedance_prob(q, rates, 0.45) for q in procs],
+                    [binom_pmf_dot(n, rates, v) for n, v in vecs.items()])
+
+        whole = values()
+        blocks = []
+        kernel = binomial._pmf_block
+
+        def spy(n_, rows, lo, out):
+            blocks.append((len(rows), out.size))
+            return kernel(n_, rows, lo, out)
+
+        monkeypatch.setattr(binomial, "_pmf_block", spy)
+        for cells in (1, 1000):
+            monkeypatch.setattr(binomial, "_COVERAGE_CELLS", cells)
+            blocks.clear()
+            cut = values()
+            assert all(size <= cells or rows == 1 for rows, size in blocks)
+            for exact in range(3):
+                for a, b in zip(whole[exact], cut[exact]):
+                    assert np.array_equal(a, b)
+            for a, b in zip(whole[3], cut[3]):
+                assert np.abs(a - b).max() <= 1e-15
+        assert max(blocks)[0] > 1  # the budget of 1000 cells held rows together
 
     @given(n=st.one_of(st.integers(1, 3000), st.sampled_from([10_000, 200_000])),
            rates=st.lists(st.one_of(st.sampled_from(EXTREME_RATES),
@@ -180,11 +233,13 @@ class TestPmf:
             rates += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1.0 - edge]
         rates = np.array(rates)
         want = _full_exp_pmf(n, rates)
-        assert np.array_equal(binom_pmf_vector(n, rates), want)
         for p, row in zip(rates, want):
             assert np.array_equal(binom_pmf_vector(n, float(p)), row)
-        # the windows of an array of rates are the scalar ones
+        # the windows of an array of rates are the scalar ones, and one
+        # block over all of them holds the same cells
         lo, hi = binomial._windows(n, rates)
+        for i, j, first, pmf in binomial._pmf_blocks(n, rates, lo, hi, 1 << 40):
+            assert np.array_equal(pmf, want[i:j, first:first + pmf.shape[1]])
         assert list(zip(lo.tolist(), hi.tolist())) == [
             binomial._window(n, float(p)) for p in rates]
 
@@ -199,11 +254,11 @@ class TestPmf:
 
         monkeypatch.setattr(binomial, "_pmf_block", spy)
         rates = np.array([0.02, 0.01])
-        binom_pmf_vector(10_000, rates)
+        binom_pmf_dot(10_000, rates, np.ones(10_001))
         (_, top), (first, _) = (binomial._window(10_000, r) for r in rates.tolist())
         assert calls == [(first, top)]
-        binom_pmf_vector(10_000, np.empty(0))
-        assert calls[1] == (10_000, 10_000)
+        binom_pmf_dot(10_000, np.empty(0), np.ones(10_001))
+        assert len(calls) == 1
 
     @given(n=st.sampled_from([1, 3, 40, 381, 2000, 10_000]),
            cells=st.one_of(st.sampled_from([1, 41, 4096]), st.integers(1, 50_000)),
@@ -234,8 +289,7 @@ class TestPmf:
             if j < len(rates) and lo[j] < hi[j]:
                 wider = max(top, hi[j]) - min(first, lo[j])
                 assert wider * (j + 1 - i) > cells
-            assert np.array_equal(
-                pmf, binom_pmf_vector(n, np.array(rates[i:j]))[:, first:top])
+            assert np.array_equal(pmf, _pmf_rows(n, rates[i:j])[:, first:top])
         assert got == [m for m in range(len(rates)) if lo[m] < hi[m]]
 
     def test_cells_beyond_the_reach_underflow(self):
@@ -260,6 +314,12 @@ class TestPmf:
             for p in (0.0, 1e-9, 0.3, 0.5, 1.0):
                 assert binomial._reach(n, p) >= n
         assert binomial._window(381, 0.0) == (0, 381)
+
+
+def _pmf_rows(n, rates):
+    """The pmf vectors of the rates, one scalar binom_pmf_vector each, as
+    the rows of a matrix."""
+    return np.array([binom_pmf_vector(n, p) for p in np.asarray(rates).tolist()])
 
 
 def _full_exp_pmf(n, p):
@@ -669,6 +729,24 @@ class TestCoverage:
         looped = np.array([exceedance_prob(proc, p, 0.5) for p in grid])
         assert np.array_equal(batched, looped)
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 40, 300, 381, 2000, 10_000])
+    def test_batched_exceedance_is_one_minus_the_dense_prefix_sum(self, n):
+        # the dense route exceedance_prob took on a matrix of scalar rows,
+        # 1 - pmf[:, :k].sum(axis=1), bit for bit: both kinds, three
+        # levels, four thresholds, on a grid holding 0 and 1 and on random
+        # rates, 113 rates in all
+        rng = np.random.default_rng(n)
+        rates = np.concatenate([[0.0], probability_grid(64), [1.0],
+                                rng.random(48)])
+        pmf = _pmf_rows(n, rates)
+        for kind in ("clopper_pearson", "wald"):
+            for a in (0.2, 0.05, 0.001):
+                proc = LowerBoundProcedure(kind, a, n)
+                for threshold in (0.1, 0.4, 0.5, 0.9):
+                    k = proc.covered(threshold)
+                    assert np.array_equal(exceedance_prob(proc, rates, threshold),
+                                          1.0 - pmf[:, :k].sum(axis=1))
+
     @pytest.mark.parametrize("kind", ["clopper_pearson", "wald"])
     @pytest.mark.parametrize("n", [1, 40, 300, 380, 381, 2000, 10_000])
     def test_batched_coverage_equals_the_per_rate_loop(self, kind, n):
@@ -801,7 +879,7 @@ class TestCoverage:
             # where some row can be nonzero
             windows = [binomial._window(n, t) for t in rates.tolist()]
             lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
-            tails = binomial._tails_from_top(binom_pmf_vector(n, rates)[:, lo:hi])
+            tails = binomial._tails_from_top(_pmf_rows(n, rates)[:, lo:hi])
             assert np.array_equal(binomial._cp_count(tails, 0.01, lo), counts)
 
     def test_cp_sup_respects_nominal(self):
@@ -848,8 +926,7 @@ class TestScipyOracles:
         # every 64th rate
         grid = np.arange(1025) / 1024
         for n in ns:
-            pmf = binom_pmf_vector(n, grid)
-            tails = binomial._tails_from_top(pmf)
+            tails = binomial._tails_from_top(_pmf_rows(n, grid))
             xs = np.arange(1, n + 1)
             for a in (0.2, 0.05, 0.01, 0.001):
                 proc = LowerBoundProcedure("clopper_pearson", a, n)
@@ -890,6 +967,22 @@ class TestTermsValue:
         assert value == pytest.approx(float(exact), rel=1e-12)
         grid = np.array([0.0, float(rate), 0.5])
         assert terms_value(n, terms, grid)[1] == value
+
+    def test_a_grid_scan_builds_blocks_not_a_rate_matrix(self):
+        # 8191 rates at n = 300 took a 16.4 MiB peak as 2**20-cell matrices
+        # and their log-sum temporaries; blocks of _COVERAGE_CELLS cells
+        # leave the outputs and a few small blocks
+        terms = mixture_terms(0.5, 300, 0.05,
+                              MixtureBelief(0.5, "fixed_given_published"))
+        grid = probability_grid(8192)
+        terms_value(300, terms, grid[:64])  # caches built outside the trace
+        tracemalloc.start()
+        try:
+            terms_value(300, terms, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
 
     def test_rescaling_skips_cells_outside_both_vectors(self):
         # den lives only on x = 0, whose pmf underflows at n = 2000, p = 1/2;

@@ -599,6 +599,45 @@ class TestCliCommands:
         assert "strategy.guess_spread: guesses 0.98+-0.05 leave [0,1]" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("base,k,c_m", [
+        ("default", -25.0, 20.0), ("large", -100.0, 48.0)])
+    @pytest.mark.parametrize("command", ["decide", "researcher"])
+    def test_tail_contract_that_never_pays_exits_2_at_its_level(
+            self, tmp_path, capsys, base, k, c_m, command):
+        # the tail rule's scale is every recipient, m = 20, on the default
+        # scenario and m = 48 on the large one; a level at or below -c_m
+        # there never binds, a mistake in the file, located at contract.k
+        data = (default_scenario_dict() if base == "default" else json.loads(
+            (REPO / "perfbench" / "large_scenario.json").read_text()))
+        data["contract"] = {"variant": "tail", "k": k}
+        cfg = write_config(tmp_path, data)
+        line = next(i for i, text in enumerate(
+            Path(cfg).read_text().splitlines(), 1) if '"k"' in text)
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error (line {line}): contract.k: tail level {k} at or "
+            f"below -c_m = {-c_m}; the guarantee never pays\n")
+        assert not out.exists()  # refused as the scenario loads
+
+    def test_default_tail_contract_that_never_pays_exits_2_where_it_decides(
+            self, tmp_path, capsys):
+        # without a contract block the default tail(-12) applies; at four
+        # recipients it never pays, which the file has no line for, so only
+        # the commands that decide under it fail, at contract.k
+        econ = {"population": 4, "cost": {"form": "linear", "unit": 1.0},
+                "benefit": {"form": "linear", "per_success": 2.5}}
+        cfg = write_config(tmp_path, {"economics": econ})
+        out = str(tmp_path / "out")
+        assert main(["example1", "--config", cfg, "--out", out]) == 0
+        capsys.readouterr()
+        for command in (["decide", "--published-bound", "0.6"], ["researcher"]):
+            assert main(command + ["--config", cfg, "--out", out]) == 2
+            assert capsys.readouterr().err == (
+                "config error: contract.k: tail level -12.0 at or below -c_m "
+                "= -4.0; the guarantee never pays\n")
+
     @pytest.mark.parametrize("command", [
         "coverage", "example1", "example2", "fig1", "pool"])
     def test_commands_without_p0_run_without_break_even(self, tmp_path, capsys,
@@ -791,7 +830,7 @@ class TestCliCommands:
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         runs = script.runs("seeded.json")
-        assert len({ident for ident, _ in runs}) == len(runs) == 22
+        assert len({ident for ident, _ in runs}) == len(runs) == 23
         sub = next(action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert {argv[0] for _, argv in runs} == set(sub.choices)

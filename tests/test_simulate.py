@@ -12,6 +12,11 @@ from guaranteesim.simulate import (
 )
 
 
+def _variance(d):
+    """The variance of a law, from its second moment through expectation."""
+    return d.expectation(np.square) - d.mean() ** 2
+
+
 class TestStreams:
     def test_same_key_same_draws(self):
         a = SeededStream(7, 3).generator().random(100)
@@ -22,9 +27,6 @@ class TestStreams:
         a = SeededStream(7, 3).generator().random(100)
         b = SeededStream(7, 4).generator().random(100)
         assert not (a == b).all()
-
-    def test_substream_offsets_key(self):
-        assert SeededStream(7, 3).substream(2) == SeededStream(7, 5)
 
 
 class TestMcEstimate:
@@ -128,21 +130,21 @@ class TestDiscreteDist:
 
     def test_point_and_shift(self):
         d = DiscreteDist.point(2.0)
-        assert d.mean() == 2.0 and d.variance() == 0.0
+        assert d.mean() == 2.0 and _variance(d) == 0.0
 
     @given(p=st.floats(0.05, 0.95), m=st.integers(1, 25))
     @settings(max_examples=40, deadline=None)
     def test_binomial_moments(self, p, m):
         d = DiscreteDist.binomial(m, p)
         assert d.mean() == pytest.approx(m * p, abs=1e-9)
-        assert d.variance() == pytest.approx(m * p * (1 - p), abs=1e-9)
+        assert _variance(d) == pytest.approx(m * p * (1 - p), abs=1e-9)
 
     def test_combine_is_independent_sum(self):
         a = DiscreteDist([0.0, 1.0], [0.5, 0.5])
         b = DiscreteDist([0.0, 2.0], [0.25, 0.75])
         s = a.combine(b, lambda x, y: x + y)
         assert s.mean() == pytest.approx(a.mean() + b.mean(), abs=1e-12)
-        assert s.variance() == pytest.approx(a.variance() + b.variance(),
+        assert _variance(s) == pytest.approx(_variance(a) + _variance(b),
                                              abs=1e-12)
 
     def test_compress_preserves_moments(self):
@@ -151,4 +153,4 @@ class TestDiscreteDist:
         c = d.compress()
         assert len(c) < len(d)
         assert c.mean() == pytest.approx(d.mean(), abs=1e-9)
-        assert c.variance() == pytest.approx(d.variance(), abs=1e-9)
+        assert _variance(c) == pytest.approx(_variance(d), abs=1e-9)
