@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the fixed set of 23 CLI runs whose outputs a refactor must keep.
+"""Run the fixed set of 26 CLI runs whose outputs a refactor must keep.
 
     python3 scripts/acceptance_runs.py OUT
     python3 scripts/acceptance_runs.py --compare A B
@@ -31,10 +31,20 @@ LARGE = str(ROOT / "perfbench" / "large_scenario.json")
 TOKEN = "<OUT>"
 TOL = 1e-9
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# The scenario files the runs read, written into a temporary directory.
+SCENARIOS = {
+    "seed31337.json": {"seed": 31337},
+    "joint.json": {"belief": {"untruthful_weight": 0.5,
+                              "conditioning": "joint_unconditional"}},
+    "fraud.json": {"strategy": {"variant": "fraudulent", "guess_spread": 0.05}},
+}
 
 
-def runs(seeded: str) -> list:
-    """(id, argv) of every run; seeded is a scenario file setting seed 31337."""
+def runs(where: str) -> list:
+    """(id, argv) of every run; where is the directory holding SCENARIOS."""
+    def config(name):
+        return ["--config", os.path.join(where, name)]
+
     out = [(name, [name]) for name in (
         "coverage", "example1", "example2", "fig1", "decide", "contract",
         "researcher", "pool", "reproduce")]
@@ -50,7 +60,13 @@ def runs(seeded: str) -> list:
         # the one run whose dot products over arrays of rates walk windowed
         # pmf blocks: its rows, 2001 columns wide, are cut to their windows
         ("example2_n2000", ["example2", "--n", "2000"]),
-        ("reproduce_seed31337", ["reproduce", "--config", seeded]),
+        ("reproduce_seed31337", ["reproduce", *config("seed31337.json")]),
+        # a conditioning variant that needs no calibration
+        ("fig1_joint", ["fig1", *config("joint.json")]),
+        # the p0 that the load check on a fraudulent strategy's guesses
+        # shares with the command
+        ("decide_fraud", ["decide", *config("fraud.json")]),
+        ("researcher_fraud", ["researcher", *config("fraud.json")]),
         # the parser's help and error bytes
         ("coverage_help", ["coverage", "--help"]),
         ("decide_bad_bound", ["decide", "--published-bound", "7"]),
@@ -123,9 +139,9 @@ def main() -> None:
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
     with tempfile.TemporaryDirectory() as tmp:
-        seeded = Path(tmp) / "seed31337.json"
-        seeded.write_text(json.dumps({"seed": 31337}), encoding="utf-8")
-        for ident, argv in runs(str(seeded)):
+        for name, data in SCENARIOS.items():
+            (Path(tmp) / name).write_text(json.dumps(data), encoding="utf-8")
+        for ident, argv in runs(tmp):
             print(f"{ident}: exit {run(ident, argv, out, env)}")
 
 

@@ -17,7 +17,6 @@ import locale  # noqa: F401
 import os
 import sys
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +46,6 @@ from .researcher import pool_expected_utility, publication_rate_conditions
 from .strategies import (
     MixtureBelief,
     actual_fp_curve,
-    calibrate_conditioning,
     fraud_mixture_fp,
     mixture_fp_at,
 )
@@ -57,17 +55,6 @@ __all__ = ["main"]
 
 # ---------------------------------------------------------------------------
 # Shared plumbing.
-
-@lru_cache(maxsize=1)
-def _calibration():
-    return calibrate_conditioning()
-
-
-def _resolve_variant(scenario: Scenario) -> str:
-    if scenario.belief_conditioning != "calibrated":
-        return scenario.belief_conditioning
-    return _calibration().variant
-
 
 @dataclass(frozen=True)
 class Outputs:
@@ -91,21 +78,6 @@ def _render(body, meta: dict) -> str:
         lines.append(f"# fig1_variant={meta['fig1_variant']}")
     lines += [header] + [",".join(row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _decide(scenario: Scenario, bound: float, policy):
-    if scenario.contract is None:
-        return decide_no_guarantee(bound, policy, scenario.economics)
-    try:
-        return decide_with_contract(bound, scenario.contract, policy,
-                                    scenario.economics)
-    except ValueError as exc:  # a default tail contract that never pays
-        raise ConfigError(str(exc), "contract.k") from exc
-
-
-def _probe(policy) -> float:
-    """A published bound halfway between the threshold p0 and 1."""
-    return policy.p0 + 0.5 * (1.0 - policy.p0)
 
 
 def _fmt(x: float) -> str:
@@ -154,7 +126,7 @@ def cmd_example1(scenario: Scenario, args) -> Outputs:
 
 
 def cmd_example2(scenario: Scenario, args) -> Outputs:
-    variant = _resolve_variant(scenario)
+    variant = scenario.variant
     belief = MixtureBelief(args.pi, variant)
     grids = scenario.grids
     p_grid = probability_grid(grids.sup_base_denom, hi=args.p_c)
@@ -169,7 +141,7 @@ def cmd_example2(scenario: Scenario, args) -> Outputs:
 
 
 def cmd_fig1(scenario: Scenario, args) -> Outputs:
-    variant = _resolve_variant(scenario)
+    variant = scenario.variant
     rows = []
     for p_c in args.p_c:
         for row in actual_fp_curve(p_c, variant, scenario.grids.alpha_levels,
@@ -182,21 +154,20 @@ def cmd_fig1(scenario: Scenario, args) -> Outputs:
                       f"{row.alpha_actual:.6f}")
     return Outputs({
         "fig1.csv": ("alpha_nominal,alpha_actual,p_C,variant,n,pi", rows),
-        "fig1_calibration.json": {"calibration": asdict(_calibration())},
+        "fig1_calibration.json": {"calibration": asdict(scenario.calibration)},
     }, variant)
 
 
 def cmd_decide(scenario: Scenario, args) -> Outputs:
-    policy = scenario.policy()
     crossing = scenario.economics.single_crossing_report(
         np.linspace(0.05, 0.95, 10))
     if not crossing.holds:
         print(f"warning: net-value shape violated at p={crossing.violating_p:g}, "
               f"m={crossing.violating_m}", file=sys.stderr)
-    decision = _decide(scenario, args.published_bound, policy)
+    decision = scenario.decide(args.published_bound)
     record = decision.to_record()
     record["published_bound"] = args.published_bound
-    record["p0"] = policy.p0
+    record["p0"] = scenario.policy.p0
     verb = f"implement at scale {decision.scale}" if decision.implement \
         else "do not implement"
     print(f"{verb} (rule {decision.rule}, bound {decision.bound:g})")
@@ -217,13 +188,12 @@ def cmd_contract(scenario: Scenario, args) -> Outputs:
             zip(xs.tolist(), ys.tolist(), payoffs.tolist(), payments.tolist()))
 
     mi = minimal_insurance(scenario.policy_u_bar, econ.cost(m))
-    policy = scenario.policy()
-    probe = _probe(policy)
+    policy = scenario.policy
     if mi.s == 0.0:  # no insurance needed: both decide without a guarantee
-        d_tail = d_prop = decide_no_guarantee(probe, policy, econ)
+        d_tail = d_prop = decide_no_guarantee(1.0, policy, econ)  # 1.0 > any p0
     else:
-        d_tail = decide_with_contract(probe, TailGuarantee(mi.k), policy, econ)
-        d_prop = decide_with_contract(probe, ProportionalGuarantee(mi.s), policy, econ)
+        d_tail = decide_with_contract(1.0, TailGuarantee(mi.k), policy, econ)
+        d_prop = decide_with_contract(1.0, ProportionalGuarantee(mi.s), policy, econ)
     print(f"minimal insurance: k={mi.k:g}, s={mi.s:g}")
     return Outputs({
         "contract_payoffs.csv":
@@ -241,15 +211,14 @@ def cmd_contract(scenario: Scenario, args) -> Outputs:
 
 def cmd_researcher(scenario: Scenario, args) -> Outputs:
     econ = scenario.economics
-    policy = scenario.policy()
-    decision = _decide(scenario, _probe(policy), policy)
+    decision = scenario.decide(1.0)  # a bound that clears any p0 < 1
     m = decision.scale if decision.implement else econ.M
     if not decision.implement:
         print(f"note: implementer would decline; reporting at full scale {m}")
     p_grid = np.linspace(0.05, 0.95, 19)
     # one pass over the worlds serves both reports
     conds = publication_rate_conditions(
-        lambda p: scenario.strategy.exceedance_prob(p, policy.p0),
+        lambda p: scenario.strategy.exceedance_prob(p, scenario.policy.p0),
         scenario.risk_strategy, scenario.researcher_payoff, scenario.utility,
         econ, m, p_grid)
     part = conds.participation()
@@ -417,6 +386,10 @@ def main(argv=None) -> int:
             # the selective gate compares two arms of at least 2 each
             parser.error(f"argument --n: must be at least 2 when --pi > 0, "
                          f"got {args.n}")
+        denom = scenario.grids.sup_base_denom
+        if args.command == "example2" and args.p_c <= 1 / denom:
+            # the surface's rates are the multiples of 1/denom below p_C
+            parser.error(f"argument --p-c: must exceed 1/{denom} = {1 / denom!r}")
         out = Path(args.out or os.environ.get("GUARANTEESIM_OUT") or "out")
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -452,7 +425,13 @@ def main(argv=None) -> int:
             return 2
         for path in texts:
             print(f"wrote {path}")
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return result.code
+    except BrokenPipeError:
+        # stdout's reader has gone: send what is left to devnull, so the
+        # flush at exit cannot fail again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         where = f" (line {exc.line})" if exc.line else ""
         print(f"config error{where}: {exc}", file=sys.stderr)

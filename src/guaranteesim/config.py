@@ -13,6 +13,7 @@ import reprlib
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -24,7 +25,13 @@ from .contracts import (
     ProportionalGuarantee,
     TailGuarantee,
 )
-from .decisions import AlphaSchedule, ImplementerPolicy, decide_with_contract
+from .decisions import (
+    AlphaSchedule,
+    Decision,
+    ImplementerPolicy,
+    decide_no_guarantee,
+    decide_with_contract,
+)
 from .economics import (
     BenefitFunction,
     CostSchedule,
@@ -45,9 +52,11 @@ from .researcher import (
 from .simulate import ENUMERATION_LIMIT, DiscreteDist
 from .strategies import (
     CONDITIONING_VARIANTS,
+    CalibrationResult,
     FraudulentStrategy,
     SelectiveStrategy,
     TruthfulStrategy,
+    calibrate_conditioning,
 )
 
 __all__ = ["ConfigError", "Scenario", "GridSpec", "load_scenario",
@@ -142,7 +151,7 @@ class Scenario:
     procedure: LowerBoundProcedure
     strategy: object
     belief_weight: float
-    belief_conditioning: str  # may be "calibrated", resolved by the CLI
+    belief_conditioning: str  # may be "calibrated"; variant resolves it
     policy_u_bar: float
     policy_alpha: Union[float, AlphaSchedule]
     policy_p0: Optional[float]
@@ -153,10 +162,11 @@ class Scenario:
     pool: PoolSpec
     grids: GridSpec
 
+    @cached_property
     def policy(self) -> ImplementerPolicy:
         """The implementer's policy. A null p0 is the break-even rate, and
         economics without one strictly inside (0,1) are a ConfigError at
-        "economics": only the commands that read p0 fail on them."""
+        "economics", not cached: only the commands that read p0 fail on them."""
         p0 = self.policy_p0
         if p0 is None:
             try:
@@ -168,6 +178,27 @@ class Scenario:
                                   f"strictly inside (0,1)", "economics")
         return ImplementerPolicy(u_bar=self.policy_u_bar,
                                  alpha_belief=self.policy_alpha, p0=p0)
+
+    @cached_property
+    def calibration(self) -> CalibrationResult:
+        """The calibrated conditioning variant's selection."""
+        return calibrate_conditioning()
+
+    @property
+    def variant(self) -> str:
+        """The conditioning variant, with "calibrated" resolved."""
+        if self.belief_conditioning != "calibrated":
+            return self.belief_conditioning
+        return self.calibration.variant
+
+    def decide(self, bound: float) -> Decision:
+        """The implementer's decision on a published bound under the contract,
+        if any; a tail contract that never pays is a ConfigError at contract.k."""
+        if self.contract is None:
+            return decide_no_guarantee(bound, self.policy, self.economics)
+        with _at("contract.k"):
+            return decide_with_contract(bound, self.contract, self.policy,
+                                        self.economics)
 
 
 @contextmanager
@@ -476,21 +507,20 @@ def _check_against_p0(scenario: Scenario, in_file: bool) -> None:
     """The checks that read the p0 of Scenario.policy; where that has none,
     its ConfigError is left to the commands that read p0. A fraudulent
     strategy's guesses p0 +- guess_spread lie in [0,1], and a tail contract
-    the file sets (in_file) pays at the scale its rule takes for a bound
-    above p0, its level above -c_m there; a default one, which has no line
-    to point at, is checked where a command decides."""
+    the file sets (in_file) pays at the scale Scenario.decide takes for a
+    bound above p0; a default one, which has no line to point at, is
+    checked where a command decides."""
     fraud = isinstance(scenario.strategy, FraudulentStrategy)
     tail = in_file and isinstance(scenario.contract, TailGuarantee)
     try:
-        policy = scenario.policy() if fraud or tail else None
+        p0 = scenario.policy.p0 if fraud or tail else None
     except ConfigError:
         return
     if fraud:
         with _at("strategy.guess_spread"):
-            scenario.strategy.check_threshold(policy.p0)
+            scenario.strategy.check_threshold(p0)
     if tail:
-        with _at("contract.k"):
-            decide_with_contract(1.0, scenario.contract, policy, scenario.economics)
+        scenario.decide(1.0)
 
 
 def _line_of_key(raw: str, key_path: str) -> Optional[int]:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guaranteesim import cli
+from guaranteesim import config
 from guaranteesim.cli import _build_parser, main
 from guaranteesim.contracts import (
     FullGuarantee,
@@ -26,6 +26,7 @@ from guaranteesim.config import (
     scenario_from_dict,
 )
 from guaranteesim.decisions import AlphaSchedule
+from guaranteesim.economics import PolicyEconomics
 from guaranteesim.researcher import (
     ResearcherRisk,
     RiskExchange,
@@ -79,7 +80,7 @@ class TestDefaults:
         assert s.procedure.n == 40
         assert isinstance(s.strategy, TruthfulStrategy)
         assert s.risk_strategy == ResearcherRisk(FullGuarantee(), None)
-        assert s.policy().p0 == pytest.approx(0.4, abs=1e-9)
+        assert s.policy.p0 == pytest.approx(0.4, abs=1e-9)
         assert s.contract is not None and s.contract.k == -12.0
         assert len(s.pool.members) == 2
 
@@ -103,7 +104,7 @@ class TestDefaults:
     def test_policy_p0_override(self):
         s = scenario_from_dict(
             {"policy": {"u_bar": -12.0, "alpha_belief": 0.25, "p0": 0.33}})
-        assert s.policy().p0 == 0.33
+        assert s.policy.p0 == 0.33
 
 
 class TestValidation:
@@ -405,6 +406,22 @@ class TestCliCommands:
         assert f"argument {argv[1]}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("denom,p_c,floor", [
+        (512, "0.001953125", "1/512 = 0.001953125"),
+        (128, "0.005", "1/128 = 0.0078125")])
+    def test_example2_p_c_at_or_below_the_grid_exits_2(self, tmp_path, capsys,
+                                                       denom, p_c, floor):
+        # the surface's rates are the grid's multiples of 1/sup_base_denom
+        # below p_C; with none below it, the surface would have no rows
+        cfg = write_config(tmp_path, {"grids": {"sup_base_denom": denom}})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["example2", "--p-c", p_c, "--config", cfg, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --p-c: must exceed {floor}\n")
+        assert not out.exists()
+
     def test_one_trial_runs_without_the_selective_arm(self, tmp_path, capsys):
         # --pi 0 leaves only the truthful component, which needs no gate
         for command in ("example2", "fig1"):
@@ -649,10 +666,13 @@ class TestCliCommands:
     def test_debug_lets_the_runtime_error_raise(self, tmp_path, capsys,
                                                 monkeypatch):
         # an error raised inside decide's computation, not a config mistake:
-        # with --debug it reaches the caller with its traceback
-        monkeypatch.setattr(cli, "decide_with_contract", fail_to_decide)
+        # with --debug it reaches the caller with its traceback. The file
+        # sets no contract block, so the load check decides nothing and
+        # the failure comes from the command.
+        cfg = write_config(tmp_path, {})
+        monkeypatch.setattr(config, "decide_with_contract", fail_to_decide)
         with pytest.raises(ZeroDivisionError, match="no decision") as info:
-            main(["decide", "--published-bound", "0.6",
+            main(["decide", "--published-bound", "0.6", "--config", cfg,
                   "--out", str(tmp_path), "--debug"])
         assert info.traceback[-1].name == "fail_to_decide"
         assert capsys.readouterr().err == ""
@@ -719,10 +739,13 @@ class TestCliCommands:
         capsys.readouterr()
 
     def test_failing_command_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        # decide fails at run time, after the scenario has loaded
-        monkeypatch.setattr(cli, "decide_with_contract", fail_to_decide)
+        # decide fails at run time, after the scenario has loaded: the file
+        # sets no contract block, so the load check decides nothing
+        cfg = write_config(tmp_path, {})
+        monkeypatch.setattr(config, "decide_with_contract", fail_to_decide)
         out = tmp_path / "out"
-        rc = main(["decide", "--published-bound", "0.6", "--out", str(out)])
+        rc = main(["decide", "--published-bound", "0.6", "--config", cfg,
+                   "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")
@@ -765,7 +788,7 @@ class TestCliCommands:
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         scenario = load_scenario(cfg)
-        p0 = scenario.policy().p0
+        p0 = scenario.policy.p0
         _, _, rows = read_csv(tmp_path / "researcher_conditions.csv")
         assert len(rows) == 19
         for row in rows:
@@ -829,8 +852,8 @@ class TestCliCommands:
         spec = importlib.util.spec_from_file_location("acceptance_runs", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
-        runs = script.runs("seeded.json")
-        assert len({ident for ident, _ in runs}) == len(runs) == 23
+        runs = script.runs("scenarios")
+        assert len({ident for ident, _ in runs}) == len(runs) == 26
         sub = next(action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert {argv[0] for _, argv in runs} == set(sub.choices)
@@ -1001,3 +1024,81 @@ class TestOneSubcommandParser:
             main(argv)
         capsys.readouterr()
         assert len(calls) == built
+
+
+def counted(monkeypatch, owner, name):
+    """The list that owner.name, wrapped, appends to on every call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestOneResolvedScenario:
+    """p0, the conditioning variant and the implementer's decision are
+    resolved on the scenario, once, and every command reads them there."""
+
+    def test_a_missing_break_even_rate_fails_on_every_read(self):
+        s = scenario_from_dict(NO_BREAK_EVEN)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as exc:
+                s.policy
+            assert exc.value.key_path == "economics"
+
+    @pytest.mark.parametrize("command", ["decide", "contract", "researcher"])
+    def test_break_even_runs_once_per_command(self, tmp_path, capsys,
+                                              monkeypatch, command):
+        # the bundled scenario's tail contract is checked at p0 as it
+        # loads; the command reads the same p0
+        calls = counted(monkeypatch, PolicyEconomics, "break_even_success_rate")
+        assert main([command, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command,conditioning,expected", [
+        ("fig1", "calibrated", 1),
+        ("fig1", "joint_unconditional", 1),  # for its calibration sidecar
+        ("example2", "calibrated", 1),
+        ("example2", "joint_unconditional", 0),
+    ] + [(command, "calibrated", 0) for command in (
+        "coverage", "example1", "decide", "contract", "researcher", "pool")])
+    def test_calibration_runs_at_most_once_per_command(
+            self, tmp_path, capsys, monkeypatch, command, conditioning,
+            expected):
+        calls = counted(monkeypatch, config, "calibrate_conditioning")
+        cfg = write_config(tmp_path, {
+            "belief": {"untruthful_weight": 0.5, "conditioning": conditioning},
+            "grids": {"sup_base_denom": 128, "alpha_levels": [0.05]}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["coverage", "researcher"])
+def test_closed_stdout_exits_141_quietly(tmp_path, command, unbuffered):
+    # a reader that has gone, as `| head -1` leaves: the command exits as
+    # SIGPIPE would, with nothing on stderr, buffered output or not
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "guaranteesim", command,
+             "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
