@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the fixed set of 26 CLI runs whose outputs a refactor must keep.
+"""Run the fixed set of 27 CLI runs whose outputs a refactor must keep.
 
     python3 scripts/acceptance_runs.py OUT
     python3 scripts/acceptance_runs.py --compare A B
@@ -34,6 +34,7 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 # The scenario files the runs read, written into a temporary directory.
 SCENARIOS = {
     "seed31337.json": {"seed": 31337},
+    "seed7.json": {"seed": 7},
     "joint.json": {"belief": {"untruthful_weight": 0.5,
                               "conditioning": "joint_unconditional"}},
     "fraud.json": {"strategy": {"variant": "fraudulent", "guess_spread": 0.05}},
@@ -61,6 +62,9 @@ def runs(where: str) -> list:
         # pmf blocks: its rows, 2001 columns wide, are cut to their windows
         ("example2_n2000", ["example2", "--n", "2000"]),
         ("reproduce_seed31337", ["reproduce", *config("seed31337.json")]),
+        # the seed of the perfbench runs in ROADMAP: anchor 10's bytes at a
+        # third seed
+        ("reproduce_seed7", ["reproduce", *config("seed7.json")]),
         # a conditioning variant that needs no calibration
         ("fig1_joint", ["fig1", *config("joint.json")]),
         # the p0 that the load check on a fraudulent strategy's guesses

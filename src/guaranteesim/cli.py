@@ -362,6 +362,15 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser,
+                    name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand name within parser: its error prints the
+    subcommand's usage and prog, as argparse's own errors on its flags do."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
 def _check_target(path: Path) -> bool:
     """Raise the OSError that opening path for writing raises, if any,
     and leave path as it was: opened to append nothing, and removed again
@@ -382,14 +391,15 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.config)
         if getattr(args, "pi", 0.0) is None:
             args.pi = scenario.belief_weight
+        command = _command_parser(parser, args.command)
         if getattr(args, "pi", 0.0) > 0.0 and getattr(args, "n", 2) < 2:
             # the selective gate compares two arms of at least 2 each
-            parser.error(f"argument --n: must be at least 2 when --pi > 0, "
-                         f"got {args.n}")
+            command.error(f"argument --n: must be at least 2 when --pi > 0, "
+                          f"got {args.n}")
         denom = scenario.grids.sup_base_denom
         if args.command == "example2" and args.p_c <= 1 / denom:
             # the surface's rates are the multiples of 1/denom below p_C
-            parser.error(f"argument --p-c: must exceed 1/{denom} = {1 / denom!r}")
+            command.error(f"argument --p-c: must exceed 1/{denom} = {1 / denom!r}")
         out = Path(args.out or os.environ.get("GUARANTEESIM_OUT") or "out")
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -13,12 +13,14 @@ being retuned.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binomial import (
     LowerBoundProcedure,
+    _indexed_search,
     draw_blocks,
     exact_lower_coverage,
     probability_grid,
@@ -264,15 +266,36 @@ def _pooling_properties():
     return ok, detail
 
 
-def _numpy_binomial_sampler(n: int, p: float, fn=None):
-    """An mc_estimate sampler: fn of counts drawn by numpy's own
-    rng.binomial(n, p) (the counts themselves when fn is None), filled
-    into one float array block by block. The stream is read as by one
-    rng.binomial call for all the draws, and fn must act elementwise."""
+def _exact_binomial_cdf(n: int, p: float) -> np.ndarray:
+    """The Binomial(n, p) cdf at 0..n, each entry the exact value rounded
+    once. With p = a / b exactly, P(X <= k) is the integer sum over j <= k
+    of C(n, j) a^j (b - a)^(n - j), divided by b^n; Python's int / int
+    division rounds correctly, so the last entry is exactly 1.0."""
+    a, b = p.as_integer_ratio()
+    cdf, total = [], 0
+    for k in range(n + 1):
+        total += math.comb(n, k) * a**k * (b - a)**(n - k)
+        cdf.append(total / b**n)
+    return np.array(cdf)
+
+
+def _exact_cdf_sampler(n: int, p: float, fn=None):
+    """An mc_estimate sampler: fn of Binomial(n, p) counts (the counts
+    themselves when fn is None), filled into one float array block by
+    block; fn must act elementwise.
+
+    Each rng.random uniform is looked up in _exact_binomial_cdf by
+    _indexed_search, one draw_blocks block at a time: the inversion that
+    numpy's rng.binomial runs when n p <= 30, with its counts on the same
+    stream, read in the same order. No float pmf enters, so this path of
+    the gate shares no code with binom_pmf_vector.
+    """
+    search = _indexed_search(_exact_binomial_cdf(n, p))
+
     def sample(rng, size):
         out = np.empty(size)
         for block in draw_blocks(size):
-            xs = rng.binomial(n, p, size=block.stop - block.start)
+            xs = search(rng.random(block.stop - block.start))
             out[block] = xs if fn is None else fn(xs)
         return out
     return sample
@@ -281,10 +304,11 @@ def _numpy_binomial_sampler(n: int, p: float, fn=None):
 def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     checks = []
 
-    # estimates 1 and 5 and the reruns draw with numpy's rng.binomial, so
-    # one path of the gate shares no code with binom_pmf_vector
+    # estimates 1 and 5 and the reruns invert an integer-exact cdf, drawing
+    # numpy's rng.binomial counts, so one path of the gate shares no code
+    # with binom_pmf_vector
     exact1 = 20 * 0.3
-    counts = _numpy_binomial_sampler(20, 0.3)
+    counts = _exact_cdf_sampler(20, 0.3)
     est1 = mc_estimate(counts, 1_000_000, SeededStream(seed, 101))
     checks.append((exact1, est1))
 
@@ -312,7 +336,7 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     exact5 = enumerate_outcomes(
         20, 0.1, lambda xs: implementer_payoff(econ_20.net_outcome(20, xs), tail))
 
-    sample_tail = _numpy_binomial_sampler(
+    sample_tail = _exact_cdf_sampler(
         20, 0.1, lambda xs: implementer_payoff(econ_20.net_outcome(20, xs), tail))
     est5 = mc_estimate(sample_tail, 1_000_000, SeededStream(seed, 105))
     checks.append((exact5, est5))

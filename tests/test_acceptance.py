@@ -19,6 +19,7 @@ from guaranteesim.binomial import LowerBoundProcedure, coverage_report, \
 from guaranteesim.economics import BenefitFunction, CostSchedule, \
     PolicyEconomics
 from guaranteesim.reproduce import evaluate_anchors
+from guaranteesim.simulate import SeededStream
 from guaranteesim.strategies import MixtureBelief, fraud_mixture_fp, \
     mixture_fp_at
 
@@ -211,6 +212,48 @@ def test_monte_carlo_estimates_hold_one_float_per_draw(monkeypatch):
             tracemalloc.stop()
     assert len(peaks) == 8
     assert max(peaks) <= 12 * 2**20, [round(peak / 2**20, 2) for peak in peaks]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.1])
+@pytest.mark.parametrize("seed", [1, 2, 3, 20260819])
+def test_exact_cdf_sampler_draws_numpys_binomial_counts(p, seed):
+    # estimates 1 and 5 draw numpy's rng.binomial(20, p) counts, one
+    # uniform each, and leave the stream where rng.binomial leaves it
+    from guaranteesim.reproduce import _exact_cdf_sampler
+    ours = SeededStream(seed, 101).generator()
+    theirs = SeededStream(seed, 101).generator()
+    counts = _exact_cdf_sampler(20, p)(ours, 200_000)
+    assert counts.dtype == np.float64
+    assert np.array_equal(counts, theirs.binomial(20, p, 200_000))
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("n,p", [(1, 0.5), (20, 0.3), (20, 0.1), (40, 0.45),
+                                 (20, 1e-9), (7, 0.999)])
+def test_exact_binomial_cdf_is_the_correctly_rounded_cdf(n, p):
+    from fractions import Fraction
+    from math import comb
+    from guaranteesim.reproduce import _exact_binomial_cdf
+    q = Fraction(p)
+    pmf = [comb(n, k) * q**k * (1 - q)**(n - k) for k in range(n + 1)]
+    oracle = [float(sum(pmf[:k + 1])) for k in range(n + 1)]
+    cdf = _exact_binomial_cdf(n, p)
+    assert cdf.tolist() == oracle
+    assert cdf[-1] == 1.0
+
+
+def test_exact_cdf_sampler_shares_no_code_with_the_pmf(monkeypatch):
+    # one path of anchor 10's gate stays independent of binom_pmf_vector
+    from guaranteesim import binomial
+    from guaranteesim.reproduce import _exact_cdf_sampler
+
+    def broken(n, p):
+        raise AssertionError("binom_pmf_vector called")
+
+    monkeypatch.setattr(binomial, "binom_pmf_vector", broken)
+    sample = _exact_cdf_sampler(20, 0.1, lambda xs: 2.0 * xs)
+    draws = sample(SeededStream(5, 105).generator(), 100_000)
+    assert draws.shape == (100_000,) and draws.max() <= 40.0
 
 
 def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):

@@ -422,6 +422,28 @@ class TestCliCommands:
             f"error: argument --p-c: must exceed {floor}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["example2", "--pi", "0.5", "--n", "1"],
+        ["fig1", "--pi", "0.5", "--n", "1"],
+        ["example2", "--p-c", "0.001"],
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_checks_after_parsing_fail_as_the_subcommands_parser(
+            self, tmp_path, capsys, argv):
+        # the checks that need the scenario print the subcommand's usage
+        # and prog, as argparse's own range error on the same subcommand
+        def error(args):
+            with pytest.raises(SystemExit) as exc:
+                main([*args, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            return capsys.readouterr().err.partition(
+                f"guaranteesim {argv[0]}: error: ")
+
+        usage, sep, message = error(argv)
+        assert sep and usage.startswith(f"usage: guaranteesim {argv[0]} ")
+        assert usage == error([argv[0], "--n", "0"])[0]
+        assert message.startswith(f"argument {argv[-2]}: must ")
+        assert not list(tmp_path.iterdir())
+
     def test_one_trial_runs_without_the_selective_arm(self, tmp_path, capsys):
         # --pi 0 leaves only the truthful component, which needs no gate
         for command in ("example2", "fig1"):
@@ -853,7 +875,7 @@ class TestCliCommands:
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         runs = script.runs("scenarios")
-        assert len({ident for ident, _ in runs}) == len(runs) == 26
+        assert len({ident for ident, _ in runs}) == len(runs) == 27
         sub = next(action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
         assert {argv[0] for _, argv in runs} == set(sub.choices)

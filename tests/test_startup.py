@@ -74,6 +74,16 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_fractions_and_decimal_unloaded():
+    # every command pays for what the import loads; anchor 10's exact cdf
+    # is built from Python ints, without either module
+    proc = _python("-c", "import sys, guaranteesim.cli; "
+                         "print(sorted({'fractions', 'decimal', '_decimal', "
+                         "'_pydecimal'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_commands_name_every_subcommand():
     parser = cli._build_parser()
     sub = next(action for action in parser._actions
