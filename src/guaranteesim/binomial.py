@@ -32,10 +32,11 @@ an O(n) sign-change test certifies it, else a scan of the multiples of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .record import Record
 
 __all__ = [
     "binom_pmf",
@@ -546,8 +547,7 @@ def wald_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
     return np.clip(bound, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class LowerBoundProcedure:
+class LowerBoundProcedure(Record):
     """A lower confidence-bound rule x -> L(x) at a fixed sample size."""
 
     kind: str  # "clopper_pearson" or "wald"
@@ -686,8 +686,7 @@ def terms_value(n: int, terms, p):
     return value if _is_rate_array(p) else float(value[0])
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     kind: str
     nominal_alpha: float
     n: int

@@ -16,7 +16,6 @@ import json
 import locale  # noqa: F401
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +40,7 @@ from .contracts import (
 )
 from .decisions import decide_no_guarantee, decide_with_contract
 from .economics import BenefitFunction, CostSchedule, PolicyEconomics
+from .record import Record, asdict
 from .reproduce import evaluate_anchors
 from .researcher import pool_expected_utility, publication_rate_conditions
 from .strategies import (
@@ -56,8 +56,7 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # Shared plumbing.
 
-@dataclass(frozen=True)
-class Outputs:
+class Outputs(Record):
     """What a subcommand writes: file name -> JSON body (a dict) or CSV
     (header, rows), the conditioning variant the files were computed with,
     if any, and the exit code."""
@@ -271,7 +270,7 @@ def cmd_reproduce(scenario: Scenario, args) -> Outputs:
     print(f"{n_pass}/{len(rows)} anchors pass")
     all_pass = n_pass == len(rows)
     return Outputs({"reproduce_report.json": {
-        "rows": [row.__dict__ for row in rows], "all_pass": all_pass,
+        "rows": [asdict(row) for row in rows], "all_pass": all_pass,
     }}, cal.variant, 0 if all_pass else 1)
 
 

@@ -12,7 +12,6 @@ import re
 import reprlib
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Union
 
@@ -38,6 +37,7 @@ from .economics import (
     NoBreakEvenError,
     PolicyEconomics,
 )
+from .record import Record, asdict
 from .researcher import (
     ImplValue,
     NoiseSpec,
@@ -129,8 +129,7 @@ def default_scenario_dict() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     coverage_denom: int = 1024
     sup_base_denom: int = 512
     sup_refine_denom: int = SUP_DENOM  # retired: checked, recorded, unread
@@ -138,14 +137,12 @@ class GridSpec:
                            0.15, 0.2)
 
 
-@dataclass(frozen=True)
-class PoolSpec:
+class PoolSpec(Record):
     members: list
     shares: np.ndarray  # checked share matrix, one row per member
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     seed: int
     economics: PolicyEconomics
     procedure: LowerBoundProcedure
@@ -459,7 +456,7 @@ def _pool(top: dict) -> PoolSpec:
 
 def _grids(top: dict) -> GridSpec:
     path = "grids"
-    block = _block(top, path, "", {f.name for f in fields(GridSpec)})
+    block = _block(top, path, "", GridSpec._fields)
     def denom(key):
         return _get(block, key, path, int, getattr(GridSpec, key), GRID_DENOM)
     return GridSpec(

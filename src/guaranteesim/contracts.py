@@ -13,10 +13,11 @@ payoff = Y + payment holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .record import Record
 
 __all__ = [
     "FullGuarantee",
@@ -30,13 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FullGuarantee:
+class FullGuarantee(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TailGuarantee:
+class TailGuarantee(Record):
     k: float
 
     def __post_init__(self):
@@ -50,8 +49,7 @@ class TailGuarantee:
                 f"tail level {self.k} at or below -c_m = {-c_m}; the guarantee never pays")
 
 
-@dataclass(frozen=True)
-class ProportionalGuarantee:
+class ProportionalGuarantee(Record):
     share: float  # researcher's share s of the loss
 
     def __post_init__(self):
@@ -83,8 +81,7 @@ def researcher_payment(y, contract: InsuranceContract):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class MinimalInsurance:
+class MinimalInsurance(Record):
     k: float
     s: float
 

@@ -10,7 +10,6 @@ its believed rate from ImplementerPolicy.alpha_at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from typing import Optional, Union
 
 import numpy as np
@@ -22,6 +21,7 @@ from .contracts import (
     TailGuarantee,
 )
 from .economics import PolicyEconomics
+from .record import Record, asdict
 
 __all__ = [
     "AlphaSchedule",
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlphaSchedule:
+class AlphaSchedule(Record):
     """Believed false positive probability as a function of the tail level k.
 
     Piecewise linear between knots, clamped flat outside them, and
@@ -69,8 +68,7 @@ class AlphaSchedule:
         return float(np.interp(k, ks, alphas))
 
 
-@dataclass(frozen=True)
-class ImplementerPolicy:
+class ImplementerPolicy(Record):
     u_bar: float
     alpha_belief: Union[float, AlphaSchedule]
     p0: float
@@ -99,8 +97,7 @@ class ImplementerPolicy:
         return 1.0 if k is None else self.alpha_belief.alpha_at(k)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Record):
     implement: bool
     scale: int
     bound: float  # worst-case expected value at the chosen scale

@@ -8,12 +8,12 @@ benefits are exact enumerations; linear forms use their closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .binomial import binom_pmf_dot, binom_pmf_vector, smallest_double
+from .record import Record
 from .simulate import ENUMERATION_LIMIT
 
 __all__ = [
@@ -29,8 +29,7 @@ class NoBreakEvenError(ValueError):
     """Even certain success cannot cover the full-population cost."""
 
 
-@dataclass(frozen=True)
-class CostSchedule:
+class CostSchedule(Record):
     """Implementation cost per scale m = 1..M; positive, strictly increasing."""
 
     values: np.ndarray  # c_1..c_M
@@ -75,8 +74,7 @@ class CostSchedule:
         return float(self.values[m - 1])
 
 
-@dataclass(frozen=True)
-class BenefitFunction:
+class BenefitFunction(Record):
     """Benefit of x successes; b(0) = 0 and strictly increasing."""
 
     beta: Optional[float] = None
@@ -118,8 +116,7 @@ class BenefitFunction:
         return self.table[arr]
 
 
-@dataclass(frozen=True)
-class PolicyEconomics:
+class PolicyEconomics(Record):
     costs: CostSchedule
     benefit: BenefitFunction
     dilution: float = 1.0
@@ -215,8 +212,7 @@ class PolicyEconomics:
         return SingleCrossingReport(holds=True)
 
 
-@dataclass(frozen=True)
-class SingleCrossingReport:
+class SingleCrossingReport(Record):
     holds: bool
     violating_p: Optional[float] = None
     violating_m: Optional[int] = None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .contracts import (
 )
 from .decisions import ImplementerPolicy, decide_with_contract
 from .economics import BenefitFunction, CostSchedule, PolicyEconomics
+from .record import Record
 from .researcher import (
     ImplValue,
     PoolMember,
@@ -61,8 +61,7 @@ from .strategies import (
 __all__ = ["AnchorRow", "evaluate_anchors"]
 
 
-@dataclass(frozen=True)
-class AnchorRow:
+class AnchorRow(Record):
     ident: str
     name: str
     target: str

@@ -19,7 +19,6 @@ same route the risk pool takes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from .binomial import binom_pmf_vector
 from .contracts import FullGuarantee, InsuranceContract, researcher_payment
 from .economics import PolicyEconomics
+from .record import Record
 from .simulate import DiscreteDist
 
 __all__ = [
@@ -54,8 +54,7 @@ __all__ = [
 _EXP_CAP = 700.0
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(Record):
     """Strictly increasing evaluator with v(0) = 0 and a participation floor."""
 
     form: str  # "linear" or "cara"
@@ -110,8 +109,7 @@ class UtilitySpec:
         return -np.log(inner) / a
 
 
-@dataclass(frozen=True)
-class ImplValue:
+class ImplValue(Record):
     """Deterministic value to the researcher of implementation at scale m."""
 
     kind: str = "constant"  # "constant" or "linear"
@@ -127,8 +125,7 @@ class ImplValue:
         return self.amount * m if self.kind == "linear" else self.amount
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(Record):
     """Zero-mean two-point perturbation, +-epsilon with equal weight."""
 
     epsilon: float
@@ -144,8 +141,7 @@ class NoiseSpec:
         return self._law
 
 
-@dataclass(frozen=True)
-class ResearcherPayoffModel:
+class ResearcherPayoffModel(Record):
     base_pub: float = 0.0
     impl_value: ImplValue = ImplValue()
     failure_exposure: float = 0.0  # fraction of the loss borne uninsured
@@ -156,8 +152,7 @@ class ResearcherPayoffModel:
             raise ValueError("failure exposure must lie in [0,1]")
 
 
-@dataclass(frozen=True)
-class RiskTransfer:
+class RiskTransfer(Record):
     retained: float  # fraction of the loss kept
     premium: float = 0.0
 
@@ -168,8 +163,7 @@ class RiskTransfer:
             raise ValueError("premium cannot be negative")
 
 
-@dataclass(frozen=True)
-class RiskExchange:
+class RiskExchange(Record):
     retained: float
     assumed: float
     partner_loss: DiscreteDist  # law of the partner's loss (nonpositive support)
@@ -183,8 +177,7 @@ class RiskExchange:
             raise ValueError("partner loss law must be nonpositive")
 
 
-@dataclass(frozen=True)
-class ResearcherRisk:
+class ResearcherRisk(Record):
     """The guarantee the researcher offers and how its payments are hedged.
 
     Without a hedge the researcher pays researcher_payment(Y, contract) in
@@ -200,8 +193,7 @@ class ResearcherRisk:
             raise TypeError(f"unknown hedge {self.hedge!r}")
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """base + sum_j weights[j] * laws[j], the laws independent, weights >= 0.
 
     len() is the summed size of the laws, 0 for a sure position.
@@ -264,8 +256,7 @@ def expected_utility(position: Position, utility: UtilitySpec) -> float:
                                    position.laws)
 
 
-@dataclass(frozen=True)
-class ParticipationReport:
+class ParticipationReport(Record):
     p_grid: np.ndarray
     lhs: np.ndarray
     minimum: float
@@ -288,8 +279,7 @@ def participation_check(pub_prob, risk, payoff: ResearcherPayoffModel,
         pub_prob, risk, payoff, utility, econ, m, p_grid).participation()
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(Record):
     p: float
     lhs: float
     regime: str  # none | upper | lower | vacuous | infeasible
@@ -298,8 +288,7 @@ class ConditionRow:
     violated: bool
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(Record):
     rows: list
     any_violation: bool
     v_bar: float
@@ -357,8 +346,7 @@ def publication_rate_conditions(pub_prob, risk, payoff: ResearcherPayoffModel,
                             v_bar=v_bar, base_eu=a_val)
 
 
-@dataclass(frozen=True)
-class PoolMember:
+class PoolMember(Record):
     base: float
     loss: DiscreteDist
     utility: UtilitySpec

@@ -13,11 +13,11 @@ draws bit for bit too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .binomial import binom_pmf_vector
+from .record import Record
 
 __all__ = [
     "SeededStream",
@@ -31,8 +31,7 @@ __all__ = [
 ENUMERATION_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class SeededStream:
+class SeededStream(Record):
     seed: int
     stream_id: int = 0
 
@@ -41,8 +40,7 @@ class SeededStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     mean: float
     std_error: float
     n_draws: int

@@ -30,7 +30,6 @@ value at the threshold, once its sign-change test certifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +47,7 @@ from .binomial import (
     terms_value,
     wald_lower_vector,
 )
+from .record import Record
 
 __all__ = [
     "fraud_mixture_fp",
@@ -89,8 +89,7 @@ def fraud_mixture_fp(alpha_prime: float, untruthful_weight: float) -> float:
         0.5 + 0.5 * alpha_prime)
 
 
-@dataclass(frozen=True)
-class TruthfulStrategy:
+class TruthfulStrategy(Record):
     """Always publish the procedure's bound on the observed outcome."""
 
     procedure: LowerBoundProcedure
@@ -108,8 +107,7 @@ class TruthfulStrategy:
         return self.procedure.bounds[binom_draws(self.procedure.n, p, rng, size)]
 
 
-@dataclass(frozen=True)
-class FraudulentStrategy:
+class FraudulentStrategy(Record):
     """Clamp the honest bound up to a guessed decision threshold.
 
     The guess lands at threshold - spread or threshold + spread with equal
@@ -282,8 +280,7 @@ def _selective_table(n: int, alpha_prime: float) -> np.ndarray:
     return np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan).ravel()
 
 
-@dataclass(frozen=True)
-class SelectiveStrategy:
+class SelectiveStrategy(Record):
     """Publish a treatment-arm Wald bound only when the gating test rejects."""
 
     n: int
@@ -321,8 +318,7 @@ class SelectiveStrategy:
 # ---------------------------------------------------------------------------
 # The implementer-facing mixture.
 
-@dataclass(frozen=True)
-class MixtureBelief:
+class MixtureBelief(Record):
     untruthful_weight: float
     conditioning: str = "fixed_given_published"
 
@@ -379,8 +375,7 @@ def mixture_actual_fp(alpha_prime: float, p_control: float, n: int,
                      p_control)[0]
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(Record):
     alpha_nominal: float
     alpha_actual: float
     p_C: float
@@ -397,8 +392,7 @@ def actual_fp_curve(p_control: float, conditioning: str, alpha_grid, n: int,
                      p_control, conditioning, n, pi) for a in alpha_grid]
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(Record):
     variant: str
     value: float
     residual: float

@@ -6,7 +6,6 @@ imported scipy for the oracle tests.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from guaranteesim import cli
+from guaranteesim.record import asdict
 
 REPO = Path(__file__).resolve().parents[1]
 LARGE = REPO / "perfbench" / "large_scenario.json"
@@ -74,12 +74,13 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_importing_the_cli_leaves_fractions_and_decimal_unloaded():
+def test_importing_the_cli_leaves_fractions_decimal_and_dataclasses_unloaded():
     # every command pays for what the import loads; anchor 10's exact cdf
-    # is built from Python ints, without either module
+    # is built from Python ints, without fractions or decimal, and the
+    # value types are records, which generate no code as dataclasses do
     proc = _python("-c", "import sys, guaranteesim.cli; "
                          "print(sorted({'fractions', 'decimal', '_decimal', "
-                         "'_pydecimal'} & set(sys.modules)))")
+                         "'_pydecimal', 'dataclasses'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -96,7 +97,7 @@ def test_every_file_records_the_same_provenance(tmp_path, capsys,
                                                 default_scenario, argv, rc):
     assert cli.main([*argv, "--out", str(tmp_path)]) == rc
     grids = {key: value for key, value in
-             dataclasses.asdict(default_scenario.grids).items()
+             asdict(default_scenario.grids).items()
              if key != "alpha_levels"}
     with_variant = argv[0] in VARIANT_COMMANDS
     files = sorted(tmp_path.iterdir())
