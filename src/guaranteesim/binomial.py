@@ -5,8 +5,8 @@ log-gamma arithmetic, and coverage numbers from enumeration over all n+1
 outcomes. Which Clopper-Pearson bounds lie at or below a rate t is read
 from the binomial tail at t, which defines them; bound values, needed
 only to sample published bounds, are roots of that same tail. No
-sampling, no approximation beyond the Wald formula itself (which is the
-point of including it).
+approximation beyond the Wald formula itself (the point of including
+it): samples invert the exact cdf at raw Philox words (binom_blocks).
 
 The pmf kernel takes the exp only within _reach of n p. By Bernstein's
 and Hoeffding's inequalities every cell beyond it has a log below -760,
@@ -42,8 +42,9 @@ __all__ = [
     "binom_pmf",
     "binom_pmf_vector",
     "binom_pmf_dot",
+    "binom_blocks",
     "binom_draws",
-    "draw_blocks",
+    "invert_blocks",
     "normal_cdf",
     "normal_quantile",
     "smallest_double",
@@ -266,75 +267,71 @@ def _pmf_blocks(n: int, rates, lo, hi, cells: int):
         i = j
 
 
+def binom_blocks(n: int, p: float, rng: np.random.Generator, size: int):
+    """size counts from Binomial(n, p) as invert_blocks' (block, counts),
+    by inversion of the cumulative sum of binom_pmf_vector (Devroye 1986,
+    section III.2) over its last entry, so every count lies in 0..n;
+    p > 1/2 draws n - X at 1 - p. Where numpy's Generator.binomial inverts
+    too, n * min(p, 1 - p) <= 30, the counts are its counts on the same
+    stream; beyond, it runs BTPE and only the law agrees. Counts come in
+    the smallest unsigned dtype holding 2 n: two arms' sum cannot wrap.
+    """
+    flip = p > 0.5
+    cdf = np.cumsum(binom_pmf_vector(n, 1.0 - p if flip else p))
+    cdf /= cdf[-1]
+    for block, xs in invert_blocks(cdf, rng, size, np.min_scalar_type(2 * n)):
+        yield block, np.subtract(n, xs, out=xs) if flip else xs
+
+
 def binom_draws(n: int, p: float, rng: np.random.Generator,
                 size: int) -> np.ndarray:
-    """size counts from Binomial(n, p), by inversion of the exact cdf.
-
-    One rng.random uniform per count, looked up in the cumulative sum of
-    binom_pmf_vector (Devroye 1986, section III.2) by _indexed_search, with
-    the counts searchsorted(side="right") gives; p > 1/2 draws n - X
-    at 1 - p. This is the inversion numpy's Generator.binomial runs when
-    n * min(p, 1 - p) <= 30, so there the counts equal rng.binomial's on
-    the same stream for 0 < p < 1; beyond that numpy switches to BTPE
-    (Kachitvichyanukul & Schmeiser 1988) and only the law agrees. The cdf
-    is divided by its last entry, so it ends at exactly 1 and every count
-    lies in 0..n: the rounding of the sum, 2.4e-10 short of 1 at n = 10**6,
-    would otherwise all land on the count n.
-
-    The uniforms are drawn and looked up one draw_blocks block at a time,
-    the same stream as one rng.random(size) call. The counts come back in
-    the smallest unsigned dtype that holds 2 n (uint8 up to n = 127), so
-    the sum of two arms' counts cannot wrap around.
-    """
-    if p > 0.5:
-        flipped = binom_draws(n, 1.0 - p, rng, size)
-        return np.subtract(n, flipped, out=flipped)
-    cdf = np.cumsum(binom_pmf_vector(n, p))
-    cdf /= cdf[-1]
-    search = _indexed_search(cdf)
+    """The binom_blocks counts in one array."""
     out = np.empty(size, np.min_scalar_type(2 * n))
-    for block in draw_blocks(size):
-        out[block] = search(rng.random(block.stop - block.start))
+    for block, xs in binom_blocks(n, p, rng, size):
+        out[block] = xs
     return out
 
 
-# Draws made at once by the samplers: their temporaries stay small, and
-# blocks of this size ran faster than one pass over 10**6.
-_SEARCH_BLOCK = 1 << 16
+_SEARCH_BLOCK = 1 << 16  # faster than one pass over 10**6, scratch small
 
 
-def draw_blocks(size: int):
-    """Consecutive slices of at most _SEARCH_BLOCK indices covering
-    range(size), in order: a sampler that draws block by block reads its
-    stream in the same order as one call for all size draws."""
-    for start in range(0, size, _SEARCH_BLOCK):
-        yield slice(start, min(start + _SEARCH_BLOCK, size))
+def invert_blocks(cdf: np.ndarray, rng: np.random.Generator, size: int,
+                  dtype=np.intp):
+    """(block, counts) over consecutive slices of range(size), at most
+    _SEARCH_BLOCK long: counts[i] is cdf.searchsorted(u, side="right") in
+    dtype, bit for bit, for u = (w >> 11) 2**-53 of the block's i-th raw
+    word w of rng's Philox, whose rng.random double is that u of its next
+    word. So the counts are those of one search over rng.random(size),
+    and the stream ends where that call leaves it; any other bit generator
+    raises TypeError (MT19937 makes a double of two words). Every draw of
+    the package comes from here; counts is scratch, reused block to block.
 
-
-def _indexed_search(cdf: np.ndarray):
-    """The lookup u -> cdf.searchsorted(u, side="right") for u in [0, 1),
-    bit for bit, with its table built once for many calls.
-
-    Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4):
-    [0, 1) is cut into k buckets, k a power of two, so floor(u * k) is
-    exact for every double u. A bucket holding no cdf value strictly
-    inside it gives every u in it the same count, read from a table;
-    only uniforms in the other buckets are binary-searched. About 16
-    buckets per cdf entry leave most buckets empty; k stays within
-    [2**10, 2**16], so the table is cheap to build and small to hold.
+    Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4) over
+    2**b buckets, 2**14 to 2**16, about 16 per cdf entry: u lies in bucket
+    w >> (64 - b), and a table gives the count of every bucket holding no
+    cdf value strictly inside it. Only the words of the others form u for
+    a binary search.
     """
-    k = min(max(1 << (16 * len(cdf) - 1).bit_length(), 1 << 10), 1 << 16)
-    edges = np.arange(k + 1) / k
-    below = cdf.searchsorted(edges[:-1], side="right")
-    table = np.where(below == cdf.searchsorted(edges[1:], side="left"), below, -1)
-
-    def search(u: np.ndarray) -> np.ndarray:
-        got = table[(u * k).astype(np.intp)]
-        miss = np.flatnonzero(got < 0)
-        got[miss] = cdf.searchsorted(u[miss], side="right")
-        return got
-
-    return search
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise TypeError(f"draws need a Philox bit generator, got {type(bits).__name__}")
+    k = min(max(1 << (16 * len(cdf) - 1).bit_length(), 1 << 14), 1 << 16)
+    scaled = cdf * k  # exact; bucket j holds the u with j <= u k < j + 1
+    firsts = np.minimum(np.ceil(scaled), k).astype(np.intp)
+    table = np.repeat(np.arange(len(cdf) + 1, dtype=dtype),  # #{cdf <= j / k}
+                      np.diff(firsts, prepend=0, append=k))
+    inside = scaled[(scaled != np.floor(scaled)) & (scaled < k)]
+    table[inside.astype(np.intp)] = marked = np.iinfo(dtype).max
+    buckets, got = (np.empty(min(size, _SEARCH_BLOCK), t) for t in (np.uint64, dtype))
+    for start in range(0, size, _SEARCH_BLOCK):
+        block = slice(start, min(start + _SEARCH_BLOCK, size))
+        words = bits.random_raw(block.stop - start)
+        at, counts = buckets[:words.size], got[:words.size]
+        np.right_shift(words, 65 - k.bit_length(), out=at)
+        np.take(table, at.view(np.intp), out=counts, mode="clip")  # "raise" copies
+        miss = np.flatnonzero(counts == marked)
+        counts[miss] = cdf.searchsorted((words[miss] >> 11) * 2.0**-53, side="right")
+        yield block, counts
 
 
 def binom_pmf_dot(n: int, p, vecs: np.ndarray):
@@ -387,7 +384,10 @@ def _prefix_sums(n: int, p: np.ndarray, counts: list) -> np.ndarray:
               for k in counts]
         if first == 0 and max(map(max, ks)) <= top:  # sum the rows in place
             for dest, rate_ks in zip(dests, ks):
-                dest[i:j] = [np.add.reduce(vec[:k]) for vec, k in zip(pmf, rate_ks)]
+                if min(rate_ks) == max(rate_ks):  # one count: one 2-d reduce
+                    dest[i:j] = np.add.reduce(pmf[:, :rate_ks[0]], axis=1)
+                else:
+                    dest[i:j] = [np.add.reduce(vec[:k]) for vec, k in zip(pmf, rate_ks)]
         else:  # sum each row on the zero-padded vector
             for r, vec in enumerate(pmf):
                 row[first:top] = vec

@@ -19,9 +19,8 @@ import numpy as np
 
 from .binomial import (
     LowerBoundProcedure,
-    _indexed_search,
-    draw_blocks,
     exact_lower_coverage,
+    invert_blocks,
     probability_grid,
     sup_below,
     terms_value,
@@ -283,18 +282,18 @@ def _exact_cdf_sampler(n: int, p: float, fn=None):
     themselves when fn is None), filled into one float array block by
     block; fn must act elementwise.
 
-    Each rng.random uniform is looked up in _exact_binomial_cdf by
-    _indexed_search, one draw_blocks block at a time: the inversion that
-    numpy's rng.binomial runs when n p <= 30, with its counts on the same
-    stream, read in the same order. No float pmf enters, so this path of
-    the gate shares no code with binom_pmf_vector.
+    invert_blocks looks each raw word of the stream up in
+    _exact_binomial_cdf as the uniform (w >> 11) 2**-53 that rng.random
+    makes of it: the inversion numpy's rng.binomial runs when n p <= 30,
+    with its counts on the same stream, read in the same order. fn gets
+    intp counts. No float pmf enters, so this path of the gate shares no
+    code with binom_pmf_vector.
     """
-    search = _indexed_search(_exact_binomial_cdf(n, p))
+    cdf = _exact_binomial_cdf(n, p)
 
     def sample(rng, size):
         out = np.empty(size)
-        for block in draw_blocks(size):
-            xs = search(rng.random(block.stop - block.start))
+        for block, xs in invert_blocks(cdf, rng, size):
             out[block] = xs if fn is None else fn(xs)
         return out
     return sample

@@ -5,10 +5,10 @@ directly by (seed, stream_id). Two streams with the same key always
 produce the same draws no matter which worker or in which order they run,
 which is what makes grid sweeps reproducible under any scheduling.
 The strategies' samplers draw binomial counts from these streams with
-binomial.binom_draws, by inversion of the exact pmf with one uniform per
-count (indexed search over the cdf, binary search only inside buckets
-that hold a cdf point), so a fixed (seed, stream_id) reproduces their
-draws bit for bit too.
+binomial.binom_draws, by inversion of the exact cdf at one raw Philox
+word per count: rng.random's double is (w >> 11) 2**-53 of the next word
+w, so inverting the words draws the counts of rng.random's uniforms, and
+a fixed (seed, stream_id) reproduces them bit for bit too.
 """
 
 from __future__ import annotations

@@ -13,12 +13,11 @@ and reads it against one threshold: every strategy states its exceedance
 as exceedance_prob(p, threshold) and exceedance_terms(threshold), draws
 published bounds with sample(p, threshold, rng, size), and the selective
 gate's control rate is that threshold. Samplers draw counts with
-binomial.binom_draws, by inversion of the exact pmf: indexed search over
-its cumulative sum, with binary search only inside buckets that hold a
-cdf point. A published bound depends only on the sampler's state (the
-count, the guess and count, or the two arms' counts), so each sampler
-builds its table of published values once per call and gathers it per
-draw.
+binomial.binom_draws and binom_blocks: the exact cdf inverted at the raw
+words of the stream's Philox, each the uniform rng.random would make of
+it. A published bound depends only on the sampler's state (the count,
+the guess and count, or the two arms' counts), so each sampler builds
+its table of published values once per call and gathers it per draw.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
@@ -35,11 +34,12 @@ from functools import lru_cache
 import numpy as np
 
 from .binomial import (
+    _SEARCH_BLOCK,
     LowerBoundProcedure,
+    binom_blocks,
     binom_draws,
     binom_pmf_dot,
     binom_pmf_vector,
-    draw_blocks,
     exceedance_prob,
     exceedance_terms,
     normal_quantile,
@@ -141,30 +141,31 @@ class FraudulentStrategy(Record):
         """size published bounds; all guesses are drawn before the outcomes.
 
         The published value depends only on (guess, x): it is read from a
-        2 (n+1) table of max(bound, threshold -+ spread). The guesses are
-        kept as one bool per draw, so the float output is the only array of
-        size floats.
+        2 (n+1) table of max(bound, threshold +- spread). A guess is a
+        Binomial(1, 1/2) count, of cdf [1/2, 1]: 0, the high guess, when
+        its word is below 2**63 (its uniform below 1/2). Guesses take a
+        byte each, so the float output is the only array of size floats.
         """
         self.check_threshold(threshold)
-        guesses = threshold + self.guess_spread * np.array([[-1.0], [1.0]])
+        guesses = threshold + self.guess_spread * np.array([[1.0], [-1.0]])
         values = np.maximum(self.procedure.bounds, guesses).ravel()
-        high = np.empty(size, bool)
-        for block in draw_blocks(size):
-            high[block] = rng.random(block.stop - block.start) < 0.5
-        xs = binom_draws(self.procedure.n, p, rng, size)
-        return _gather_pairs(values, high, xs, self.procedure.n + 1)
+        n = self.procedure.n
+        return _gather_pairs(values, binom_draws(1, 0.5, rng, size),
+                             binom_blocks(n, p, rng, size), n + 1)
 
 
-def _gather_pairs(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _gather_pairs(values: np.ndarray, rows: np.ndarray, blocks,
                   width: int) -> np.ndarray:
-    """values[rows * width + cols] as floats, for compact per-draw rows and
-    columns, with each block's flat index built in one block-sized array."""
-    out = np.empty(rows.size)
-    for block in draw_blocks(rows.size):
-        cell = rows[block].astype(np.intp)
-        cell *= width
-        cell += cols[block]
-        np.take(values, cell, out=out[block])
+    """values[rows * width + cols] as floats, for compact per-draw rows
+    and the (block, cols) pairs of a draw kernel, each block's flat index
+    built in one reused intp array: cast before the product, which wraps
+    in the rows' own dtype."""
+    out, cell = np.empty(rows.size), np.empty(min(rows.size, _SEARCH_BLOCK), np.intp)
+    for block, cols in blocks:
+        flat = np.multiply(rows[block], width, out=cell[:cols.size],
+                           dtype=np.intp)
+        np.take(values, np.add(flat, cols, out=flat), out=out[block],
+                mode="clip")
     return out
 
 
@@ -306,13 +307,13 @@ class SelectiveStrategy(Record):
         """size published Wald bounds, NaN where the gate stays silent; the
         control arm runs at the threshold, as in exceedance_prob.
 
-        All control arms are drawn before the treatment arms. The published
-        value of each outcome pair is read from _selective_table.
+        All control arms are drawn before the treatment arms, which go
+        block by block into the gather of _selective_table's values.
         """
         values = _selective_table(self.n, self.alpha_prime)
         x_c = binom_draws(self.n, threshold, rng, size)
-        x_t = binom_draws(self.n, p, rng, size)
-        return _gather_pairs(values, x_c, x_t, self.n + 1)
+        return _gather_pairs(values, x_c, binom_blocks(self.n, p, rng, size),
+                             self.n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -153,18 +153,38 @@ def test_criterion_10(anchors, tmp_path, capsys):
 # anchor 10's five estimates at the default seed, (mean, standard error):
 # the binomial mean, the selective gate's publication and exceedance rates,
 # the fraudulent exceedance and the tail-guarantee payoff
-ANCHOR10_ESTIMATES = [
-    (6.000818, 0.002048859079756226),
-    (0.046434, 0.00021042321146187254),
-    (0.017021, 0.00012934953533083252),
-    (0.519011, 0.0004996387009808502),
-    (-4.9929675, 0.00015538442035181035),
-]
+# anchor 10's eight estimates (mean, std_error) as float.hex, in the order
+# _infrastructure_properties makes them: the binomial mean, the three
+# strategy checks, the tail-guarantee payoff, the mean's rerun and the two
+# 10**4-draw reruns; with the detail line it prints
+ANCHOR10_ESTIMATES = {
+    20260819: ("max |z| 1.15; rerun identical: True", [
+        ("0x1.800d66f0cfe15p+2", "0x1.0c8c4d7bbb998p-9"),
+        ("0x1.7c6327ed84d34p-5", "0x1.b94a19f83395ap-13"),
+        ("0x1.16df3f961804ep-6", "0x1.0f4400c498f7ep-13"),
+        ("0x1.09bbcf4e874c9p-1", "0x1.05f45f0b529e3p-11"),
+        ("-0x1.3f8cc78e9f6a9p+2", "0x1.45dd601e772ffp-13"),
+        ("0x1.800d66f0cfe15p+2", "0x1.0c8c4d7bbb998p-9"),
+        ("-0x1.3fbe76c8b4396p+2", "0x1.333a40cbe5f12p-10"),
+        ("-0x1.3fbe76c8b4396p+2", "0x1.333a40cbe5f12p-10"),
+    ]),
+    7: ("max |z| 1.48; rerun identical: True", [
+        ("0x1.80069e7fb267cp+2", "0x1.0ce33f4ae0598p-9"),
+        ("0x1.79a6b50b0f27cp-5", "0x1.b7c6c8586b93ap-13"),
+        ("0x1.12b1b36bd2b6fp-6", "0x1.0d42caa9bc74cp-13"),
+        ("0x1.09e8a2ec28b2ap-1", "0x1.05f29be533bc5p-11"),
+        ("-0x1.3f869835158b8p+2", "0x1.4f6e2d8dabec5p-13"),
+        ("0x1.80069e7fb267cp+2", "0x1.0ce33f4ae0598p-9"),
+        ("-0x1.3f4bc6a7ef9dbp+2", "0x1.05c2a2b576c2ap-9"),
+        ("-0x1.3f4bc6a7ef9dbp+2", "0x1.05c2a2b576c2ap-9"),
+    ]),
+}
 
 
 def test_anchor_10_estimates_are_pinned_bit_for_bit(monkeypatch):
     # the samplers' draws are part of the anchor: a faster lookup must
-    # reproduce every estimate exactly, not just within 4 standard errors
+    # reproduce every estimate exactly, not just within 4 standard errors,
+    # and the report's "max |z|" alone would not show a last-bit drift
     from guaranteesim import reproduce
     seen = []
     real = reproduce.mc_estimate
@@ -177,10 +197,12 @@ def test_anchor_10_estimates_are_pinned_bit_for_bit(monkeypatch):
     monkeypatch.setattr(reproduce, "mc_estimate", spy)
     econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
                               BenefitFunction.linear(2.5))
-    ok, detail = reproduce._infrastructure_properties(20260819, econ_20)
-    assert ok and detail == "max |z| 1.15; rerun identical: True"
-    assert [(e.mean, e.std_error) for e in seen[:5]] == ANCHOR10_ESTIMATES
-    assert all(e.n_draws == 1_000_000 for e in seen[:5])
+    for seed, (line, pinned) in ANCHOR10_ESTIMATES.items():
+        seen.clear()
+        ok, detail = reproduce._infrastructure_properties(seed, econ_20)
+        assert ok and detail == line
+        assert [(e.mean.hex(), e.std_error.hex()) for e in seen] == pinned
+        assert [e.n_draws for e in seen] == [1_000_000] * 6 + [10_000] * 2
 
 
 def test_monte_carlo_estimates_hold_one_float_per_draw(monkeypatch):
@@ -228,6 +250,30 @@ def test_exact_cdf_sampler_draws_numpys_binomial_counts(p, seed):
     assert ours.random() == theirs.random()
 
 
+def test_exact_cdf_sampler_inverts_the_uniforms_of_a_twin_stream():
+    # block by block from raw words, the counts of one searchsorted over
+    # one Generator.random(size) call, handed to fn as intp, at sizes on
+    # each side of the block boundary; the streams stay in step
+    from guaranteesim.binomial import _SEARCH_BLOCK
+    from guaranteesim.reproduce import _exact_binomial_cdf, _exact_cdf_sampler
+    cdf = _exact_binomial_cdf(20, 0.3)
+    seen = []
+
+    def fn(xs):
+        seen.append(xs.dtype)
+        return 0.5 * xs
+
+    sample = _exact_cdf_sampler(20, 0.3, fn)
+    for size in (1, _SEARCH_BLOCK - 1, _SEARCH_BLOCK, _SEARCH_BLOCK + 1,
+                 3 * _SEARCH_BLOCK + 5):
+        ours = SeededStream(9, size).generator()
+        theirs = SeededStream(9, size).generator()
+        want = 0.5 * cdf.searchsorted(theirs.random(size), side="right")
+        assert np.array_equal(sample(ours, size), want)
+        assert ours.random() == theirs.random()
+    assert set(seen) == {np.dtype(np.intp)}
+
+
 @pytest.mark.parametrize("n,p", [(1, 0.5), (20, 0.3), (20, 0.1), (40, 0.45),
                                  (20, 1e-9), (7, 0.999)])
 def test_exact_binomial_cdf_is_the_correctly_rounded_cdf(n, p):
@@ -257,12 +303,15 @@ def test_exact_cdf_sampler_shares_no_code_with_the_pmf(monkeypatch):
 
 
 def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):
-    # every strategy count drawn at p + 0.01 instead of p: anchor 10's
-    # checks against the exact rates must go red
+    # every strategy count drawn at p + 0.01 instead of p, whole arms and
+    # arms drawn block by block: anchor 10's checks against the exact
+    # rates must go red
     from guaranteesim import reproduce, strategies
-    real = strategies.binom_draws
-    monkeypatch.setattr(strategies, "binom_draws",
-                        lambda n, p, rng, size: real(n, p + 0.01, rng, size))
+    for name in ("binom_draws", "binom_blocks"):
+        real = getattr(strategies, name)
+        monkeypatch.setattr(strategies, name,
+                            lambda n, p, rng, size, real=real:
+                            real(n, p + 0.01, rng, size))
     econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
                               BenefitFunction.linear(2.5))
     ok, detail = reproduce._infrastructure_properties(20260819, econ_20)

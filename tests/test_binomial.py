@@ -431,15 +431,48 @@ class TestBinomDraws:
 
     def test_top_uniform_stays_in_the_tail(self):
         # at n = 10**6 the summed pmf falls 2.4e-10 short of 1; the largest
-        # uniform below 1 must still map into the upper tail, not onto n
-        class TopUniform:
-            def random(self, size):
-                return np.full(size, np.nextafter(1.0, 0.0))
+        # uniform below 1, 1 - 2**-53 from the top word 2**64 - 1, must
+        # still map into the upper tail, not onto n
+        class TopWords(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                return np.full(size, 2**64 - 1, np.uint64)
 
         n, p = 10**6, 0.3
-        top = int(binom_draws(n, p, TopUniform(), 1)[0])
+        top = int(binom_draws(n, p, np.random.Generator(TopWords()), 1)[0])
         assert n * p < top < n * p + 20.0 * math.sqrt(n * p * (1.0 - p))
-        assert int(binom_draws(n, 1.0 - p, TopUniform(), 1)[0]) == n - top
+        assert int(binom_draws(n, 1.0 - p, np.random.Generator(TopWords()),
+                               1)[0]) == n - top
+
+    @staticmethod
+    def _probe_words(cdf, rng, size):
+        """Words at every bucket edge the lookup can pick (the multiples of
+        2**48, for 2**16 buckets and so for fewer), the word just below
+        each, and for every cdf value the lowest and highest words of the
+        three uniforms nearest it, then size random words."""
+        edges = np.arange(1 << 16, dtype=np.uint64) << 48
+        inner = cdf[(cdf >= 0.0) & (cdf < 1.0)]
+        nearest = np.floor(inner * 2.0**53).astype(np.uint64)
+        near = np.concatenate([nearest[nearest > 0] - 1, nearest,
+                               nearest[nearest < 2**53 - 1] + 1]) << 11
+        return np.concatenate([edges, edges[1:] - 1, [2**64 - 1], near,
+                               near | 0x7FF, rng.bit_generator.random_raw(size)])
+
+    @staticmethod
+    def _searched(cdf, words):
+        return cdf.searchsorted((words >> 11) * 2.0**-53, side="right")
+
+    @staticmethod
+    def _inverted(cdf, words, dtype=np.intp):
+        """The counts invert_blocks gives on a stream of these words."""
+        class Feed(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                nonlocal words
+                head, words = words[:size], words[size:]
+                return head
+
+        got = [xs.copy() for _, xs in binomial.invert_blocks(
+            cdf, np.random.Generator(Feed()), words.size, dtype)]
+        return np.concatenate([np.empty(0, dtype), *got])
 
     @pytest.mark.parametrize("build", [
         lambda rng: np.arange(1, 1025) / 1024,                  # every edge
@@ -447,26 +480,20 @@ class TestBinomDraws:
         lambda rng: np.repeat(np.arange(1, 65) / 64, 3),        # repeats
         lambda rng: np.array([0.0, 0.0, 0.25, 0.5 + 2.0**-40, 1.0, 1.0, 1.0]),
         lambda rng: np.array([1.0]),
+        lambda rng: np.array([0.5, 1.0]),                       # the guesses
         lambda rng: np.append(np.sort(rng.random(10**6)), 1.0),  # marked buckets
         lambda rng: np.minimum(np.cumsum(np.round(rng.random(3000) * 256)
                                          / (1 << 18)), 1.0),   # plateau at 1
-    ], ids=["edges", "edges_2_16", "repeats", "plateau", "single", "dense",
-            "fine_edges"])
+    ], ids=["edges", "edges_2_16", "repeats", "plateau", "single", "halves",
+            "dense", "fine_edges"])
     def test_indexed_search_equals_searchsorted(self, build):
-        # uniforms at 0, at every multiple of 2**-16 (the edges of any
-        # bucket count the lookup can pick), at the double below each, and
-        # on and beside every cdf value
+        # each word's count is the searchsorted count of its uniform
+        # (w >> 11) 2**-53, at and beside every bucket edge and cdf value
         rng = np.random.default_rng(15)
         cdf = build(rng)
-        fine = np.arange(1 << 16) / (1 << 16)
-        inner = cdf[cdf < 1.0]
-        u = np.concatenate([fine, np.nextafter(fine[1:], 0.0),
-                            [np.nextafter(1.0, 0.0)], inner,
-                            np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
-                            rng.random(3 * binomial._SEARCH_BLOCK + 17)])
-        u = u[(u >= 0.0) & (u < 1.0)]
-        got = binomial._indexed_search(cdf)(u)
-        want = cdf.searchsorted(u, side="right")
+        words = self._probe_words(cdf, rng, 3 * binomial._SEARCH_BLOCK + 17)
+        got = self._inverted(cdf, words)
+        want = self._searched(cdf, words)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_indexed_search_on_random_adversarial_cdfs(self):
@@ -481,18 +508,18 @@ class TestBinomDraws:
             if rng.random() < 0.5:
                 scale = float(1 << int(rng.integers(4, 19)))
                 cdf = np.round(cdf * scale) / scale
-            u = np.concatenate([cdf[cdf < 1.0], rng.random(1000)])
-            assert np.array_equal(binomial._indexed_search(cdf)(u),
-                                  cdf.searchsorted(u, side="right"))
+            words = self._probe_words(cdf, rng, 1000)
+            assert np.array_equal(self._inverted(cdf, words),
+                                  self._searched(cdf, words))
 
     @pytest.mark.parametrize("size", [0, 1, 3 * binomial._SEARCH_BLOCK + 17])
     def test_indexed_search_sizes(self, size):
         cdf = np.cumsum(binom_pmf_vector(40, 0.3))
         cdf /= cdf[-1]
-        u = SeededStream(6, 0).generator().random(size)
-        got = binomial._indexed_search(cdf)(u)
-        assert got.shape == (size,)
-        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+        words = SeededStream(6, 0).generator().bit_generator.random_raw(size)
+        got = self._inverted(cdf, words, np.uint8)
+        assert got.shape == (size,) and got.dtype == np.uint8
+        assert np.array_equal(got, self._searched(cdf, words))
 
     # each n with the smallest unsigned dtype that holds 2 n, the largest
     # sum of two arms' counts
@@ -502,8 +529,9 @@ class TestBinomDraws:
     @pytest.mark.parametrize("p", [0.3, 0.7, 0.0, 1.0])
     @pytest.mark.parametrize("n", sorted(COUNT_DTYPES))
     def test_blocks_read_the_stream_as_one_search(self, n, p):
-        # sizes on each side of the block boundary: block-wise draws equal
-        # one searchsorted over one rng.random(size) call on the same stream
+        # sizes on each side of the block boundary: block-wise draws from
+        # raw words equal one searchsorted over one rng.random(size) call on
+        # a twin stream
         cdf = np.cumsum(binom_pmf_vector(n, min(p, 1.0 - p)))
         cdf /= cdf[-1]
         block = binomial._SEARCH_BLOCK
@@ -728,6 +756,22 @@ class TestCoverage:
         batched = exceedance_prob(proc, grid, 0.5)
         looped = np.array([exceedance_prob(proc, p, 0.5) for p in grid])
         assert np.array_equal(batched, looped)
+
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    def test_shared_count_sums_equal_the_per_row_sums(self, n):
+        # every rate shares one count, so _prefix_sums reduces a block's
+        # rows in one 2-d np.add.reduce: over 8191 rates it must give the
+        # scalar path's per-row reduce, bit for bit, both kinds, four
+        # thresholds
+        rates = probability_grid(8192)
+        pmfs = [binom_pmf_vector(n, p) for p in rates.tolist()]
+        for kind in ("clopper_pearson", "wald"):
+            proc = LowerBoundProcedure(kind, 0.05, n)
+            for threshold in (0.1, 0.4, 0.5, 0.9):
+                k = proc.covered(threshold)
+                assert np.array_equal(
+                    exceedance_prob(proc, rates, threshold),
+                    [1.0 - np.add.reduce(pmf[:k]) for pmf in pmfs])
 
     @pytest.mark.parametrize("n", [1, 2, 12, 40, 300, 381, 2000, 10_000])
     def test_batched_exceedance_is_one_minus_the_dense_prefix_sum(self, n):

@@ -15,7 +15,6 @@ from guaranteesim.binomial import (
     _SEARCH_BLOCK,
     LowerBoundProcedure,
     binom_draws,
-    draw_blocks,
     binom_pmf_vector,
     normal_quantile,
     probability_grid,
@@ -335,40 +334,42 @@ class TestRctEnumeration:
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def _uniform_counts(n, p, rng, size):
+    # binom_draws' counts, each the searchsorted count of one
+    # Generator.random uniform, p > 1/2 flipped
+    cdf = np.cumsum(binom_pmf_vector(n, min(p, 1.0 - p)))
+    cdf /= cdf[-1]
+    xs = cdf.searchsorted(rng.random(size), side="right")
+    return n - xs if p > 0.5 else xs
+
+
 def _per_draw_truthful(strat, p, threshold, rng, size):
-    return strat.procedure.bounds[binom_draws(strat.procedure.n, p, rng, size)]
+    return strat.procedure.bounds[_uniform_counts(strat.procedure.n, p, rng, size)]
 
 
 def _per_draw_fraudulent(strat, p, threshold, rng, size):
     # every guess, then the outcomes; the clamp taken draw by draw
-    high = np.empty(size, bool)
-    for block in draw_blocks(size):
-        high[block] = rng.random(block.stop - block.start) < 0.5
-    xs = binom_draws(strat.procedure.n, p, rng, size)
-    out = np.empty(size)
-    for block in draw_blocks(size):
-        guesses = threshold + strat.guess_spread * np.where(high[block], 1.0, -1.0)
-        np.maximum(strat.procedure.bounds[xs[block]], guesses, out=out[block])
-    return out
+    high = rng.random(size) < 0.5
+    xs = _uniform_counts(strat.procedure.n, p, rng, size)
+    guesses = threshold + strat.guess_spread * np.where(high, 1.0, -1.0)
+    return np.maximum(strat.procedure.bounds[xs], guesses)
 
 
 def _per_draw_selective(strat, p, threshold, rng, size):
     # every control arm, then the treatment arms; the gate taken draw by draw
     thr, wald = _rct_tables(strat.n, strat.alpha_prime)
-    x_c = binom_draws(strat.n, threshold, rng, size)
-    x_t = binom_draws(strat.n, p, rng, size)
-    out = np.empty(size)
-    for block in draw_blocks(size):
-        t = x_t[block]
-        out[block] = np.where(_rct_rejects(thr, x_c[block], t), wald[t], np.nan)
-    return out
+    x_c = _uniform_counts(strat.n, threshold, rng, size)
+    x_t = _uniform_counts(strat.n, p, rng, size)
+    return np.where(_rct_rejects(thr, x_c, x_t), wald[x_t], np.nan)
 
 
 class TestTableSamplers:
-    """The samplers read published values from per-state tables; these
-    compare them with the per-draw rules they replaced, bit for bit."""
+    """The samplers read published values from per-state tables and draw
+    from raw words; these compare them, bit for bit, with the per-draw
+    rules they replaced on the Generator.random uniforms of a twin stream."""
 
-    SIZES = (1, _SEARCH_BLOCK - 1, _SEARCH_BLOCK + 1, 3 * _SEARCH_BLOCK + 5)
+    SIZES = (1, _SEARCH_BLOCK - 1, _SEARCH_BLOCK, _SEARCH_BLOCK + 1,
+             3 * _SEARCH_BLOCK + 5)
     # (rate, threshold): the ends of [0, 1] and rates above 1/2 for both
     LAWS = ((0.0, 0.5), (1.0, 0.5), (0.3, 0.0), (0.7, 1.0), (0.45, 0.5),
             (0.9, 0.6))
@@ -403,6 +404,20 @@ class TestTableSamplers:
                     # the stream was read as far as the per-draw rule read it
                     assert (str(rng.bit_generator.state)
                             == str(ref_rng.bit_generator.state))
+
+    def test_other_bit_generators_are_refused(self):
+        # every draw inverts raw words, which are Generator.random's
+        # uniforms only under Philox: MT19937 makes a double of two words,
+        # so its words are refused, not misread
+        rng = np.random.Generator(np.random.MT19937(3))
+        samplers = [lambda size, strat=strat: strat.sample(0.3, 0.5, rng, size)
+                    for strat, _ in self._strategies(40)]
+        samplers += [lambda size: binom_draws(40, 0.3, rng, size),
+                     lambda size: reproduce._exact_cdf_sampler(20, 0.3)(rng, size)]
+        for sample in samplers:
+            for size in (0, 10):
+                with pytest.raises(TypeError, match="Philox"):
+                    sample(size)
 
 
 class TestMixture:
