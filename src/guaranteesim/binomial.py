@@ -3,8 +3,9 @@
 Everything here is exact up to floating point: pmf values come from
 log-gamma arithmetic, and coverage numbers from enumeration over all n+1
 outcomes. Which Clopper-Pearson bounds lie at or below a rate t is read
-from the binomial tail at t, which defines them; bound values, needed
-only to sample published bounds, are roots of that same tail. No
+from the binomial tail at t, which defines them; a bound value, needed
+only to sample published bounds, is the smallest double at which that
+same tail, summed as the covered rule sums it, reaches alpha'. No
 approximation beyond the Wald formula itself (the point of including
 it): samples invert the exact cdf at raw Philox words (binom_blocks).
 
@@ -244,22 +245,22 @@ def _windows(n: int, rates: np.ndarray) -> tuple:
 # A block of the rate-array functionals holds at most this many pmf cells,
 # or one row's window where that is wider: its temporaries stay within about
 # one pmf vector at large n, and at small n its rows share the block's cost.
-_COVERAGE_CELLS = 1 << 12
+_BLOCK_CELLS = 1 << 12
 
 
-def _pmf_blocks(n: int, rates, lo, hi, cells: int):
+def _pmf_blocks(n: int, rates, lo, hi):
     """The pmf rows of the rates in blocks of consecutive rates, as (i, j,
     first, pmf): pmf holds the rows of rates[i:j] on the columns first..
     first + pmf.shape[1] - 1, the union of the rows' spans [lo[m], hi[m]),
     each cell bit for bit that of binom_pmf_vector. A block grows while
-    its cells stay within cells, or is one row where that row is wider.
-    A rate whose span is empty ends a block and has no row."""
+    its cells stay within _BLOCK_CELLS, or is one row where that row is
+    wider. A rate whose span is empty ends a block and has no row."""
     rates, lo, hi = (np.asarray(v).tolist() for v in (rates, lo, hi))
     i = 0
     while i < len(rates):
         first, top, j = lo[i], hi[i], i + 1
         while j < len(rates) and first < top and lo[j] < hi[j] and (
-                max(top, hi[j]) - min(first, lo[j])) * (j + 1 - i) <= cells:
+                max(top, hi[j]) - min(first, lo[j])) * (j + 1 - i) <= _BLOCK_CELLS:
             first, top, j = min(first, lo[j]), max(top, hi[j]), j + 1
         if first < top:
             yield i, j, first, _pmf_block(n, rates[i:j], first,
@@ -348,8 +349,7 @@ def binom_pmf_dot(n: int, p, vecs: np.ndarray):
         return got[0] if vecs.ndim > 1 else float(got[0])
     rates = _rate_array(n, p)
     out = np.zeros((rates.size, *vecs.shape[1:]))
-    for i, j, first, pmf in _pmf_blocks(n, rates, *_windows(n, rates),
-                                        _COVERAGE_CELLS):
+    for i, j, first, pmf in _pmf_blocks(n, rates, *_windows(n, rates)):
         out[i:j] = pmf @ vecs[first:first + pmf.shape[1]]
     return out
 
@@ -377,7 +377,7 @@ def _prefix_sums(n: int, p: np.ndarray, counts: list) -> np.ndarray:
     counts = [k.tolist() if isinstance(k, np.ndarray) else k for k in counts]
     dests = list(out)  # one view per entry, made once
     row = np.zeros(n + 1)
-    for i, j, first, pmf in _pmf_blocks(n, rates, lo, hi, _COVERAGE_CELLS):
+    for i, j, first, pmf in _pmf_blocks(n, rates, lo, hi):
         top = first + pmf.shape[1]
         tails = None if fixed else _tails_from_top(pmf)
         ks = [k[i:j] if isinstance(k, list) else _cp_count(tails, k, first).tolist()
@@ -427,15 +427,14 @@ def normal_quantile(q: float) -> float:
 # Lower confidence bounds.
 
 def clopper_pearson_lower(x: int, n: int, alpha_prime: float) -> float:
-    """Exact lower bound: the p solving Pr(X >= x | n, p) = alpha_prime.
+    """Exact lower bound: the p solving Pr(X >= x | n, p) = alpha_prime,
+    as the smallest double at which the covered rule's tail reaches it.
 
-    x = 0 returns 0 and x = n the closed form alpha_prime ** (1/n).
+    x = 0 returns 0; x = n starts from the closed form alpha_prime ** (1/n).
     """
     _check_cp_args(x, n, alpha_prime)
     if x == 0:
         return 0.0
-    if x == n:
-        return alpha_prime ** (1.0 / n)
     return float(_cp_roots(n, alpha_prime, np.array([x]))[0])
 
 
@@ -443,8 +442,7 @@ def clopper_pearson_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
     """Bounds for every x = 0..n, the roots of one tail each."""
     _check_cp_args(0, n, alpha_prime)
     out = np.zeros(n + 1)
-    out[1:n] = _cp_roots(n, alpha_prime, np.arange(1, n))
-    out[n] = alpha_prime ** (1.0 / n)
+    out[1:] = _cp_roots(n, alpha_prime, np.arange(1, n + 1))
     return out
 
 
@@ -458,49 +456,43 @@ def _tails_from_top(pmf: np.ndarray) -> np.ndarray:
 # within 2**-100 by then.
 _CP_STEPS = 100
 
-# A _pmf_blocks block of _tail_and_pmf holds at most this many cells, or
-# one row where that row is wider; with 2**12 the table at n = 10**4 took
-# 0.87-0.93 s against 0.70-0.73 s (CPU time, 2-vCPU VM).
-_CP_CELLS = 1 << 14
-
 
 def _tail_and_pmf(n: int, rates: np.ndarray, xs: np.ndarray) -> tuple:
     """Pr(X >= x) and Pr(X = x) at each pair of a rate and a count x.
 
     A pair's row spans its rate's _window from x up, and the rows come in
-    _pmf_blocks of at most _CP_CELLS cells; every other cell is 0.0, so a
-    pair whose x lies above its window has both values 0.0. A block's
-    tails are summed from its top down after a 0.0, as from x = n down
-    over cells that are all 0.0 above it, so they are bit for bit those of
-    the whole row.
+    _pmf_blocks; every other cell is 0.0, so a pair whose x lies above its
+    window has both values 0.0. A block's _tails_from_top run from its top
+    down, as from x = n down over cells that are all 0.0 above it, so they
+    are bit for bit those of the whole row.
     """
     tail, at = np.zeros(xs.size), np.zeros(xs.size)
     lo, hi = _windows(n, rates)
-    for i, j, first, pmf in _pmf_blocks(n, rates, np.maximum(lo, xs), hi, _CP_CELLS):
-        # tails[:, k] = Pr(X >= top - k), top = first + width
-        rows, width = np.arange(j - i), pmf.shape[1]
-        tails = np.zeros((j - i, width + 1))
-        np.cumsum(pmf[:, ::-1], axis=1, out=tails[:, 1:])
-        x = xs[i:j] - first  # below width: each x lies below its row's hi
-        tail[i:j] = tails[rows, width - np.maximum(x, 0)]
+    for i, j, first, pmf in _pmf_blocks(n, rates, np.maximum(lo, xs), hi):
+        # x below width: each x lies below its row's hi
+        rows, width, x = np.arange(j - i), pmf.shape[1], xs[i:j] - first
+        tail[i:j] = _tails_from_top(pmf)[rows, width - 1 - np.maximum(x, 0)]
         inside = np.flatnonzero(x >= 0)
         at[i + inside] = pmf[inside, x[inside]]
     return tail, at
 
 
 def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
-    """The rates p solving Pr(X >= x | n, p) = alpha_prime, for 0 < x < n.
+    """The rates p solving Pr(X >= x | n, p) = alpha_prime, for 0 < x <= n:
+    each the smallest double at which that tail, summed from the top as
+    the covered rule sums it, reaches alpha_prime.
 
-    Safeguarded Newton on the tail summed from the top, as the covered rule
-    reads it: its derivative in p is x * pmf(x) / p, and a step that
-    leaves the bracket [lo, hi] of the root bisects it instead. It starts
-    from the Wilson score bound. A row stops at its first Newton step
+    Safeguarded Newton on that tail: its derivative in p is
+    x * pmf(x) / p, and a step that leaves the bracket [lo, hi] of the
+    root bisects it instead. It starts from the Wilson score bound, or at
+    x = n from the closed form. A row stops at its first Newton step
     below 1e-10 relative, whose quadratic convergence leaves only the
     rounding of the tail, with that step clipped to its bracket; the
-    other rows step on without it. So each count's bound is the same
-    double whatever counts it is solved with, and the scalar bound is
-    entry x of the vector. Each step reads the tails and pmf values of
-    _tail_and_pmf for every row still stepping.
+    other rows step on without it. _cp_finish then moves each row the few
+    doubles to where its tail crosses alpha_prime. So each count's bound
+    is the same double whatever counts it is solved with, and the scalar
+    bound is entry x of the vector. Each step reads the tails and pmf
+    values of _tail_and_pmf for every row still stepping.
     """
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
@@ -508,7 +500,8 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
     lo, hi = np.zeros(x.size), np.ones(x.size)
     wilson = (x + 0.5 * z * z
               - z * np.sqrt(x * (n - x) / n + 0.25 * z * z)) / (n + z * z)
-    p = np.where(wilson > 0.0, wilson, x / n)
+    p = np.where(x == n, alpha_prime ** (1.0 / n),
+                 np.where(wilson > 0.0, wilson, x / n))
     for _ in range(_CP_STEPS):
         tail, at = _tail_and_pmf(n, p, x)
         gap = tail - alpha_prime
@@ -526,7 +519,27 @@ def _cp_roots(n: int, alpha_prime: float, xs: np.ndarray) -> np.ndarray:
         p = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
     else:
         out[rows] = p
-    return out
+    return _cp_finish(n, alpha_prime, xs, out)
+
+
+def _cp_finish(n: int, alpha_prime: float, xs: np.ndarray,
+               p: np.ndarray) -> np.ndarray:
+    """Each rate p[r] moved, one double at a time, to the double q at which
+    the tail Pr(X >= xs[r] | q) of _tail_and_pmf reaches alpha_prime and
+    that of the double below q does not: up from a p whose tail falls
+    short, down from one whose tail reaches it. Each row moves on its own
+    values alone."""
+    reach = _tail_and_pmf(n, p, xs)[0] >= alpha_prime
+    toward = np.where(reach, 0.0, 1.0)
+    rows = np.arange(p.size)
+    while rows.size:
+        q = np.nextafter(p[rows], toward[rows])
+        hit = _tail_and_pmf(n, q, xs[rows])[0] >= alpha_prime
+        # a row below the crossing moves up until it hits; one above it
+        # moves down while the double below still hits
+        p[rows] = np.where(hit | ~reach[rows], q, p[rows])
+        rows = rows[hit == reach[rows]]
+    return p
 
 
 def _check_cp_args(x: int, n: int, alpha_prime: float) -> None:
@@ -584,8 +597,8 @@ class LowerBoundProcedure(Record):
             k = _cp_count(tails, self.nominal_alpha, 0)
         else:  # each block's tails give the counts of its rates
             rates, k = _rate_array(self.n, t), np.zeros(t.size, int)
-            for i, j, first, pmf in _pmf_blocks(
-                    self.n, rates, *_windows(self.n, rates), _COVERAGE_CELLS):
+            for i, j, first, pmf in _pmf_blocks(self.n, rates,
+                                                *_windows(self.n, rates)):
                 k[i:j] = _cp_count(_tails_from_top(pmf), self.nominal_alpha, first)
         return k if _is_rate_array(t) else int(k)
 

@@ -164,7 +164,7 @@ def cmd_decide(scenario: Scenario, args) -> Outputs:
         print(f"warning: net-value shape violated at p={crossing.violating_p:g}, "
               f"m={crossing.violating_m}", file=sys.stderr)
     decision = scenario.decide(args.published_bound)
-    record = decision.to_record()
+    record = asdict(decision)
     record["published_bound"] = args.published_bound
     record["p0"] = scenario.policy.p0
     verb = f"implement at scale {decision.scale}" if decision.implement \
@@ -202,8 +202,8 @@ def cmd_contract(scenario: Scenario, args) -> Outputs:
             "c_M": econ.cost(m),
             "tail_k": mi.k,
             "proportional_share": mi.s,
-            "tail_decision": d_tail.to_record(),
-            "proportional_decision": d_prop.to_record(),
+            "tail_decision": asdict(d_tail),
+            "proportional_decision": asdict(d_prop),
         },
     })
 
@@ -215,28 +215,26 @@ def cmd_researcher(scenario: Scenario, args) -> Outputs:
     if not decision.implement:
         print(f"note: implementer would decline; reporting at full scale {m}")
     p_grid = np.linspace(0.05, 0.95, 19)
-    # one pass over the worlds serves both reports
+    # one pass over the worlds: the participation check and the conditions
     conds = publication_rate_conditions(
         lambda p: scenario.strategy.exceedance_prob(p, scenario.policy.p0),
         scenario.risk_strategy, scenario.researcher_payoff, scenario.utility,
         econ, m, p_grid)
-    part = conds.participation()
-    status = "holds" if part.passes else "fails"
-    print(f"participation {status}: min {part.minimum:.6f} vs floor "
-          f"{part.v_bar:g} at scale {m}")
+    status = "holds" if conds.passes else "fails"
+    print(f"participation {status}: min {conds.minimum:.6f} vs floor "
+          f"{conds.v_bar:g} at scale {m}")
     return Outputs({
         "researcher_participation.csv": (
-            "p,lhs", ([_fmt(p), _fmt(v)] for p, v in
-                      zip(part.p_grid.tolist(), part.lhs.tolist()))),
+            "p,lhs", ([_fmt(r.p), _fmt(r.lhs)] for r in conds.rows)),
         "researcher_conditions.csv": (
             "p,lhs,bound_type,bound,actual",
             ([_fmt(r.p), _fmt(r.lhs), r.regime, _fmt(r.bound), _fmt(r.actual)]
              for r in conds.rows)),
         "researcher_summary.json": {
             "scale": m,
-            "participation_minimum": part.minimum,
-            "v_bar": part.v_bar,
-            "participates": part.passes,
+            "participation_minimum": conds.minimum,
+            "v_bar": conds.v_bar,
+            "participates": conds.passes,
             "any_condition_violation": conds.any_violation,
             "base_expected_utility": conds.base_eu,
         },

@@ -21,7 +21,7 @@ from .contracts import (
     TailGuarantee,
 )
 from .economics import PolicyEconomics
-from .record import Record, asdict
+from .record import Record
 
 __all__ = [
     "AlphaSchedule",
@@ -107,9 +107,6 @@ class Decision(Record):
     def __post_init__(self):
         if self.implement != (self.scale > 0):
             raise ValueError("scale must be positive exactly when implementing")
-
-    def to_record(self) -> dict:
-        return asdict(self)
 
 
 def _no_implementation(rule: str) -> Decision:

@@ -42,7 +42,6 @@ __all__ = [
     "no_implementation_world",
     "expected_utility",
     "participation_check",
-    "ParticipationReport",
     "publication_rate_conditions",
     "ConditionRow",
     "ConditionsReport",
@@ -256,27 +255,19 @@ def expected_utility(position: Position, utility: UtilitySpec) -> float:
                                    position.laws)
 
 
-class ParticipationReport(Record):
-    p_grid: np.ndarray
-    lhs: np.ndarray
-    minimum: float
-    v_bar: float
-    passes: bool
-
-
 def participation_check(pub_prob, risk, payoff: ResearcherPayoffModel,
                         utility: UtilitySpec, econ: PolicyEconomics, m: int,
-                        p_grid) -> ParticipationReport:
+                        p_grid) -> ConditionsReport:
     """Expected utility of offering the guarantee, floor-checked at each p.
 
     pub_prob maps a true success rate p to the probability the published
     bound triggers implementation. The left-hand side mixes the
     implemented and not-implemented worlds by that probability; the check
     passes when the minimum over the grid stays at or above the floor.
-    It is the lhs column of publication_rate_conditions.
+    It is publication_rate_conditions, whose report carries both.
     """
     return publication_rate_conditions(
-        pub_prob, risk, payoff, utility, econ, m, p_grid).participation()
+        pub_prob, risk, payoff, utility, econ, m, p_grid)
 
 
 class ConditionRow(Record):
@@ -293,14 +284,8 @@ class ConditionsReport(Record):
     any_violation: bool
     v_bar: float
     base_eu: float  # expected utility when nothing gets implemented
-
-    def participation(self) -> ParticipationReport:
-        """The participation check of the same worlds: lhs against the floor."""
-        lhs = np.array([r.lhs for r in self.rows])
-        minimum = float(lhs.min())
-        return ParticipationReport(
-            p_grid=np.array([r.p for r in self.rows]), lhs=lhs,
-            minimum=minimum, v_bar=self.v_bar, passes=minimum >= self.v_bar)
+    minimum: float  # the participation check: least lhs over the rows,
+    passes: bool  # and whether it stays at or above v_bar
 
 
 def publication_rate_conditions(pub_prob, risk, payoff: ResearcherPayoffModel,
@@ -341,9 +326,11 @@ def publication_rate_conditions(pub_prob, risk, payoff: ResearcherPayoffModel,
             regime, bound, violated = "infeasible", float("nan"), True
         rows.append(ConditionRow(p=float(p), lhs=lhs, regime=regime,
                                  bound=bound, actual=pr, violated=violated))
+    minimum = float(np.min([r.lhs for r in rows]))
     return ConditionsReport(rows=rows,
                             any_violation=any(r.violated for r in rows),
-                            v_bar=v_bar, base_eu=a_val)
+                            v_bar=v_bar, base_eu=a_val, minimum=minimum,
+                            passes=minimum >= v_bar)
 
 
 class PoolMember(Record):

@@ -156,8 +156,7 @@ class TestPmf:
                                 probability_grid(512)])
         rows = _pmf_rows(n, rates)
         lo, hi = binomial._windows(n, rates)
-        for i, j, first, pmf in binomial._pmf_blocks(
-                n, rates, lo, hi, binomial._COVERAGE_CELLS):
+        for i, j, first, pmf in binomial._pmf_blocks(n, rates, lo, hi):
             top = first + pmf.shape[1]
             assert np.array_equal(pmf, rows[i:j, first:top])
             assert not rows[i:j, :first].any() and not rows[i:j, top:].any()
@@ -210,7 +209,7 @@ class TestPmf:
 
         monkeypatch.setattr(binomial, "_pmf_block", spy)
         for cells in (1, 1000):
-            monkeypatch.setattr(binomial, "_COVERAGE_CELLS", cells)
+            monkeypatch.setattr(binomial, "_BLOCK_CELLS", cells)
             blocks.clear()
             cut = values()
             assert all(size <= cells or rows == 1 for rows, size in blocks)
@@ -238,7 +237,10 @@ class TestPmf:
         # the windows of an array of rates are the scalar ones, and one
         # block over all of them holds the same cells
         lo, hi = binomial._windows(n, rates)
-        for i, j, first, pmf in binomial._pmf_blocks(n, rates, lo, hi, 1 << 40):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(binomial, "_BLOCK_CELLS", 1 << 40)
+            blocks = list(binomial._pmf_blocks(n, rates, lo, hi))
+        for i, j, first, pmf in blocks:
             assert np.array_equal(pmf, want[i:j, first:first + pmf.shape[1]])
         assert list(zip(lo.tolist(), hi.tolist())) == [
             binomial._window(n, float(p)) for p in rates]
@@ -280,7 +282,10 @@ class TestPmf:
         lo = [a % (n + 1) for _, a, _ in rows]
         hi = [min(a + w, n + 1) for a, (_, _, w) in zip(lo, rows)]
         got = []
-        for i, j, first, pmf in binomial._pmf_blocks(n, rates, lo, hi, cells):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(binomial, "_BLOCK_CELLS", cells)
+            blocks = list(binomial._pmf_blocks(n, rates, lo, hi))
+        for i, j, first, pmf in blocks:
             assert all(lo[m] < hi[m] for m in range(i, j))
             got += range(i, j)
             top = first + pmf.shape[1]
@@ -361,7 +366,9 @@ def _cp_roots_full(n, alpha_prime, xs):
     """binomial._cp_roots as it was before the column cut and the window:
     every Newton step builds the full (rows, n+1) pmf matrix with an exp
     on every cell. Each count is solved alone, stopping at its first step
-    below 1e-10 relative, as _cp_roots stops each row."""
+    below 1e-10 relative, as _cp_roots stops each row, and then moved one
+    double at a time to where its tail crosses alpha', as _cp_finish
+    moves it."""
     z = normal_quantile(1.0 - alpha_prime)
     out = np.empty(xs.size)
     for i, x in enumerate(xs):
@@ -380,6 +387,17 @@ def _cp_roots_full(n, alpha_prime, xs):
                 p = min(max(newton, lo), hi)
                 break
             p = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+
+        def reaches(q):
+            pmf = _full_exp_pmf(n, np.array([q]))[0]
+            return binomial._tails_from_top(pmf)[n - x] >= alpha_prime
+
+        if reaches(p):
+            while reaches(np.nextafter(p, 0.0)):
+                p = np.nextafter(p, 0.0)
+        else:
+            while not reaches(p):
+                p = np.nextafter(p, 1.0)
         out[i] = p
     return out
 
@@ -632,6 +650,21 @@ class TestClopperPearson:
                 assert ([clopper_pearson_lower(x, n, a) for x in xs]
                         == vec[xs].tolist())
 
+    @pytest.mark.parametrize("n", [1, 2, 12, 40, 300, 2000])
+    @pytest.mark.parametrize("a", [0.2, 0.05, 0.01, 0.001])
+    def test_bound_is_where_the_covered_rule_crosses(self, n, a):
+        # a bound value is the smallest double the covered rule counts:
+        # L(x) itself covers x and the double below it does not; every
+        # count up to n = 300, at n = 2000 every 10th count
+        proc = LowerBoundProcedure("clopper_pearson", a, n)
+        xs = np.arange(1, n + 1) if n <= 300 else np.arange(10, n + 1, 10)
+        bounds = proc.bounds[xs]
+        assert np.array_equal(proc.covered(bounds), xs + 1)
+        assert np.array_equal(proc.covered(np.nextafter(bounds, 0.0)), xs)
+        for x in xs[::max(1, xs.size // 8)].tolist():  # the scalar rule too
+            assert proc.covered(float(proc.bounds[x])) == x + 1
+            assert proc.covered(float(np.nextafter(proc.bounds[x], 0.0))) == x
+
     @pytest.mark.parametrize("n", [40, 300, 2000])
     def test_closed_form_matches_bisection(self, n):
         # every count up to n = 300; at n = 2000, where each bisection
@@ -664,7 +697,7 @@ class TestClopperPearson:
         xs = np.array([1 + x % (n - 1) for x, _ in pairs])
         rates = np.array([r for _, r in pairs])
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(binomial, "_CP_CELLS", max(1, rows * (n + 1)))
+            patch.setattr(binomial, "_BLOCK_CELLS", max(1, rows * (n + 1)))
             tail, at = binomial._tail_and_pmf(n, rates, xs)
         full = _full_exp_pmf(n, rates)
         each = np.arange(xs.size)
@@ -1014,7 +1047,7 @@ class TestTermsValue:
 
     def test_a_grid_scan_builds_blocks_not_a_rate_matrix(self):
         # 8191 rates at n = 300 took a 16.4 MiB peak as 2**20-cell matrices
-        # and their log-sum temporaries; blocks of _COVERAGE_CELLS cells
+        # and their log-sum temporaries; blocks of _BLOCK_CELLS cells
         # leave the outputs and a few small blocks
         terms = mixture_terms(0.5, 300, 0.05,
                               MixtureBelief(0.5, "fixed_given_published"))

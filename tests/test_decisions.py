@@ -16,6 +16,7 @@ from guaranteesim.decisions import (
     worst_case_bound,
 )
 from guaranteesim.economics import BenefitFunction, CostSchedule, PolicyEconomics
+from guaranteesim.record import asdict
 
 
 def linear_econ(beta=2.5, M=20, unit=1.0):
@@ -70,7 +71,7 @@ class TestPolicyAndDecision:
             Decision(implement=True, scale=0, bound=0.0, rule="full")
         with pytest.raises(ValueError):
             Decision(implement=False, scale=3, bound=0.0, rule="full")
-        rec = Decision(True, 3, -1.0, "tail", alpha_used=0.2).to_record()
+        rec = asdict(Decision(True, 3, -1.0, "tail", alpha_used=0.2))
         assert rec == {"implement": True, "scale": 3, "bound": -1.0,
                        "rule": "tail", "alpha_used": 0.2}
 

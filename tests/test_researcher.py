@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from guaranteesim.binomial import LowerBoundProcedure
 from guaranteesim.contracts import (
     FullGuarantee,
     ProportionalGuarantee,
@@ -29,11 +30,17 @@ from guaranteesim.researcher import (
     researcher_world,
 )
 from guaranteesim.simulate import DiscreteDist
+from guaranteesim.strategies import (
+    FraudulentStrategy,
+    SelectiveStrategy,
+    TruthfulStrategy,
+)
 
 CARA_MILD_EU = -31.551275422694314  # a=0.001 on {-100: 0.3, 0: 0.7}
 
 LINEAR = UtilitySpec("linear")
 BARE = ResearcherRisk()
+CP40 = LowerBoundProcedure("clopper_pearson", 0.05, 40)
 
 
 def tail_only(k):
@@ -340,10 +347,11 @@ class TestParticipation:
         report = participation_check(lambda p: p, BARE, payoff(), u,
                                      econ20(), 8, [0.2, 0.5])
         base = expected_utility(no_implementation_world(payoff()), LINEAR)
-        for p, lhs in zip(report.p_grid, report.lhs):
+        for row in report.rows:
             impl = expected_utility(
-                researcher_world(BARE, payoff(), 8, econ20(), p), LINEAR)
-            assert lhs == pytest.approx((1 - p) * base + p * impl, abs=1e-12)
+                researcher_world(BARE, payoff(), 8, econ20(), row.p), LINEAR)
+            assert row.lhs == pytest.approx(
+                (1 - row.p) * base + row.p * impl, abs=1e-12)
 
     def test_passes_tracks_floor(self):
         grid = np.linspace(0.1, 0.9, 9)
@@ -357,7 +365,32 @@ class TestParticipation:
             lambda p: p, BARE, payoff(),
             UtilitySpec("linear", v_bar=report.minimum - 0.1), econ20(), 8, grid)
         assert not tight.passes and loose.passes
-        assert report.minimum == pytest.approx(report.lhs.min())
+        assert report.minimum == min(r.lhs for r in report.rows)
+
+    @pytest.mark.parametrize("strategy", [
+        TruthfulStrategy(CP40), FraudulentStrategy(CP40, 0.05),
+        SelectiveStrategy(40, 0.1)], ids=["truthful", "fraudulent", "selective"])
+    def test_check_is_the_conditions_report(self, strategy):
+        # the participation check reads its minimum and pass flag off the
+        # same rows that bound the publication rate
+        def pub(p):
+            return strategy.exceedance_prob(p, 0.4)
+
+        grid = np.linspace(0.05, 0.95, 7)
+        u = UtilitySpec("cara", risk_aversion=0.05, v_bar=1.5)
+        risk = tail_only(-3.0)
+        check = participation_check(pub, risk, payoff(), u, econ20(), 8, grid)
+        conds = publication_rate_conditions(pub, risk, payoff(), u, econ20(),
+                                            8, grid)
+        table = [np.array([[r.p, r.lhs, r.bound, r.actual] for r in rep.rows])
+                 for rep in (check, conds)]
+        assert np.array_equal(*table, equal_nan=True)
+        assert ([(r.regime, r.violated) for r in check.rows]
+                == [(r.regime, r.violated) for r in conds.rows])
+        assert (check.minimum, check.passes, check.v_bar) == (
+            conds.minimum, conds.passes, conds.v_bar)
+        assert check.minimum == min(r.lhs for r in conds.rows)
+        assert check.passes == (check.minimum >= 1.5)
 
 
 class TestPublicationRateConditions:
