@@ -350,22 +350,14 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                         version=f"guaranteesim {__version__}")
     metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    parser.commands = {}  # name -> its parser, for the checks after parsing
     for name, (text, handler, flags) in _SUBCOMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, help=text)
+            p = parser.commands[name] = sub.add_parser(name, help=text)
             for flag, keywords in _COMMON + flags:
                 p.add_argument(flag, **keywords)
             p.set_defaults(handler=handler)
     return parser
-
-
-def _command_parser(parser: argparse.ArgumentParser,
-                    name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand name within parser: its error prints the
-    subcommand's usage and prog, as argparse's own errors on its flags do."""
-    sub = next(action for action in parser._actions
-               if isinstance(action, argparse._SubParsersAction))
-    return sub.choices[name]
 
 
 def _check_target(path: Path) -> bool:
@@ -388,7 +380,9 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.config)
         if getattr(args, "pi", 0.0) is None:
             args.pi = scenario.belief_weight
-        command = _command_parser(parser, args.command)
+        # the subcommand's error prints its usage and prog, as argparse's
+        # own errors on its flags do
+        command = parser.commands[args.command]
         if getattr(args, "pi", 0.0) > 0.0 and getattr(args, "n", 2) < 2:
             # the selective gate compares two arms of at least 2 each
             command.error(f"argument --n: must be at least 2 when --pi > 0, "

@@ -269,37 +269,50 @@ def _law(block: dict, path: str) -> DiscreteDist:
                             _floats(block, "probs", path))
 
 
+def _variant(parent, key, path: str, field: str, forms: dict, *context):
+    """The record the object parent[key] describes. Its field names one of
+    forms, name -> (keys, build); the object holds field and that name's
+    keys only, and build(block, where, *context) makes the record, with a
+    ValueError or TypeError reported at the object."""
+    where = _child(path, key)
+    block = _get(parent, key, path, dict)
+    name = _get(block, field, where, str, check=Check(
+        forms.__contains__, "be one of " + ", ".join(map(repr, forms))))
+    keys, build = forms[name]
+    _reject_unknown(block, (field, *keys), where)
+    with _at(where):
+        return build(block, where, *context)
+
+
+def _cost_table(block: dict, where: str, M: int) -> CostSchedule:
+    values = _floats(block, "values", where)
+    if len(values) != M:
+        raise ConfigError(f"cost table has {len(values)} entries for "
+                          f"population {M}", f"{where}.values")
+    return CostSchedule.table(values)
+
+
+_COSTS = {
+    "linear": (("unit",), lambda block, where, M: CostSchedule.linear(
+        _get(block, "unit", where), M)),
+    "affine": (("fixed", "unit"), lambda block, where, M: CostSchedule.affine(
+        _get(block, "fixed", where), _get(block, "unit", where), M)),
+    "table": (("values",), _cost_table),
+}
+_BENEFITS = {
+    "linear": (("per_success",), lambda block, where: BenefitFunction.linear(
+        _get(block, "per_success", where))),
+    "table": (("values",), lambda block, where: BenefitFunction.from_table(
+        _floats(block, "values", where))),
+}
+
+
 def _economics(top: dict) -> PolicyEconomics:
     path = "economics"
     block = _block(top, path, "", {"population", "cost", "benefit", "dilution_q"})
     M = _get(block, "population", path, int, check=_between(1, ENUMERATION_LIMIT))
-    where = f"{path}.cost"
-    cost = _block(block, "cost", path, {"form", "unit", "fixed", "values"})
-    form = _get(cost, "form", where, str)
-    with _at(where):
-        if form == "linear":
-            costs = CostSchedule.linear(_get(cost, "unit", where), M)
-        elif form == "affine":
-            costs = CostSchedule.affine(_get(cost, "fixed", where),
-                                        _get(cost, "unit", where), M)
-        elif form == "table":
-            values = _floats(cost, "values", where)
-            if len(values) != M:
-                raise ConfigError(f"cost table has {len(values)} entries for "
-                                  f"population {M}", f"{where}.values")
-            costs = CostSchedule.table(values)
-        else:
-            raise ConfigError(f"unknown cost form {form!r}", f"{where}.form")
-    where = f"{path}.benefit"
-    ben = _block(block, "benefit", path, {"form", "per_success", "values"})
-    form = _get(ben, "form", where, str)
-    with _at(where):
-        if form == "linear":
-            benefit = BenefitFunction.linear(_get(ben, "per_success", where))
-        elif form == "table":
-            benefit = BenefitFunction.from_table(_floats(ben, "values", where))
-        else:
-            raise ConfigError(f"unknown benefit form {form!r}", f"{where}.form")
+    costs = _variant(block, "cost", path, "form", _COSTS, M)
+    benefit = _variant(block, "benefit", path, "form", _BENEFITS)
     q = _get(block, "dilution_q", path, default=PolicyEconomics.dilution)
     with _at(path):
         return PolicyEconomics(costs=costs, benefit=benefit, dilution=q)
@@ -308,44 +321,27 @@ def _economics(top: dict) -> PolicyEconomics:
 def _procedure(top: dict) -> LowerBoundProcedure:
     path = "procedure"
     block = _block(top, path, "", {"kind", "alpha", "n"})
-    with _at(path):
-        return LowerBoundProcedure(
-            kind=_get(block, "kind", path, str),
-            nominal_alpha=_get(block, "alpha", path, check=OPEN_UNIT),
-            n=_get(block, "n", path, int, check=TRIALS))
+    alpha = _get(block, "alpha", path, check=OPEN_UNIT)
+    n = _get(block, "n", path, int, check=TRIALS)
+    with _at(f"{path}.kind"):  # alpha and n are checked: only the kind fails
+        return LowerBoundProcedure(_get(block, "kind", path, str), alpha, n)
 
 
-def _strategy(top: dict, procedure: LowerBoundProcedure):
-    path = "strategy"
-    block = _block(top, path, "", {"variant", "guess_spread", "n_per_arm", "alpha"})
-    variant = _get(block, "variant", path, str)
-    with _at(path):
-        if variant == "truthful":
-            return TruthfulStrategy(procedure)
-        if variant == "fraudulent":
-            return FraudulentStrategy(procedure, guess_spread=_get(
-                block, "guess_spread", path, default=FraudulentStrategy.guess_spread))
-        if variant == "selective":
-            return SelectiveStrategy(
-                n=_get(block, "n_per_arm", path, int, check=TRIALS),
-                alpha_prime=_get(block, "alpha", path, check=OPEN_UNIT))
-    raise ConfigError(f"unknown strategy variant {variant!r}", f"{path}.variant")
-
-
-def _contract(top: dict) -> Optional[InsuranceContract]:
-    path = "contract"
-    block = _block(top, path, "", {"variant", "k", "share"}, default=None)
-    if block is None:
-        return None
-    variant = _get(block, "variant", path, str)
-    with _at(path):
-        if variant == "full":
-            return FullGuarantee()
-        if variant == "tail":
-            return TailGuarantee(k=_get(block, "k", path))
-        if variant == "proportional":
-            return ProportionalGuarantee(share=_get(block, "share", path))
-    raise ConfigError(f"unknown contract variant {variant!r}", f"{path}.variant")
+_STRATEGIES = {
+    "truthful": ((), lambda block, where, proc: TruthfulStrategy(proc)),
+    "fraudulent": (("guess_spread",), lambda block, where, proc: FraudulentStrategy(
+        proc, guess_spread=_get(block, "guess_spread", where,
+                                default=FraudulentStrategy.guess_spread))),
+    "selective": (("n_per_arm", "alpha"), lambda block, where, proc: SelectiveStrategy(
+        n=_get(block, "n_per_arm", where, int, check=TRIALS),
+        alpha_prime=_get(block, "alpha", where, check=OPEN_UNIT))),
+}
+_CONTRACTS = {
+    "full": ((), lambda block, where: FullGuarantee()),
+    "tail": (("k",), lambda block, where: TailGuarantee(k=_get(block, "k", where))),
+    "proportional": (("share",), lambda block, where: ProportionalGuarantee(
+        share=_get(block, "share", where))),
+}
 
 
 def _alpha_belief(policy: dict, path: str):
@@ -360,16 +356,23 @@ def _alpha_belief(policy: dict, path: str):
         return AlphaSchedule(tuple(pairs))
 
 
-def _utility(parent: dict, path: str, key: str,
-             allowed=("form", "risk_aversion", "v_bar")) -> UtilitySpec:
-    block = _block(parent, key, path, allowed)
-    where = _child(path, key)
-    with _at(where):
-        return UtilitySpec(
-            form=_get(block, "form", where, str),
-            risk_aversion=_get(block, "risk_aversion", where,
-                               default=UtilitySpec.risk_aversion),
-            v_bar=_get(block, "v_bar", where, default=UtilitySpec.v_bar))
+def _utility(block: dict, where: str) -> UtilitySpec:
+    # the form's table entry leaves out the keys it does not read
+    return UtilitySpec(
+        form=block["form"],
+        risk_aversion=_get(block, "risk_aversion", where,
+                           default=UtilitySpec.risk_aversion),
+        v_bar=_get(block, "v_bar", where, default=UtilitySpec.v_bar))
+
+
+_UTILITIES = {
+    "linear": (("v_bar",), _utility),
+    "cara": (("risk_aversion", "v_bar"), _utility),
+}
+_POOL_UTILITIES = {  # a pool member has no participation floor
+    "linear": ((), _utility),
+    "cara": (("risk_aversion",), _utility),
+}
 
 
 def _payoff(top: dict) -> ResearcherPayoffModel:
@@ -378,6 +381,9 @@ def _payoff(top: dict) -> ResearcherPayoffModel:
                                    "noise"})
     where = f"{path}.impl_value"
     impl = _block(block, "impl_value", path, {"kind", "amount"}, default={})
+    amount = _get(impl, "amount", where, default=ImplValue.amount)
+    with _at(f"{where}.kind"):  # the amount is checked: only the kind fails
+        impl = ImplValue(_get(impl, "kind", where, str, default=ImplValue.kind), amount)
     noise = _block(block, "noise", path, {"epsilon"}, default=None)
     if noise is not None:
         with _at(f"{path}.noise"):
@@ -386,40 +392,35 @@ def _payoff(top: dict) -> ResearcherPayoffModel:
     with _at(path):
         return model(
             base_pub=_get(block, "base_pub", path, default=model.base_pub),
-            impl_value=ImplValue(
-                kind=_get(impl, "kind", where, str, default=ImplValue.kind),
-                amount=_get(impl, "amount", where, default=ImplValue.amount)),
+            impl_value=impl,
             failure_exposure=_get(block, "failure_exposure", path,
                                   default=model.failure_exposure),
             noise=noise)
 
 
-def _risk_strategy(top: dict) -> ResearcherRisk:
-    """Each variant is a (contract, hedge) pair: none, transfer and exchange
-    hedge a full guarantee; tail_only and proportional_only are unhedged
-    tail and proportional guarantees."""
-    path = "risk_strategy"
-    block = _block(top, path, "", {"variant", "retained", "premium", "assumed",
-                                   "partner_loss", "k", "share"})
-    variant = _get(block, "variant", path, str)
-    with _at(path):
-        if variant == "none":
-            return ResearcherRisk()
-        if variant == "transfer":
-            return ResearcherRisk(hedge=RiskTransfer(
-                retained=_get(block, "retained", path),
-                premium=_get(block, "premium", path, default=RiskTransfer.premium)))
-        if variant == "exchange":
-            partner = _block(block, "partner_loss", path, {"values", "probs"})
-            law = _law(partner, f"{path}.partner_loss")
-            return ResearcherRisk(hedge=RiskExchange(
-                retained=_get(block, "retained", path),
-                assumed=_get(block, "assumed", path), partner_loss=law))
-        if variant == "tail_only":
-            return ResearcherRisk(TailGuarantee(k=_get(block, "k", path)))
-        if variant == "proportional_only":
-            return ResearcherRisk(ProportionalGuarantee(_get(block, "share", path)))
-    raise ConfigError(f"unknown risk strategy {variant!r}", f"{path}.variant")
+def _exchange(block: dict, where: str) -> ResearcherRisk:
+    partner = _block(block, "partner_loss", where, {"values", "probs"})
+    law = _law(partner, f"{where}.partner_loss")
+    return ResearcherRisk(hedge=RiskExchange(
+        retained=_get(block, "retained", where),
+        assumed=_get(block, "assumed", where), partner_loss=law))
+
+
+# Each risk strategy is a (contract, hedge) pair: none, transfer and
+# exchange hedge a full guarantee; tail_only and proportional_only are
+# unhedged tail and proportional guarantees.
+_RISKS = {
+    "none": ((), lambda block, where: ResearcherRisk()),
+    "transfer": (("retained", "premium"), lambda block, where: ResearcherRisk(
+        hedge=RiskTransfer(retained=_get(block, "retained", where),
+                           premium=_get(block, "premium", where,
+                                        default=RiskTransfer.premium)))),
+    "exchange": (("retained", "assumed", "partner_loss"), _exchange),
+    "tail_only": (("k",), lambda block, where: ResearcherRisk(
+        TailGuarantee(k=_get(block, "k", where)))),
+    "proportional_only": (("share",), lambda block, where: ResearcherRisk(
+        ProportionalGuarantee(_get(block, "share", where)))),
+}
 
 
 def _member(block: dict, path: str, utility: UtilitySpec) -> PoolMember:
@@ -430,20 +431,21 @@ def _member(block: dict, path: str, utility: UtilitySpec) -> PoolMember:
 def _pool(top: dict) -> PoolSpec:
     path = "pool"
     block = _block(top, path, "", {"iid", "members", "utility", "shares"})
-    utility = _utility(block, path, "utility", ("form", "risk_aversion"))
+    utility = _variant(block, "utility", path, "form", _POOL_UTILITIES)
+    if ("iid" in block) == ("members" in block):
+        raise ConfigError("pool needs exactly one of iid and members",
+                          f"{path}.members" if "iid" in block else path)
     if "iid" in block:
         where = f"{path}.iid"
         iid = _block(block, "iid", path, {"count", "values", "probs", "base"})
         count = _get(iid, "count", where, int, check=_between(1, POOL_LIMIT))
         members = [_member(iid, where, utility)] * count
-    elif "members" in block:
+    else:
         where = f"{path}.members"
         items = _get(block, "members", path, list, check=Check(
             lambda v: 1 <= len(v) <= POOL_LIMIT, f"hold 1..{POOL_LIMIT} members"))
         members = [_member(_block(items, i, where, {"base", "values", "probs"}),
                            f"{where}[{i}]", utility) for i in range(len(items))]
-    else:
-        raise ConfigError("pool needs either iid or members", path)
     j, where, shares = len(members), f"{path}.shares", block.get("shares")
     if isinstance(shares, list):
         shares = [_floats(shares, i, where) for i in range(len(shares))]
@@ -483,16 +485,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         seed=_get(merged, "seed", "", int, check=_between(0, 2 ** 64 - 1)),
         economics=_economics(merged),
         procedure=procedure,
-        strategy=_strategy(merged, procedure),
+        strategy=_variant(merged, "strategy", "", "variant", _STRATEGIES,
+                          procedure),
         belief_weight=_get(belief, "untruthful_weight", "belief", check=UNIT),
         belief_conditioning=conditioning,
         policy_u_bar=_get(policy, "u_bar", "policy", check=_NEGATIVE),
         policy_alpha=_alpha_belief(policy, "policy"),
         policy_p0=_get(policy, "p0", "policy", default=None, check=OPEN_UNIT),
-        contract=_contract(merged),
-        utility=_utility(merged, "", "utility"),
+        contract=None if merged["contract"] is None else _variant(
+            merged, "contract", "", "variant", _CONTRACTS),
+        utility=_variant(merged, "utility", "", "form", _UTILITIES),
         researcher_payoff=_payoff(merged),
-        risk_strategy=_risk_strategy(merged),
+        risk_strategy=_variant(merged, "risk_strategy", "", "variant", _RISKS),
         pool=_pool(merged),
         grids=_grids(merged),
     )
@@ -520,47 +524,40 @@ def _check_against_p0(scenario: Scenario, in_file: bool) -> None:
         scenario.decide(1.0)
 
 
+_DECODER = json.JSONDecoder()
+# in a text json.loads accepts, a comma between tokens is stepped as a space
+_skip = re.compile(r"[ \t\n\r,]*").match
+
+
+def _children(raw: str, pos: int):
+    """(offset, key, value offset) of each member of the JSON object at pos
+    in raw, or (offset, index, offset) of each item of the array there."""
+    close = {"{": "}", "[": "]"}.get(raw[pos])
+    pos, index = _skip(raw, pos + 1).end(), 0
+    while close is not None and raw[pos] != close:
+        start, key = pos, index
+        if close == "}":
+            key, end = json.decoder.scanstring(raw, pos + 1)
+            pos = _skip(raw, raw.index(":", end) + 1).end()
+        yield start, key, pos
+        pos, index = _skip(raw, _DECODER.raw_decode(raw, pos)[1]).end(), index + 1
+
+
 def _line_of_key(raw: str, key_path: str) -> Optional[int]:
-    """Line of key_path in the raw JSON text: each key is searched after the
-    one before it, array items (nested ones too) are stepped into by index,
-    and the deepest key found wins."""
-    pos = None
-    for part in key_path.split(".") if key_path else []:
-        name = part.partition("[")[0]
-        found = re.compile(rf'"{re.escape(name)}"\s*:').search(raw, pos or 0)
-        if found is None:
+    """Line of key_path in the raw JSON text, or of its deepest part there.
+    Each part is looked up in the value the part before led to: a key among
+    its members (the last of equal keys, as json.loads keeps), an [i] among
+    its items, so text in a string or in a sibling value never matches."""
+    pos, line = _skip(raw, 0).end(), None
+    for index, name in re.findall(r"\[(\d+)\]|([^.[]+)", key_path):
+        want = int(index) if index else name
+        found = [(start, value) for start, key, value in _children(raw, pos)
+                 if key == want]
+        if not found:
             break
-        pos = found.end()
-        for index in re.findall(r"\[(\d+)\]", part):
-            pos = _array_item(raw, pos, int(index))
-    return None if pos is None else raw.count("\n", 0, pos) + 1
-
-
-def _array_item(raw: str, pos: int, index: int) -> int:
-    """Offset of item index of the JSON array that opens at or after pos."""
-    start = raw.find("[", pos)
-    if start < 0:
-        return pos
-    depth, in_string, escaped = 0, False, False
-    for i in range(start, len(raw)):
-        ch = raw[i]
-        if in_string:
-            in_string = escaped or ch != '"'
-            escaped = not escaped and ch == "\\"
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-            if depth == 0:
-                break
-        elif ch == "," and depth == 1:
-            index -= 1
-        if depth == 1 and index == 0 and ch in "[,":
-            return re.compile(r"\s*").match(raw, i + 1).end()
-    return pos
+        start, pos = found[-1]
+        line = raw.count("\n", 0, start) + 1
+    return line
 
 
 def load_scenario(path: Optional[str]) -> Scenario:

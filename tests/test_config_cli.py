@@ -184,6 +184,7 @@ SECOND_MEMBER = {"pool": {
                 {"base": "one", "values": [0.0, -9.0], "probs": [0.9, 0.1]}],
     "utility": {"form": "cara", "risk_aversion": 0.1}}}
 POOL_IID = {"count": 2, "values": [0.0, -10.0], "probs": [0.7, 0.3]}
+POOL_UTILITY = {"form": "cara", "risk_aversion": 0.1}
 
 
 class TestConfigMistakesExit2:
@@ -216,9 +217,21 @@ class TestConfigMistakesExit2:
             "shares": [[0.5, 0.4], [0.5, 0.5]]}}, "pool.shares", '"shares"'),
         ("researcher", {"strategy": {"variant": "fraudulent", "guess_spread": 0.5}},
          "strategy.guess_spread", '"guess_spread"'),
+        ("decide", {"procedure": {"kind": "bayes", "alpha": 0.05, "n": 40}},
+         "procedure.kind", '"bayes"'),
+        ("decide", {"researcher_payoff": {"impl_value": {
+            "kind": "quadratic", "amount": 2.0}}},
+         "researcher_payoff.impl_value.kind", '"quadratic"'),
+        ("pool", {"pool": {"iid": POOL_IID, "members": [POOL_IID],
+                           "utility": POOL_UTILITY}}, "pool.members", '"members"'),
+        ("pool", {"pool": {"iid": POOL_IID, "utility": POOL_UTILITY},
+                  "utility": {"form": "quadratic", "risk_aversion": 0.05}},
+         "utility.form", '"quadratic"'),
     ], ids=["refine_denom", "base_denom", "alpha_levels", "seed", "cara_zero",
             "pool_probs", "nested_k", "member_index", "u_bar_positive",
-            "p0_above_one", "alpha_belief", "share_rows", "guess_spread"])
+            "p0_above_one", "alpha_belief", "share_rows", "guess_spread",
+            "procedure_kind", "impl_value_kind", "pool_both_forms",
+            "utility_after_the_pools"])
     def test_exit_2_with_key_path_and_line(self, tmp_path, capsys, command,
                                            edit, key_path, line_of):
         cfg = write_config(tmp_path, edit)
@@ -256,7 +269,6 @@ class TestConfigMistakesExit2:
 
 
 NAN = float("nan")
-POOL_UTILITY = {"form": "cara", "risk_aversion": 0.1}
 
 
 def linear_economics(**cost):
@@ -339,6 +351,30 @@ class TestLineAnchoring:
         with pytest.raises(ConfigError) as exc:
             load_scenario(str(path))
         assert exc.value.line == 3
+
+    def test_a_key_is_found_inside_the_value_its_path_leads_to(self):
+        raw = (
+            '{\n'
+            '  "pool": {"utility": {"form": "cara"}},\n'
+            '  "note": "\\"utility\\": {\\"form\\": 1}",\n'
+            '  "utility": {\n'
+            '    "form": "linear"\n'
+            '  },\n'
+            '  "grid": [[0.1, 0.2],\n'
+            '           [0.3, {"x": [5,\n'
+            '                        6]}]],\n'
+            '  "twice": 1,\n'
+            '  "twice": 2\n'
+            '}\n')
+        assert json.loads(raw)["note"] == '"utility": {"form": 1}'
+        line = config._line_of_key
+        assert line(raw, "utility") == 4  # not the pool's, nor the string's
+        assert line(raw, "utility.form") == 5
+        assert line(raw, "grid[1]") == 8
+        assert line(raw, "grid[1][1].x[1]") == 9
+        assert line(raw, "twice") == 11  # the value json.loads keeps
+        assert line(raw, "utility.v_bar") == 4  # its deepest part present
+        assert line(raw, "absent") is None and line(raw, "") is None
 
     def test_cli_reports_config_errors_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,9 +1,12 @@
 """Exhaustive scenario mutation sweep.
 
 Every key path of two base scenarios (object keys, containers and list
-items alike) is deleted or replaced by each value of MUTANTS. Loading the
-result either succeeds, never with a NaN, or raises ConfigError, and `example1` on it exits 0
-with nothing on stderr, or 2 with one located config error.
+items alike) is deleted or replaced by each value of MUTANTS, and each
+variant block gets, one at a time, each key that only its sibling
+variants read. Loading the result either succeeds, never with a NaN, or
+raises ConfigError, and `example1` on it exits 0 with nothing on stderr,
+or 2 with one located config error. A sibling's key is an unknown key,
+reported on its line.
 """
 
 import copy
@@ -60,6 +63,45 @@ ALTERNATIVE = {
 BASES = {"default": default_scenario_dict(), "alternative": ALTERNATIVE}
 LOCATED = re.compile(r"config error \(line \d+\): \S+: .+\n")
 
+# a valid block of each variant, holding every key that variant reads
+VARIANTS = {
+    ("economics", "cost"): {
+        "linear": {"form": "linear", "unit": 1.0},
+        "affine": {"form": "affine", "fixed": 2.0, "unit": 1.0},
+        "table": {"form": "table", "values": [float(m) for m in range(1, 21)]},
+    },
+    ("economics", "benefit"): {
+        "linear": {"form": "linear", "per_success": 2.5},
+        "table": {"form": "table", "values": [2.5 * s for s in range(21)]},
+    },
+    ("strategy",): {
+        "truthful": {"variant": "truthful"},
+        "fraudulent": {"variant": "fraudulent", "guess_spread": 0.05},
+        "selective": {"variant": "selective", "n_per_arm": 20, "alpha": 0.05},
+    },
+    ("contract",): {
+        "full": {"variant": "full"},
+        "tail": {"variant": "tail", "k": -12.0},
+        "proportional": {"variant": "proportional", "share": 0.4},
+    },
+    ("utility",): {
+        "linear": {"form": "linear", "v_bar": -6.0},
+        "cara": {"form": "cara", "risk_aversion": 0.05, "v_bar": -6.0},
+    },
+    ("risk_strategy",): {
+        "none": {"variant": "none"},
+        "transfer": {"variant": "transfer", "retained": 0.3, "premium": 0.5},
+        "exchange": {"variant": "exchange", "retained": 0.3, "assumed": 0.6,
+                     "partner_loss": {"values": [0.0, -3.0], "probs": [0.5, 0.5]}},
+        "tail_only": {"variant": "tail_only", "k": -12.0},
+        "proportional_only": {"variant": "proportional_only", "share": 0.4},
+    },
+    ("pool", "utility"): {
+        "linear": {"form": "linear"},
+        "cara": {"form": "cara", "risk_aversion": 0.1},
+    },
+}
+
 
 def key_paths(node, path=()):
     """Every key path under node, through objects and lists."""
@@ -74,17 +116,38 @@ def key_paths(node, path=()):
         yield from key_paths(child, path + (key,))
 
 
+def set_at(data, path, value):
+    *head, last = path
+    parent = functools.reduce(lambda node, key: node[key], head, data)
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+
+
+def sibling_keys(block, variants):
+    """The keys that block's siblings among variants read and it does not."""
+    name = block.get("variant", block.get("form"))
+    return sorted({key for other in variants.values() for key in other}
+                  - set(variants[name]))
+
+
+def with_sibling_keys(base):
+    """base with one key of a sibling variant put into one variant block."""
+    for block, variants in VARIANTS.items():
+        for key in sibling_keys(functools.reduce(dict.get, block, base), variants):
+            data = copy.deepcopy(base)
+            set_at(data, block + (key,), 0.5)
+            yield block + (key,), 0.5, data
+
+
 def mutants(base):
     for path in key_paths(base):
         for value in MUTANTS:
             data = copy.deepcopy(base)
-            *head, last = path
-            parent = functools.reduce(lambda node, key: node[key], head, data)
-            if value is DELETE:
-                del parent[last]
-            else:
-                parent[last] = value
+            set_at(data, path, value)
             yield path, value, data
+    yield from with_sibling_keys(base)
 
 
 def test_alternative_base_uses_the_alternative_forms():
@@ -94,6 +157,38 @@ def test_alternative_base_uses_the_alternative_forms():
     assert s.pool.shares[0, 1] == 0.4 and len(s.pool.members) == 2
     assert s.economics.benefit.table is not None
     assert s.policy_alpha.alpha_at(-4.0) == 0.02
+
+
+def dotted(value):
+    return ".".join(value) if isinstance(value, tuple) else None
+
+
+@pytest.mark.parametrize("block,name", [
+    (block, name) for block, variants in VARIANTS.items() for name in variants],
+    ids=dotted)
+def test_each_variant_block_loads(block, name):
+    data = copy.deepcopy(BASES["default"])
+    set_at(data, block, VARIANTS[block][name])
+    scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("block,name,key", [
+    (block, name, key) for block, variants in VARIANTS.items()
+    for name, variant in variants.items() for key in sibling_keys(variant, variants)],
+    ids=dotted)
+def test_a_sibling_variants_key_exits_2_on_its_line(tmp_path, capsys, block,
+                                                     name, key):
+    data = copy.deepcopy(BASES["default"])
+    set_at(data, block, {**VARIANTS[block][name], key: 0.125})
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    lines = cfg.read_text().splitlines()
+    line = next(i for i, ln in enumerate(lines, 1) if f'"{key}": 0.125' in ln)
+    rc = cli.main(["example1", "--config", str(cfg), "--out", str(tmp_path)])
+    where = ".".join(block + (key,))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"config error (line {line}): {where}: unknown key {key!r}\n")
 
 
 @pytest.mark.parametrize("name", BASES)
