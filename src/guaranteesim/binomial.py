@@ -40,6 +40,7 @@ import numpy as np
 from .record import Record
 
 __all__ = [
+    "PROCEDURE_KINDS",
     "binom_pmf",
     "binom_pmf_vector",
     "binom_pmf_dot",
@@ -560,15 +561,18 @@ def wald_lower_vector(n: int, alpha_prime: float) -> np.ndarray:
     return np.clip(bound, 0.0, 1.0)
 
 
+PROCEDURE_KINDS = ("clopper_pearson", "wald")
+
+
 class LowerBoundProcedure(Record):
     """A lower confidence-bound rule x -> L(x) at a fixed sample size."""
 
-    kind: str  # "clopper_pearson" or "wald"
+    kind: str  # one of PROCEDURE_KINDS
     nominal_alpha: float
     n: int
 
     def __post_init__(self):
-        if self.kind not in ("clopper_pearson", "wald"):
+        if self.kind not in PROCEDURE_KINDS:
             raise ValueError(f"unknown procedure kind {self.kind!r}")
         _check_cp_args(0, self.n, self.nominal_alpha)
 

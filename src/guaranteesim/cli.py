@@ -22,7 +22,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .binomial import LowerBoundProcedure, coverage_report, probability_grid
+from .binomial import (
+    PROCEDURE_KINDS,
+    LowerBoundProcedure,
+    coverage_report,
+    probability_grid,
+)
 from .config import (
     OPEN_UNIT,
     TRIALS,
@@ -175,7 +180,7 @@ def cmd_decide(scenario: Scenario, args) -> Outputs:
 
 def cmd_contract(scenario: Scenario, args) -> Outputs:
     if scenario.contract is None:
-        raise ConfigError("this subcommand needs a contract block", "contract")
+        raise ConfigError("this subcommand needs a contract block", ("contract",))
     econ = scenario.economics
     contract = scenario.contract
     m = econ.M
@@ -301,7 +306,7 @@ _weight = checked(float, UNIT)
 # ahead of its own.
 _SUBCOMMANDS = {
     "coverage": ("coverage/violation curve for a bound procedure", cmd_coverage, (
-        ("--proc", {"choices": ["clopper_pearson", "wald"]}),
+        ("--proc", {"choices": PROCEDURE_KINDS}),
         ("--n", {"type": _trials}),
         ("--alpha-prime", {"type": _open_unit}))),
     "example1": ("closed-form mixture rate and scale-back table", cmd_example1, (

@@ -39,6 +39,7 @@ from .economics import (
 )
 from .record import Record, asdict
 from .researcher import (
+    UTILITY_FORMS,
     ImplValue,
     NoiseSpec,
     PoolMember,
@@ -87,10 +88,21 @@ _PAIR = Check(lambda v: len(v) == 2, "be a [k, alpha] pair")
 
 
 class ConfigError(ValueError):
-    def __init__(self, message: str, key_path: str = "", line: Optional[int] = None):
-        self.key_path = key_path
+    """A scenario mistake at key_path, a tuple of object keys and list
+    indices, printed dotted: ("pool", "members", 1, "base") as
+    pool.members[1].base."""
+
+    def __init__(self, message: str, key_path: tuple = (), line: Optional[int] = None):
+        self.key_path = tuple(key_path)
         self.line = line
-        super().__init__(f"{key_path}: {message}" if key_path else message)
+        super().__init__(f"{_dotted(self.key_path)}: {message}" if key_path else message)
+
+
+def _dotted(key_path: tuple) -> str:
+    """key_path as text: each key after a ".", each index as "[i]", and no
+    "." before the first key, which is always an object key."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in key_path)[1:]
 
 
 def default_scenario_dict() -> dict:
@@ -169,10 +181,10 @@ class Scenario(Record):
             try:
                 p0 = self.economics.break_even_success_rate()
             except NoBreakEvenError as exc:
-                raise ConfigError(str(exc), "economics") from exc
+                raise ConfigError(str(exc), ("economics",)) from exc
             if not 0.0 < p0 < 1.0:
                 raise ConfigError(f"break-even rate {p0!r} leaves no threshold "
-                                  f"strictly inside (0,1)", "economics")
+                                  f"strictly inside (0,1)", ("economics",))
         return ImplementerPolicy(u_bar=self.policy_u_bar,
                                  alpha_belief=self.policy_alpha, p0=p0)
 
@@ -193,13 +205,13 @@ class Scenario(Record):
         if any; a tail contract that never pays is a ConfigError at contract.k."""
         if self.contract is None:
             return decide_no_guarantee(bound, self.policy, self.economics)
-        with _at("contract.k"):
+        with _at(("contract", "k")):
             return decide_with_contract(bound, self.contract, self.policy,
                                         self.economics)
 
 
 @contextmanager
-def _at(path: str):
+def _at(path: tuple):
     """Report a ValueError or TypeError raised while building path as a
     ConfigError at that path."""
     try:
@@ -210,7 +222,7 @@ def _at(path: str):
         raise ConfigError(str(exc), path) from exc
 
 
-def _reject_unknown(block: dict, allowed, path: str) -> None:
+def _reject_unknown(block: dict, allowed, path: tuple) -> None:
     if not isinstance(block, dict):
         raise ConfigError(f"expected an object, got {type(block).__name__}", path)
     unknown = sorted(set(block) - set(allowed))
@@ -223,13 +235,11 @@ _KINDS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
           str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
 
 
-def _child(path: str, key) -> str:
-    if isinstance(key, int):
-        return f"{path}[{key}]"
-    return f"{path}.{key}" if path else key
+def _child(path: tuple, key) -> tuple:
+    return (*path, key)
 
 
-def _get(block, key, path: str, kind=float, default=_REQUIRED, check=None):
+def _get(block, key, path: tuple, kind=float, default=_REQUIRED, check=None):
     """block[key], for an object key or a list index: present unless it has
     a default, of the JSON kind (never a bool; float: finite, so no NaN or
     Infinity), null only where the default is None, and passing check."""
@@ -249,7 +259,7 @@ def _get(block, key, path: str, kind=float, default=_REQUIRED, check=None):
     return float(value) if kind is float else value
 
 
-def _block(parent, key, path: str, allowed, default=_REQUIRED):
+def _block(parent, key, path: tuple, allowed, default=_REQUIRED):
     """The object parent[key], read through _get, unknown keys rejected."""
     block = _get(parent, key, path, dict, default)
     if block is not None:
@@ -257,19 +267,19 @@ def _block(parent, key, path: str, allowed, default=_REQUIRED):
     return block
 
 
-def _floats(block, key, path: str, default=_REQUIRED, check=None, each=None) -> list:
+def _floats(block, key, path: tuple, default=_REQUIRED, check=None, each=None) -> list:
     """A list of finite numbers: the list passes check, each item each."""
     items = _get(block, key, path, list, default, check)
     return [_get(items, i, _child(path, key), check=each) for i in range(len(items))]
 
 
-def _law(block: dict, path: str) -> DiscreteDist:
+def _law(block: dict, path: tuple) -> DiscreteDist:
     with _at(path):
         return DiscreteDist(_floats(block, "values", path),
                             _floats(block, "probs", path))
 
 
-def _variant(parent, key, path: str, field: str, forms: dict, *context):
+def _variant(parent, key, path: tuple, field: str, forms: dict, *context):
     """The record the object parent[key] describes. Its field names one of
     forms, name -> (keys, build); the object holds field and that name's
     keys only, and build(block, where, *context) makes the record, with a
@@ -284,11 +294,11 @@ def _variant(parent, key, path: str, field: str, forms: dict, *context):
         return build(block, where, *context)
 
 
-def _cost_table(block: dict, where: str, M: int) -> CostSchedule:
+def _cost_table(block: dict, where: tuple, M: int) -> CostSchedule:
     values = _floats(block, "values", where)
     if len(values) != M:
         raise ConfigError(f"cost table has {len(values)} entries for "
-                          f"population {M}", f"{where}.values")
+                          f"population {M}", _child(where, "values"))
     return CostSchedule.table(values)
 
 
@@ -308,8 +318,8 @@ _BENEFITS = {
 
 
 def _economics(top: dict) -> PolicyEconomics:
-    path = "economics"
-    block = _block(top, path, "", {"population", "cost", "benefit", "dilution_q"})
+    path = ("economics",)
+    block = _block(top, "economics", (), {"population", "cost", "benefit", "dilution_q"})
     M = _get(block, "population", path, int, check=_between(1, ENUMERATION_LIMIT))
     costs = _variant(block, "cost", path, "form", _COSTS, M)
     benefit = _variant(block, "benefit", path, "form", _BENEFITS)
@@ -319,11 +329,11 @@ def _economics(top: dict) -> PolicyEconomics:
 
 
 def _procedure(top: dict) -> LowerBoundProcedure:
-    path = "procedure"
-    block = _block(top, path, "", {"kind", "alpha", "n"})
+    path = ("procedure",)
+    block = _block(top, "procedure", (), {"kind", "alpha", "n"})
     alpha = _get(block, "alpha", path, check=OPEN_UNIT)
     n = _get(block, "n", path, int, check=TRIALS)
-    with _at(f"{path}.kind"):  # alpha and n are checked: only the kind fails
+    with _at(_child(path, "kind")):  # alpha and n are checked: only the kind fails
         return LowerBoundProcedure(_get(block, "kind", path, str), alpha, n)
 
 
@@ -344,19 +354,19 @@ _CONTRACTS = {
 }
 
 
-def _alpha_belief(policy: dict, path: str):
+def _alpha_belief(policy: dict, path: tuple):
     """A scalar belief, or {"knots": [[k, alpha], ...]} for a schedule."""
     if not isinstance(policy.get("alpha_belief"), dict):
         return _get(policy, "alpha_belief", path, check=UNIT)
-    where = f"{path}.alpha_belief"
+    where = _child(path, "alpha_belief")
     knots = _get(_block(policy, "alpha_belief", path, {"knots"}), "knots", where, list)
-    where = f"{where}.knots"
+    where = _child(where, "knots")
     pairs = [_floats(knots, i, where, check=_PAIR) for i in range(len(knots))]
     with _at(where):
         return AlphaSchedule(tuple(pairs))
 
 
-def _utility(block: dict, where: str) -> UtilitySpec:
+def _utility(block: dict, where: tuple) -> UtilitySpec:
     # the form's table entry leaves out the keys it does not read
     return UtilitySpec(
         form=block["form"],
@@ -365,29 +375,29 @@ def _utility(block: dict, where: str) -> UtilitySpec:
         v_bar=_get(block, "v_bar", where, default=UtilitySpec.v_bar))
 
 
-_UTILITIES = {
-    "linear": (("v_bar",), _utility),
-    "cara": (("risk_aversion", "v_bar"), _utility),
-}
-_POOL_UTILITIES = {  # a pool member has no participation floor
-    "linear": ((), _utility),
-    "cara": (("risk_aversion",), _utility),
-}
+def _utility_forms(floor: tuple) -> dict:
+    """Each of UTILITY_FORMS with its keys: CARA's risk aversion, and floor."""
+    return {form: ((("risk_aversion",) if form == "cara" else ()) + floor, _utility)
+            for form in UTILITY_FORMS}
+
+
+_UTILITIES = _utility_forms(("v_bar",))
+_POOL_UTILITIES = _utility_forms(())  # a pool member has no participation floor
 
 
 def _payoff(top: dict) -> ResearcherPayoffModel:
-    path = "researcher_payoff"
-    block = _block(top, path, "", {"base_pub", "impl_value", "failure_exposure",
-                                   "noise"})
-    where = f"{path}.impl_value"
+    path = ("researcher_payoff",)
+    block = _block(top, "researcher_payoff", (), {"base_pub", "impl_value",
+                                                  "failure_exposure", "noise"})
+    where = _child(path, "impl_value")
     impl = _block(block, "impl_value", path, {"kind", "amount"}, default={})
     amount = _get(impl, "amount", where, default=ImplValue.amount)
-    with _at(f"{where}.kind"):  # the amount is checked: only the kind fails
+    with _at(_child(where, "kind")):  # the amount is checked: only the kind fails
         impl = ImplValue(_get(impl, "kind", where, str, default=ImplValue.kind), amount)
     noise = _block(block, "noise", path, {"epsilon"}, default=None)
     if noise is not None:
-        with _at(f"{path}.noise"):
-            noise = NoiseSpec(epsilon=_get(noise, "epsilon", f"{path}.noise"))
+        with _at(_child(path, "noise")):
+            noise = NoiseSpec(epsilon=_get(noise, "epsilon", _child(path, "noise")))
     model = ResearcherPayoffModel  # its field defaults are the key defaults
     with _at(path):
         return model(
@@ -398,9 +408,9 @@ def _payoff(top: dict) -> ResearcherPayoffModel:
             noise=noise)
 
 
-def _exchange(block: dict, where: str) -> ResearcherRisk:
+def _exchange(block: dict, where: tuple) -> ResearcherRisk:
     partner = _block(block, "partner_loss", where, {"values", "probs"})
-    law = _law(partner, f"{where}.partner_loss")
+    law = _law(partner, _child(where, "partner_loss"))
     return ResearcherRisk(hedge=RiskExchange(
         retained=_get(block, "retained", where),
         assumed=_get(block, "assumed", where), partner_loss=law))
@@ -423,30 +433,30 @@ _RISKS = {
 }
 
 
-def _member(block: dict, path: str, utility: UtilitySpec) -> PoolMember:
+def _member(block: dict, path: tuple, utility: UtilitySpec) -> PoolMember:
     return PoolMember(loss=_law(block, path), utility=utility,
                       base=_get(block, "base", path, default=0.0))
 
 
 def _pool(top: dict) -> PoolSpec:
-    path = "pool"
-    block = _block(top, path, "", {"iid", "members", "utility", "shares"})
+    path = ("pool",)
+    block = _block(top, "pool", (), {"iid", "members", "utility", "shares"})
     utility = _variant(block, "utility", path, "form", _POOL_UTILITIES)
     if ("iid" in block) == ("members" in block):
         raise ConfigError("pool needs exactly one of iid and members",
-                          f"{path}.members" if "iid" in block else path)
+                          _child(path, "members") if "iid" in block else path)
     if "iid" in block:
-        where = f"{path}.iid"
+        where = _child(path, "iid")
         iid = _block(block, "iid", path, {"count", "values", "probs", "base"})
         count = _get(iid, "count", where, int, check=_between(1, POOL_LIMIT))
         members = [_member(iid, where, utility)] * count
     else:
-        where = f"{path}.members"
+        where = _child(path, "members")
         items = _get(block, "members", path, list, check=Check(
             lambda v: 1 <= len(v) <= POOL_LIMIT, f"hold 1..{POOL_LIMIT} members"))
         members = [_member(_block(items, i, where, {"base", "values", "probs"}),
-                           f"{where}[{i}]", utility) for i in range(len(items))]
-    j, where, shares = len(members), f"{path}.shares", block.get("shares")
+                           _child(where, i), utility) for i in range(len(items))]
+    j, where, shares = len(members), _child(path, "shares"), block.get("shares")
     if isinstance(shares, list):
         shares = [_floats(shares, i, where) for i in range(len(shares))]
     elif _get(block, "shares", path, str, "equal", Check(
@@ -457,8 +467,8 @@ def _pool(top: dict) -> PoolSpec:
 
 
 def _grids(top: dict) -> GridSpec:
-    path = "grids"
-    block = _block(top, path, "", GridSpec._fields)
+    path = ("grids",)
+    block = _block(top, "grids", (), GridSpec._fields)
     def denom(key):
         return _get(block, key, path, int, getattr(GridSpec, key), GRID_DENOM)
     return GridSpec(
@@ -472,31 +482,31 @@ def _grids(top: dict) -> GridSpec:
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a scenario; each omitted top-level block is the default's."""
     defaults = default_scenario_dict()
-    _reject_unknown(data, defaults, "")
+    _reject_unknown(data, defaults, ())
     merged = {**defaults, **data}
-    belief = _block(merged, "belief", "", {"untruthful_weight", "conditioning"})
-    conditioning = _get(belief, "conditioning", "belief", str, default="calibrated")
+    belief = _block(merged, "belief", (), {"untruthful_weight", "conditioning"})
+    conditioning = _get(belief, "conditioning", ("belief",), str, default="calibrated")
     if conditioning not in CONDITIONING_VARIANTS + ("calibrated",):
         raise ConfigError(f"unknown conditioning {conditioning!r}",
-                          "belief.conditioning")
-    policy = _block(merged, "policy", "", {"u_bar", "alpha_belief", "p0"})
+                          ("belief", "conditioning"))
+    policy = _block(merged, "policy", (), {"u_bar", "alpha_belief", "p0"})
     procedure = _procedure(merged)
     scenario = Scenario(
-        seed=_get(merged, "seed", "", int, check=_between(0, 2 ** 64 - 1)),
+        seed=_get(merged, "seed", (), int, check=_between(0, 2 ** 64 - 1)),
         economics=_economics(merged),
         procedure=procedure,
-        strategy=_variant(merged, "strategy", "", "variant", _STRATEGIES,
+        strategy=_variant(merged, "strategy", (), "variant", _STRATEGIES,
                           procedure),
-        belief_weight=_get(belief, "untruthful_weight", "belief", check=UNIT),
+        belief_weight=_get(belief, "untruthful_weight", ("belief",), check=UNIT),
         belief_conditioning=conditioning,
-        policy_u_bar=_get(policy, "u_bar", "policy", check=_NEGATIVE),
-        policy_alpha=_alpha_belief(policy, "policy"),
-        policy_p0=_get(policy, "p0", "policy", default=None, check=OPEN_UNIT),
+        policy_u_bar=_get(policy, "u_bar", ("policy",), check=_NEGATIVE),
+        policy_alpha=_alpha_belief(policy, ("policy",)),
+        policy_p0=_get(policy, "p0", ("policy",), default=None, check=OPEN_UNIT),
         contract=None if merged["contract"] is None else _variant(
-            merged, "contract", "", "variant", _CONTRACTS),
-        utility=_variant(merged, "utility", "", "form", _UTILITIES),
+            merged, "contract", (), "variant", _CONTRACTS),
+        utility=_variant(merged, "utility", (), "form", _UTILITIES),
         researcher_payoff=_payoff(merged),
-        risk_strategy=_variant(merged, "risk_strategy", "", "variant", _RISKS),
+        risk_strategy=_variant(merged, "risk_strategy", (), "variant", _RISKS),
         pool=_pool(merged),
         grids=_grids(merged),
     )
@@ -518,7 +528,7 @@ def _check_against_p0(scenario: Scenario, in_file: bool) -> None:
     except ConfigError:
         return
     if fraud:
-        with _at("strategy.guess_spread"):
+        with _at(("strategy", "guess_spread")):
             scenario.strategy.check_threshold(p0)
     if tail:
         scenario.decide(1.0)
@@ -543,14 +553,14 @@ def _children(raw: str, pos: int):
         pos, index = _skip(raw, _DECODER.raw_decode(raw, pos)[1]).end(), index + 1
 
 
-def _line_of_key(raw: str, key_path: str) -> Optional[int]:
+def _line_of_key(raw: str, key_path: tuple) -> Optional[int]:
     """Line of key_path in the raw JSON text, or of its deepest part there.
     Each part is looked up in the value the part before led to: a key among
-    its members (the last of equal keys, as json.loads keeps), an [i] among
-    its items, so text in a string or in a sibling value never matches."""
+    its members (the last of equal keys, as json.loads keeps), an index
+    among its items, so text in a string or in a sibling value never
+    matches, and a key may hold any character, "." and "[" too."""
     pos, line = _skip(raw, 0).end(), None
-    for index, name in re.findall(r"\[(\d+)\]|([^.[]+)", key_path):
-        want = int(index) if index else name
+    for want in key_path:
         found = [(start, value) for start, key, value in _children(raw, pos)
                  if key == want]
         if not found:

@@ -278,24 +278,27 @@ def _exact_binomial_cdf(n: int, p: float) -> np.ndarray:
 
 
 def _exact_cdf_sampler(n: int, p: float, fn=None):
-    """An mc_estimate sampler: fn of Binomial(n, p) counts (the counts
-    themselves when fn is None), filled into one float array block by
-    block; fn must act elementwise.
+    """An mc_estimate sampler of fn of Binomial(n, p) counts (the counts
+    themselves when fn is None), as (cells, values): the counts, in the
+    smallest unsigned dtype past n (uint8 up to n = 254), and the float
+    table fn(arange(n + 1)); fn must act elementwise and gets intp counts.
 
     invert_blocks looks each raw word of the stream up in
     _exact_binomial_cdf as the uniform (w >> 11) 2**-53 that rng.random
     makes of it: the inversion numpy's rng.binomial runs when n p <= 30,
-    with its counts on the same stream, read in the same order. fn gets
-    intp counts. No float pmf enters, so this path of the gate shares no
-    code with binom_pmf_vector.
+    with its counts on the same stream, read in the same order. No float
+    pmf enters, so this path of the gate shares no code with
+    binom_pmf_vector.
     """
     cdf = _exact_binomial_cdf(n, p)
+    xs = np.arange(n + 1)
+    values = np.asarray(xs if fn is None else fn(xs), dtype=float)
 
     def sample(rng, size):
-        out = np.empty(size)
-        for block, xs in invert_blocks(cdf, rng, size):
-            out[block] = xs if fn is None else fn(xs)
-        return out
+        counts = np.empty(size, np.min_scalar_type(n + 1))
+        for block, got in invert_blocks(cdf, rng, size, counts.dtype):
+            counts[block] = got
+        return counts, values
     return sample
 
 
@@ -311,7 +314,8 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
     checks.append((exact1, est1))
 
     # estimates 2-4 draw from the strategies' own samplers: (strategy,
-    # rate, threshold, event on the published bounds, its exact rate)
+    # rate, threshold, event on the published bounds, its exact rate); the
+    # event reads each sampler's table of bounds, not one bound per draw
     sel = SelectiveStrategy(n=40, alpha_prime=0.1)
     fraud = FraudulentStrategy(LowerBoundProcedure("clopper_pearson", 0.05, 40),
                                guess_spread=0.05)
@@ -326,8 +330,10 @@ def _infrastructure_properties(seed: int, econ_20: PolicyEconomics):
              (sel, 0.45, 0.5, clears, sel.exceedance_prob),
              (fraud, 0.4, 0.4, clears, fraud.exceedance_prob))
     for stream_id, (strat, p, t, event, exact) in enumerate(suite, 102):
-        est = mc_estimate(lambda rng, k: event(strat.sample(p, t, rng, k), t),
-                          1_000_000, SeededStream(seed, stream_id))
+        def events(rng, size):
+            cells, bounds = strat.sample(p, t, rng, size)
+            return cells, event(bounds, t)
+        est = mc_estimate(events, 1_000_000, SeededStream(seed, stream_id))
         checks.append((exact(p, t), est))
 
     tail = TailGuarantee(-5.0)

@@ -30,6 +30,7 @@ from .record import Record
 from .simulate import DiscreteDist
 
 __all__ = [
+    "UTILITY_FORMS",
     "UtilitySpec",
     "ImplValue",
     "NoiseSpec",
@@ -53,15 +54,18 @@ __all__ = [
 _EXP_CAP = 700.0
 
 
+UTILITY_FORMS = ("linear", "cara")
+
+
 class UtilitySpec(Record):
     """Strictly increasing evaluator with v(0) = 0 and a participation floor."""
 
-    form: str  # "linear" or "cara"
+    form: str  # one of UTILITY_FORMS
     risk_aversion: float = 0.0
     v_bar: float = float("-inf")
 
     def __post_init__(self):
-        if self.form not in ("linear", "cara"):
+        if self.form not in UTILITY_FORMS:
             raise ValueError(f"unknown utility form {self.form!r}")
         if self.form == "cara" and self.risk_aversion <= 0.0:
             raise ValueError("CARA needs a positive risk aversion")

@@ -47,34 +47,99 @@ class McEstimate(Record):
 
 
 def mc_estimate(sampler, n_draws: int, stream: SeededStream) -> McEstimate:
-    """Monte-Carlo mean of sampler(rng, size) with its standard error.
+    """Monte-Carlo mean of the draws of sampler(rng, size) with its standard
+    error.
 
-    sampler must return a length-size array of floats, integers or bools.
+    sampler returns either a length-size array of floats, integers or
+    bools, draw i its entry i as a float, or a pair (cells, values): a
+    length-size array of integer cells and a 1-d table, draw i the float
+    values[cells[i]]. A cell outside the table raises ValueError.
     Determinism contract: fixed (seed, stream_id, n_draws) reproduces the
     estimate bit for bit.
 
     The mean and the standard error are float(d.mean()) and
     float(d.std(ddof=1) / sqrt(n_draws)) of the float draws d, bit for
     bit, by the steps of numpy's _var (pairwise sum, divide by n, subtract,
-    square, pairwise sum, divide by n - 1, sqrt) done in place on d, so
-    no array of n_draws floats is held beside it. A writeable float array
-    that owns its data is handed over: mc_estimate may overwrite it. A
-    view, a read-only array or any other dtype is converted or copied
-    first and left as it was.
+    square, pairwise sum, divide by n - 1, sqrt), without d: each sum
+    follows the tree of numpy's pairwise sum (_pairwise_sum), one leaf of
+    draws at a time in reused scratch. A table's squared deviations are
+    taken once per entry and gathered like its values. The sampler's
+    arrays are only read.
     """
     if n_draws < 2:
         raise ValueError(f"need at least 2 draws for a standard error, got {n_draws}")
-    draws = np.asarray(sampler(stream.generator(), n_draws), dtype=float)
-    if draws.shape != (n_draws,):
-        raise ValueError(f"sampler returned shape {draws.shape}, expected ({n_draws},)")
-    if not (draws.flags.owndata and draws.flags.writeable):
-        draws = draws.copy()
-    mean = np.add.reduce(draws) / n_draws
-    np.subtract(draws, mean, out=draws)
-    np.square(draws, out=draws)
-    std = np.sqrt(np.add.reduce(draws) / (n_draws - 1))
+    got = sampler(stream.generator(), n_draws)
+    cells, values = got if isinstance(got, tuple) else (got, None)
+    cells = np.asarray(cells)
+    if cells.shape != (n_draws,):
+        raise ValueError(f"sampler returned shape {cells.shape}, expected ({n_draws},)")
+    if values is not None:
+        values = _checked_table(cells, values)
+    leaf = np.empty(min(n_draws, _LEAF))
+    wide = np.empty(leaf.size, np.intp)
+
+    def leaf_sum(table, shift=None):
+        """Sum of the draws start..stop-1 as floats in leaf, cells[i] or
+        table[cells[i]], less shift and squared if shift is given."""
+        def total(start, stop):
+            out = leaf[:stop - start]
+            if table is None:
+                out[...] = cells[start:stop]
+            else:
+                at = wide[:out.size]
+                at[...] = cells[start:stop]  # np.take widens narrower indices per call
+                np.take(table, at, out=out, mode="clip")
+            if shift is not None:
+                np.square(np.subtract(out, shift, out=out), out=out)
+            return np.add.reduce(out, initial=-0.0)
+        return total
+
+    mean = _pairwise_sum(leaf_sum(values), n_draws) / n_draws
+    squares = (leaf_sum(None, mean) if values is None
+               else leaf_sum(np.square(values - mean)))
+    std = np.sqrt(_pairwise_sum(squares, n_draws) / (n_draws - 1))
     return McEstimate(mean=float(mean), std_error=float(std / np.sqrt(n_draws)),
                       n_draws=n_draws)
+
+
+_LEAF = 1 << 16  # draws per leaf: scratch of 512 KiB
+
+
+def _checked_table(cells: np.ndarray, values) -> np.ndarray:
+    """values as a 1-d float table that every integer cell indexes."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"value table has shape {values.shape}, expected 1-d")
+    if cells.dtype.kind not in "iu":
+        raise ValueError(f"cells must be integers, got {cells.dtype}")
+    if cells.max() >= values.size or (cells.dtype.kind == "i" and cells.min() < 0):
+        raise ValueError(f"a cell lies outside the table of {values.size} values")
+    return values
+
+
+def _pairwise_sum(leaf_sum, size: int):
+    """np.add.reduce of a contiguous float array of size entries, bit for
+    bit, from leaf_sum(start, stop), numpy's own pairwise sum (Higham 1993)
+    of the entries start..stop-1 with initial -0.0, which adds nothing.
+    The reduction's identity, 0.0, is added last, as np.add.reduce adds it.
+    """
+    return 0.0 + _node_sum(leaf_sum, 0, size)
+
+
+def _node_sum(leaf_sum, start: int, stop: int):
+    """The pairwise sum of the node start..stop-1. numpy's pairwise_sum
+    halves a node, the first half rounded down to a multiple of 8, until
+    it holds at most 128 entries; here the same split stops at _LEAF
+    entries and numpy sums each leaf by that rule, so the leaf sums add up
+    the same tree. A module-level function, not a closure calling itself:
+    that would be a reference cycle keeping leaf_sum's arrays alive until
+    the garbage collector runs."""
+    if stop - start <= _LEAF:
+        return leaf_sum(start, stop)
+    half = (stop - start) // 2
+    half -= half % 8
+    return (_node_sum(leaf_sum, start, start + half)
+            + _node_sum(leaf_sum, start + half, stop))
 
 
 def enumerate_outcomes(m: int, p: float, f) -> float:

@@ -16,8 +16,9 @@ gate's control rate is that threshold. Samplers draw counts with
 binomial.binom_draws and binom_blocks: the exact cdf inverted at the raw
 words of the stream's Philox, each the uniform rng.random would make of
 it. A published bound depends only on the sampler's state (the count,
-the guess and count, or the two arms' counts), so each sampler builds
-its table of published values once per call and gathers it per draw.
+the guess and count, or the two arms' counts), so each sampler returns
+one compact cell per draw and its table of published values, the draw's
+bound values[cell]: simulate.mc_estimate reads that pair as it is.
 The mixture functions compute the implementer-facing false positive
 probability sup_{p<threshold} Pr(L > threshold) under a weighted belief
 over behaviors, with three conditioning conventions for how the weight
@@ -34,7 +35,6 @@ from functools import lru_cache
 import numpy as np
 
 from .binomial import (
-    _SEARCH_BLOCK,
     LowerBoundProcedure,
     binom_blocks,
     binom_draws,
@@ -101,10 +101,11 @@ class TruthfulStrategy(Record):
         return exceedance_terms(self.procedure, threshold)
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-        """size published bounds drawn at true success rate p; the honest
-        bound does not depend on the threshold."""
-        return self.procedure.bounds[binom_draws(self.procedure.n, p, rng, size)]
+               size: int) -> tuple:
+        """size published bounds drawn at true success rate p, as (cells,
+        values): the counts and the bound of each count. The honest bound
+        does not depend on the threshold."""
+        return binom_draws(self.procedure.n, p, rng, size), self.procedure.bounds
 
 
 class FraudulentStrategy(Record):
@@ -137,35 +138,32 @@ class FraudulentStrategy(Record):
         return [(0.5, ones, ones), (0.5, exceed, ones)]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-        """size published bounds; all guesses are drawn before the outcomes.
+               size: int) -> tuple:
+        """size published bounds as (cells, values); all guesses are drawn
+        before the outcomes.
 
-        The published value depends only on (guess, x): it is read from a
-        2 (n+1) table of max(bound, threshold +- spread). A guess is a
+        The published value depends only on (guess, x): cell guess (n+1) + x
+        of a 2 (n+1) table of max(bound, threshold +- spread). A guess is a
         Binomial(1, 1/2) count, of cdf [1/2, 1]: 0, the high guess, when
-        its word is below 2**63 (its uniform below 1/2). Guesses take a
-        byte each, so the float output is the only array of size floats.
+        its word is below 2**63 (its uniform below 1/2).
         """
         self.check_threshold(threshold)
         guesses = threshold + self.guess_spread * np.array([[1.0], [-1.0]])
         values = np.maximum(self.procedure.bounds, guesses).ravel()
         n = self.procedure.n
-        return _gather_pairs(values, binom_draws(1, 0.5, rng, size),
-                             binom_blocks(n, p, rng, size), n + 1)
+        return _pair_cells(binom_draws(1, 0.5, rng, size),
+                           binom_blocks(n, p, rng, size), n + 1, values.size), values
 
 
-def _gather_pairs(values: np.ndarray, rows: np.ndarray, blocks,
-                  width: int) -> np.ndarray:
-    """values[rows * width + cols] as floats, for compact per-draw rows
-    and the (block, cols) pairs of a draw kernel, each block's flat index
-    built in one reused intp array: cast before the product, which wraps
-    in the rows' own dtype."""
-    out, cell = np.empty(rows.size), np.empty(min(rows.size, _SEARCH_BLOCK), np.intp)
+def _pair_cells(rows: np.ndarray, blocks, width: int, table_size: int) -> np.ndarray:
+    """rows * width + cols per draw, for compact per-draw rows and the
+    (block, cols) pairs of a draw kernel, in the smallest unsigned dtype
+    that indexes a table of table_size values: the rows are cast to it
+    before the product, which would wrap in their own dtype."""
+    out = np.empty(rows.size, np.min_scalar_type(table_size - 1))
     for block, cols in blocks:
-        flat = np.multiply(rows[block], width, out=cell[:cols.size],
-                           dtype=np.intp)
-        np.take(values, np.add(flat, cols, out=flat), out=out[block],
-                mode="clip")
+        flat = np.multiply(rows[block], width, out=out[block], dtype=out.dtype)
+        np.add(flat, cols, out=flat)
     return out
 
 
@@ -274,7 +272,7 @@ def _selective_table(n: int, alpha_prime: float) -> np.ndarray:
     row-major order: entry x_c (n+1) + x_t is the Wald bound wald[x_t]
     where the gate rejects (x_c, x_t), NaN where it stays silent. It holds
     (n+1)**2 floats, 13 KiB at n = 40 and 7.6 MiB at n = 1000; only the
-    sampler reads it, and the exact paths keep O(n) memory.
+    sampler builds it, and the exact paths keep O(n) memory.
     """
     thr, wald = _rct_tables(n, alpha_prime)
     x_c, x_t = np.ogrid[:n + 1, :n + 1]
@@ -303,17 +301,18 @@ class SelectiveStrategy(Record):
         return [(1.0, clear, np.ones(self.n + 1))]
 
     def sample(self, p: float, threshold: float, rng: np.random.Generator,
-               size: int) -> np.ndarray:
-        """size published Wald bounds, NaN where the gate stays silent; the
+               size: int) -> tuple:
+        """size published Wald bounds, NaN where the gate stays silent, as
+        (cells, values): cell x_c (n+1) + x_t of _selective_table. The
         control arm runs at the threshold, as in exceedance_prob.
 
         All control arms are drawn before the treatment arms, which go
-        block by block into the gather of _selective_table's values.
+        block by block into the cells.
         """
         values = _selective_table(self.n, self.alpha_prime)
         x_c = binom_draws(self.n, threshold, rng, size)
-        return _gather_pairs(values, x_c, binom_blocks(self.n, p, rng, size),
-                             self.n + 1)
+        return _pair_cells(x_c, binom_blocks(self.n, p, rng, size), self.n + 1,
+                           values.size), values
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,75 @@ def test_monte_carlo_estimates_hold_one_float_per_draw(monkeypatch):
     assert max(peaks) <= 12 * 2**20, [round(peak / 2**20, 2) for peak in peaks]
 
 
+def _run_anchor_10(monkeypatch, seed, spy):
+    """Anchor 10's (ok, detail) at seed, each mc_estimate(sampler,
+    n_draws, stream) made as spy(mc_estimate, sampler, n_draws, stream)."""
+    from guaranteesim import reproduce
+    real = reproduce.mc_estimate
+    monkeypatch.setattr(reproduce, "mc_estimate",
+                        lambda *args: spy(real, *args))
+    econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),
+                              BenefitFunction.linear(2.5))
+    return reproduce._infrastructure_properties(seed, econ_20)
+
+
+def test_monte_carlo_estimates_hold_no_float_per_draw(monkeypatch):
+    # the samplers return one- and two-byte cells and a table of values,
+    # and mc_estimate sums them leaf by leaf: each estimate's traced peak
+    # stays below one array of 10**6 floats (7.63 MiB), and its cells and
+    # scratch are freed when it returns, not left to the garbage collector
+    import tracemalloc
+    peaks, kept = [], []
+
+    def measure(real, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        est = real(*args)
+        now, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - start)
+        kept.append(now - start)
+        return est
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        _run_anchor_10(monkeypatch, 20260819, measure)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(peaks) == 8
+    assert max(peaks) <= 6 * 2**20, [round(peak / 2**20, 2) for peak in peaks]
+    assert max(kept) <= 2**16, kept
+
+
+# anchor 10's eight estimates at a third seed, recorded from the samplers
+# that returned one float per draw, before they returned cells and tables
+ANCHOR10_AT_31337 = ("max |z| 1.24; rerun identical: True", [
+    ("0x1.8022856605ee5p+2", "0x1.0c8a8f73dea0ep-9"),
+    ("0x1.7bce4217d284ap-5", "0x1.b8f7e6fa4239ep-13"),
+    ("0x1.11e85fd04a2fdp-6", "0x1.0ce1ba9226d1dp-13"),
+    ("0x1.0a2014727dcbep-1", "0x1.05f062c0692bcp-11"),
+    ("-0x1.3f8b4e11dbca9p+2", "0x1.48f666b74c954p-13"),
+    ("0x1.8022856605ee5p+2", "0x1.0c8a8f73dea0ep-9"),
+    ("-0x1.3fa9fbe76c8b4p+2", "0x1.54461a82b7dc3p-10"),
+    ("-0x1.3fa9fbe76c8b4p+2", "0x1.54461a82b7dc3p-10"),
+])
+
+
+def test_anchor_10_estimates_at_a_third_seed_are_pinned(monkeypatch):
+    seen = []
+
+    def record(real, *args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    ok, detail = _run_anchor_10(monkeypatch, 31337, record)
+    line, pinned = ANCHOR10_AT_31337
+    assert ok and detail == line
+    assert [(e.mean.hex(), e.std_error.hex()) for e in seen] == pinned
+
+
 @pytest.mark.parametrize("p", [0.3, 0.1])
 @pytest.mark.parametrize("seed", [1, 2, 3, 20260819])
 def test_exact_cdf_sampler_draws_numpys_binomial_counts(p, seed):
@@ -244,8 +313,9 @@ def test_exact_cdf_sampler_draws_numpys_binomial_counts(p, seed):
     from guaranteesim.reproduce import _exact_cdf_sampler
     ours = SeededStream(seed, 101).generator()
     theirs = SeededStream(seed, 101).generator()
-    counts = _exact_cdf_sampler(20, p)(ours, 200_000)
-    assert counts.dtype == np.float64
+    counts, values = _exact_cdf_sampler(20, p)(ours, 200_000)
+    assert counts.dtype == np.uint8
+    assert values.dtype == np.float64 and values.tolist() == list(range(21))
     assert np.array_equal(counts, theirs.binomial(20, p, 200_000))
     assert ours.random() == theirs.random()
 
@@ -253,7 +323,8 @@ def test_exact_cdf_sampler_draws_numpys_binomial_counts(p, seed):
 def test_exact_cdf_sampler_inverts_the_uniforms_of_a_twin_stream():
     # block by block from raw words, the counts of one searchsorted over
     # one Generator.random(size) call, handed to fn as intp, at sizes on
-    # each side of the block boundary; the streams stay in step
+    # each side of the block boundary; the streams stay in step. fn makes
+    # the sampler's table of values, one per count, from intp counts
     from guaranteesim.binomial import _SEARCH_BLOCK
     from guaranteesim.reproduce import _exact_binomial_cdf, _exact_cdf_sampler
     cdf = _exact_binomial_cdf(20, 0.3)
@@ -269,7 +340,8 @@ def test_exact_cdf_sampler_inverts_the_uniforms_of_a_twin_stream():
         ours = SeededStream(9, size).generator()
         theirs = SeededStream(9, size).generator()
         want = 0.5 * cdf.searchsorted(theirs.random(size), side="right")
-        assert np.array_equal(sample(ours, size), want)
+        cells, values = sample(ours, size)
+        assert np.array_equal(values[cells], want)
         assert ours.random() == theirs.random()
     assert set(seen) == {np.dtype(np.intp)}
 
@@ -298,8 +370,8 @@ def test_exact_cdf_sampler_shares_no_code_with_the_pmf(monkeypatch):
 
     monkeypatch.setattr(binomial, "binom_pmf_vector", broken)
     sample = _exact_cdf_sampler(20, 0.1, lambda xs: 2.0 * xs)
-    draws = sample(SeededStream(5, 105).generator(), 100_000)
-    assert draws.shape == (100_000,) and draws.max() <= 40.0
+    cells, values = sample(SeededStream(5, 105).generator(), 100_000)
+    assert cells.shape == (100_000,) and values[cells].max() <= 40.0
 
 
 def test_monte_carlo_gate_catches_a_drifted_sampler(monkeypatch):
@@ -322,14 +394,14 @@ def test_monte_carlo_gate_sees_the_honest_half_of_the_fraudulent_sampler(
         monkeypatch):
     # a fraudulent sampler that publishes its guess alone, dropping the
     # honest bound the clamp keeps: at rate 0.4, threshold 0.4 the honest
-    # half adds 0.0196 to the exceedance, about 40 standard errors
+    # half adds 0.0196 to the exceedance, about 40 standard errors. Like
+    # the real sampler it returns cells and their table of bounds
     from guaranteesim import reproduce, strategies
 
     def guess_only(self, p, threshold, rng, size):
-        guesses = threshold + self.guess_spread * np.where(
-            rng.random(size) < 0.5, 1.0, -1.0)
+        guesses = strategies.binom_draws(1, 0.5, rng, size)
         strategies.binom_draws(self.procedure.n, p, rng, size)
-        return guesses
+        return guesses, threshold + self.guess_spread * np.array([1.0, -1.0])
 
     monkeypatch.setattr(strategies.FraudulentStrategy, "sample", guess_only)
     econ_20 = PolicyEconomics(CostSchedule.linear(1.0, 20),

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from guaranteesim import config
+from guaranteesim.binomial import PROCEDURE_KINDS, LowerBoundProcedure
 from guaranteesim.cli import _build_parser, main
 from guaranteesim.contracts import (
     FullGuarantee,
@@ -28,9 +29,11 @@ from guaranteesim.config import (
 from guaranteesim.decisions import AlphaSchedule
 from guaranteesim.economics import PolicyEconomics
 from guaranteesim.researcher import (
+    UTILITY_FORMS,
     ResearcherRisk,
     RiskExchange,
     RiskTransfer,
+    UtilitySpec,
     pool_expected_utility,
 )
 from guaranteesim.strategies import TruthfulStrategy
@@ -117,12 +120,12 @@ class TestValidation:
             scenario_from_dict(
                 {"policy": {"u_bar": -1.0, "alpha_belief": 0.1, "p0": None,
                             "extra": 2}})
-        assert exc.value.key_path == "policy.extra"
+        assert exc.value.key_path == ("policy", "extra")
 
     def test_weight_range(self):
         with pytest.raises(ConfigError) as exc:
             scenario_from_dict({"belief": {"untruthful_weight": 1.5}})
-        assert exc.value.key_path == "belief.untruthful_weight"
+        assert exc.value.key_path == ("belief", "untruthful_weight")
 
     def test_unknown_conditioning(self):
         with pytest.raises(ConfigError, match="unknown conditioning"):
@@ -176,7 +179,7 @@ class TestValidation:
                 "utility": {"form": "cara", "risk_aversion": 0.1},
                 "shares": [[1.0]],
             }})
-        assert exc.value.key_path == "pool.shares"
+        assert exc.value.key_path == ("pool", "shares")
 
 
 SECOND_MEMBER = {"pool": {
@@ -368,13 +371,31 @@ class TestLineAnchoring:
             '}\n')
         assert json.loads(raw)["note"] == '"utility": {"form": 1}'
         line = config._line_of_key
-        assert line(raw, "utility") == 4  # not the pool's, nor the string's
-        assert line(raw, "utility.form") == 5
-        assert line(raw, "grid[1]") == 8
-        assert line(raw, "grid[1][1].x[1]") == 9
-        assert line(raw, "twice") == 11  # the value json.loads keeps
-        assert line(raw, "utility.v_bar") == 4  # its deepest part present
-        assert line(raw, "absent") is None and line(raw, "") is None
+        assert line(raw, ("utility",)) == 4  # not the pool's, nor the string's
+        assert line(raw, ("utility", "form")) == 5
+        assert line(raw, ("grid", 1)) == 8
+        assert line(raw, ("grid", 1, 1, "x", 1)) == 9
+        assert line(raw, ("twice",)) == 11  # the value json.loads keeps
+        assert line(raw, ("utility", "v_bar")) == 4  # its deepest part present
+        assert line(raw, ("absent",)) is None and line(raw, ()) is None
+
+    @pytest.mark.parametrize("text,line,message", [
+        ('{\n  "strategy": {\n    "variant": "truthful",\n    "n[0]": 2\n  }\n}\n',
+         4, "strategy.n[0]: unknown key 'n[0]'"),
+        ('{\n  "seed": 7,\n  "x.y": 1\n}\n', 3, "x.y: unknown key 'x.y'"),
+    ], ids=["brackets_in_a_key", "dot_in_a_top_level_key"])
+    def test_a_key_holding_a_dot_or_brackets_reports_its_line(
+            self, tmp_path, capsys, text, line, message):
+        # the key path is a tuple of keys, so a key's "." or "[0]" is not
+        # read as a step into a child
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_scenario(str(path))
+        assert exc.value.line == line and str(exc.value) == message
+        rc = main(["example1", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error (line {line}): {message}\n"
 
     def test_cli_reports_config_errors_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -391,6 +412,26 @@ class TestLineAnchoring:
         err = capsys.readouterr().err
         assert rc == 2
         assert "config error (line 1): invalid JSON" in err
+
+
+class TestOneListOfNames:
+    """The CLI and the scenario reader offer the names the records check."""
+
+    def test_proc_choices_are_the_procedure_kinds(self):
+        coverage = _build_parser("coverage").commands["coverage"]
+        proc = next(action for action in coverage._actions
+                    if action.option_strings == ["--proc"])
+        assert list(proc.choices) == list(PROCEDURE_KINDS)
+        for kind in proc.choices:
+            assert LowerBoundProcedure(kind, 0.05, 10).kind == kind
+        with pytest.raises(ValueError, match="unknown procedure kind"):
+            LowerBoundProcedure("bayes", 0.05, 10)
+
+    def test_utility_forms_are_the_records_forms(self):
+        for forms in (config._UTILITIES, config._POOL_UTILITIES):
+            assert list(forms) == list(UTILITY_FORMS)
+        with pytest.raises(ValueError, match="unknown utility form"):
+            UtilitySpec("quadratic")
 
 
 class TestCliCommands:
@@ -1106,7 +1147,7 @@ class TestOneResolvedScenario:
         for _ in range(2):
             with pytest.raises(ConfigError) as exc:
                 s.policy
-            assert exc.value.key_path == "economics"
+            assert exc.value.key_path == ("economics",)
 
     @pytest.mark.parametrize("command", ["decide", "contract", "researcher"])
     def test_break_even_runs_once_per_command(self, tmp_path, capsys,

@@ -53,32 +53,53 @@ class TestMcEstimate:
             mc_estimate(lambda rng, k: np.zeros(k), 1, SeededStream(0, 0))
 
 
-# sampler outputs of each dtype mc_estimate converts: float, int and bool
+# sampler outputs of each kind mc_estimate reads: float, int and bool
+# arrays, and cells with their table of values, in one and two bytes
 DRAW_KINDS = {
     "float": lambda rng, k: rng.normal(3.0, 2.0, size=k),
     "int": lambda rng, k: rng.integers(-5, 50, size=k),
     "bool": lambda rng, k: rng.random(k) < 0.3,
+    "table_u8": lambda rng, k: (rng.integers(0, 82, size=k, dtype=np.uint8),
+                                rng.normal(0.4, 0.1, size=82)),
+    "table_u16": lambda rng, k: (rng.integers(0, 1681, size=k, dtype=np.uint16),
+                                 rng.random(1681) < 0.2),
 }
-SE_SIZES = [2, 7, 8, 127, 128, 129, 65_537, 1_000_003]
+# on each side of numpy's 8-way unrolled and 128-entry pairwise blocks and
+# of the 2**16-draw leaves, and two leaf trees of 10**6 draws and more
+SE_SIZES = [2, 7, 8, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3,
+            1_000_000, 1_000_003]
+
+
+def gathered(draws):
+    """A sampler's draws as one float array: a table read at its cells."""
+    if isinstance(draws, tuple):
+        cells, values = draws
+        return np.asarray(values, dtype=float)[cells]
+    return np.asarray(draws, dtype=float)
 
 
 def numpy_estimate(draws):
     """The oracle: numpy's own mean and std of the float draws."""
-    d = np.asarray(draws, dtype=float)
+    d = gathered(draws)
     return float(d.mean()), float(d.std(ddof=1) / np.sqrt(d.size))
 
 
+def hexed(est):
+    return est.mean.hex(), est.std_error.hex()
+
+
 class TestInPlaceStandardError:
-    """mc_estimate squares the deviations in the array it is handed; numpy's
-    mean and std stay the reference, so a change to numpy's _var shows."""
+    """mc_estimate sums the draws leaf by leaf along numpy's pairwise tree,
+    never holding them as one float array; numpy's mean and std of that
+    array stay the reference, so a change to numpy's _var shows."""
 
     @pytest.mark.parametrize("size", SE_SIZES)
     @pytest.mark.parametrize("kind", sorted(DRAW_KINDS))
     def test_equals_numpy_bit_for_bit(self, kind, size):
         sampler = DRAW_KINDS[kind]
         est = mc_estimate(sampler, size, SeededStream(41, size))
-        want = numpy_estimate(sampler(SeededStream(41, size).generator(), size))
-        assert (est.mean, est.std_error) == want
+        mean, se = numpy_estimate(sampler(SeededStream(41, size).generator(), size))
+        assert hexed(est) == (mean.hex(), se.hex())
 
     @pytest.mark.parametrize("size", [7, 129, 65_537])
     @pytest.mark.parametrize("view", ["head", "strided", "read_only"])
@@ -93,6 +114,46 @@ class TestInPlaceStandardError:
         est = mc_estimate(lambda rng, k: handed(k), size, SeededStream(0, 0))
         assert np.array_equal(kept, before)
         assert (est.mean, est.std_error) == numpy_estimate(handed(size))
+
+    def test_leaves_an_owned_writable_array_unchanged(self):
+        # mc_estimate only reads the sampler's array, even one it could
+        # take over as scratch
+        handed = []
+
+        def sampler(rng, k):
+            handed.append(rng.normal(3.0, 2.0, size=k))
+            return handed[0]
+        mc_estimate(sampler, 200_003, SeededStream(43, 0))
+        assert handed[0].flags.owndata and handed[0].flags.writeable
+        want = SeededStream(43, 0).generator().normal(3.0, 2.0, size=200_003)
+        assert np.array_equal(handed[0], want)
+
+    def test_negative_zeros_sum_as_numpy_sums_them(self):
+        # the reduction's identity 0.0 turns a sum of -0.0 draws into 0.0
+        est = mc_estimate(lambda rng, k: np.full(k, -0.0), 200_000,
+                          SeededStream(0, 0))
+        mean, se = numpy_estimate(np.full(200_000, -0.0))
+        assert hexed(est) == (mean.hex(), se.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+    @pytest.mark.parametrize("size", [2, 65_537, 1_000_003])
+    def test_a_table_sampler_estimates_as_its_gathered_floats(self, size):
+        sampler = DRAW_KINDS["table_u16"]
+        est = mc_estimate(sampler, size, SeededStream(44, size))
+        floats = mc_estimate(lambda rng, k: gathered(sampler(rng, k)), size,
+                             SeededStream(44, size))
+        assert hexed(est) == hexed(floats)
+
+    @pytest.mark.parametrize("cells,values", [
+        (np.array([0, 3, 1], np.uint8), np.zeros(3)),
+        (np.array([0, 65_535, 1], np.uint16), np.zeros(82)),
+        (np.array([0, -1, 1]), np.zeros(3)),
+        (np.array([0.0, 1.0, 2.0]), np.zeros(3)),
+        (np.array([0, 1, 2]), np.zeros((3, 1))),
+    ], ids=["past_the_end", "far_past_the_end", "negative", "float_cells",
+            "table_not_1d"])
+    def test_a_cell_outside_the_table_raises(self, cells, values):
+        with pytest.raises(ValueError):
+            mc_estimate(lambda rng, k: (cells, values), 3, SeededStream(0, 0))
 
 
 class TestEnumeration:

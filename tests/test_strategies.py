@@ -165,11 +165,11 @@ class TestIndividualStrategies:
         for p in (0.2, 0.4):
             assert 0.0 <= strat.exceedance_prob(p, 0.4) <= 1.0
         rng = SeededStream(5, 0).generator()
-        published = strat.sample(0.3, 0.4, rng, 50)
+        published = _bounds(strat, 0.3, 0.4, rng, 50)
         assert published.shape == (50,)
         assert set(published.tolist()) <= set(proc.bounds.tolist())
         # the honest bound ignores the threshold
-        again = strat.sample(0.3, 0.9, SeededStream(5, 0).generator(), 50)
+        again = _bounds(strat, 0.3, 0.9, SeededStream(5, 0).generator(), 50)
         assert np.array_equal(published, again)
 
     def test_fraudulent_shifts_by_half(self):
@@ -189,7 +189,7 @@ class TestIndividualStrategies:
     def test_selective_sampling_matches_gate(self):
         strat = SelectiveStrategy(n=40, alpha_prime=0.1)
         rng = SeededStream(11, 0).generator()
-        draws = strat.sample(0.45, 0.5, rng, 2000)
+        draws = _bounds(strat, 0.45, 0.5, rng, 2000)
         freq = np.mean(~np.isnan(draws))
         exact = strat.reject_prob(0.45, 0.5)
         assert abs(freq - exact) <= 5.0 * np.sqrt(exact * (1 - exact) / 2000)
@@ -212,7 +212,7 @@ class TestIndividualStrategies:
     def test_sample_rate_matches_exact(self, strat, args, event, exact):
         draws = 20_000
         rng = SeededStream(23, 0).generator()
-        freq = float(np.mean(event(strat.sample(*args, rng, draws))))
+        freq = float(np.mean(event(_bounds(strat, *args, rng, draws))))
         target = exact(strat)
         assert 0.0 < target < 1.0
         assert abs(freq - target) <= 5.0 * np.sqrt(target * (1 - target) / draws)
@@ -221,14 +221,14 @@ class TestIndividualStrategies:
         # fraud draws every guess before the outcomes; selective draws the
         # control arm before the treatment arm; counts come from binom_draws
         fraud = FraudulentStrategy(self.CP40, 0.05)
-        got = fraud.sample(0.3, 0.4, SeededStream(3, 0).generator(), 100)
+        got = _bounds(fraud, 0.3, 0.4, SeededStream(3, 0).generator(), 100)
         rng = SeededStream(3, 0).generator()
         guesses = np.where(rng.random(100) < 0.5, 0.45, 0.35)
         want = np.maximum(self.CP40.bounds[binom_draws(40, 0.3, rng, 100)],
                           guesses)
         assert np.allclose(got, want, rtol=0.0, atol=1e-15)
         sel = SelectiveStrategy(40, 0.1)
-        got = sel.sample(0.45, 0.5, SeededStream(4, 0).generator(), 100)
+        got = _bounds(sel, 0.45, 0.5, SeededStream(4, 0).generator(), 100)
         reject = _dense_reject(40, 0.1)
         _, wald = _rct_tables(40, 0.1)
         rng = SeededStream(4, 0).generator()
@@ -324,14 +324,20 @@ class TestRctEnumeration:
         # at n = 127, 128, 255 and 256 its count sum 2 n sits at the edge of
         # a uint8 or uint16, where a fixed-width sum could wrap around to a
         # rejecting pair; the dense mask is computed on int64 counts
-        got = SelectiveStrategy(n, a).sample(
-            p, p_c, SeededStream(31, 0).generator(), 5000)
+        got = _bounds(SelectiveStrategy(n, a), p, p_c,
+                      SeededStream(31, 0).generator(), 5000)
         rng = SeededStream(31, 0).generator()
         x_c = binom_draws(n, p_c, rng, 5000)
         x_t = binom_draws(n, p, rng, 5000)
         _, wald = _rct_tables(n, a)
         want = np.where(_dense_reject(n, a)[x_c, x_t], wald[x_t], np.nan)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _bounds(strat, p, threshold, rng, size):
+    # a sampler's published bounds, one per draw: its table read at its cells
+    cells, values = strat.sample(p, threshold, rng, size)
+    return values[cells]
 
 
 def _uniform_counts(n, p, rng, size):
@@ -396,7 +402,7 @@ class TestTableSamplers:
                     case += 1
                     seed = SeededStream(n, case)
                     rng, ref_rng = seed.generator(), seed.generator()
-                    got = strat.sample(p, threshold, rng, size)
+                    got = _bounds(strat, p, threshold, rng, size)
                     want = per_draw(strat, p, threshold, ref_rng, size)
                     assert got.dtype == np.float64 and got.shape == (size,)
                     assert np.array_equal(got, want, equal_nan=True), (
@@ -404,6 +410,23 @@ class TestTableSamplers:
                     # the stream was read as far as the per-draw rule read it
                     assert (str(rng.bit_generator.state)
                             == str(ref_rng.bit_generator.state))
+
+    @pytest.mark.parametrize("n,dtypes", [(40, (np.uint8, np.uint8, np.uint16)),
+                                          (255, (np.uint16, np.uint16, np.uint16)),
+                                          (256, (np.uint16, np.uint16, np.uint32))])
+    def test_cells_are_compact(self, n, dtypes):
+        # the smallest unsigned dtype that indexes each table: at n = 40 a
+        # byte per draw for the counts and the fraudulent cells, two for
+        # the selective cells, and no float per draw
+        cp = LowerBoundProcedure("clopper_pearson", 0.05, n)
+        rng = SeededStream(6, n).generator()
+        for strat, dtype, size in zip(
+                (TruthfulStrategy(cp), FraudulentStrategy(cp, 0.05),
+                 SelectiveStrategy(n, 0.1)),
+                dtypes, (n + 1, 2 * (n + 1), (n + 1) ** 2)):
+            cells, values = strat.sample(0.3, 0.4, rng, 1000)
+            assert cells.dtype == dtype and cells.shape == (1000,)
+            assert values.dtype == np.float64 and values.shape == (size,)
 
     def test_other_bit_generators_are_refused(self):
         # every draw inverts raw words, which are Generator.random's
